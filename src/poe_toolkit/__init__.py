@@ -2,76 +2,4 @@
 valuations: exact solvers, closed-form bound evaluators, doubly normalised
 lottery pipelines, and a brute-force oracle."""
 
-from .bounds import (
-    BoundRow,
-    bound_table,
-    lambda_family_poe,
-    lambert_w,
-    poe_formula_submodular,
-    poe_lower_bound,
-    poe_upper_bound,
-    rank_of_instance,
-)
-from .doubly import (
-    BvnDecomposition,
-    DoublyStochasticMatrix,
-    EatingMatrix,
-    QExpansion,
-    bvn_decompose,
-    decode_allocation,
-    eating_matrix,
-    is_doubly_normalised,
-    q_expansion,
-    randomized_allocation,
-    solve_flow,
-)
-from .generators import (
-    example1_instance,
-    gen_doubly_normalised,
-    gen_lower_bound_instance,
-    gen_submodular_lb_instance,
-    remark_3x4_instance,
-    unnormalised_2agent_instance,
-)
-from .model import (
-    Allocation,
-    BinaryAdditive,
-    Instance,
-    LinearMatroidGF2,
-    UNASSIGNED,
-    ValidationReport,
-    Valuation,
-    is_clean,
-    is_ef,
-    is_ef1,
-    is_eq,
-    is_eq1,
-    make_clean,
-    validate,
-    wasted_goods,
-)
-from .oracle import BudgetExceededError, OracleResult, enumerate_allocations, is_pareto_optimal
-from .solver import (
-    SolveResult,
-    SolverInternalError,
-    TruncationDiagnostics,
-    diagnostics,
-    max_utilitarian_clean,
-    nash_optimal,
-    solve,
-    truncate,
-)
-from .welfare import (
-    NASH,
-    NEG_INF,
-    PParam,
-    UTILITARIAN,
-    WelfareReport,
-    max_positive_count,
-    p_mean,
-    poe_ratio,
-    welfare_key,
-    welfare_report,
-)
-
 __version__ = "0.1.0"

@@ -136,7 +136,7 @@ def cmd_check(args) -> int:
     if args.allocation:
         try:
             with open(args.allocation) as fh:
-                alloc = Allocation.from_json(json.load(fh), inst.n)
+                alloc = Allocation.from_json(json.load(fh), inst.n, inst.m)
         except FileNotFoundError as exc:
             raise UsageError(f"allocation file not found: {args.allocation}") from exc
         except (ValueError, KeyError, TypeError) as exc:

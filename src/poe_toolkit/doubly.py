@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import Allocation, BinaryAdditive, Instance
+from .welfare import augment
 
 
 # ---------------------------------------------------------------------------
@@ -110,65 +111,6 @@ class _MaxFlow:
 
     def flow_on(self, eid: int) -> int:
         return self.cap[eid ^ 1]
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
-# ---------------------------------------------------------------------------
-# q-expansions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class QExpansion:
-    """Either an expansion (each agent incident to exactly q chosen edges,
-    all chosen goods distinct) or an expansion-blocking agent set X with
-    fewer than q|X| neighbours."""
-
-    edges: list[tuple[int, int]] | None
-    violating_agents: frozenset[int] | None
-
-    @property
-    def exists(self) -> bool:
-        return self.edges is not None
-
-
-def q_expansion(inst: Instance, q: int) -> QExpansion:
-    """Find a q-expansion from agents to singly-valued goods via integral
-    max flow, or extract a neighbourhood-deficient agent set from the min
-    cut."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    n, m = inst.n, inst.m
-    s, t = n + m, n + m + 1
-    net = _MaxFlow(n + m + 2)
-    for i in range(n):
-        net.add_edge(s, i, q)
-    big = q * n + 1
-    pair_edges: dict[int, tuple[int, int]] = {}
-    for i in range(n):
-        for g in range(m):
-            if inst.valuations[i].value([g]) == 1:
-                pair_edges[net.add_edge(i, n + g, big)] = (i, g)
-    for g in range(m):
-        net.add_edge(n + g, t, 1)
-    flow = net.max_flow(s, t)
-    if flow == q * n:
-        edges = sorted(pair for eid, pair in pair_edges.items() if net.flow_on(eid) > 0)
-        return QExpansion(edges=edges, violating_agents=None)
-    reach = net.residual_reachable(s)
-    violating = frozenset(i for i in range(n) if i in reach)
-    return QExpansion(edges=None, violating_agents=violating)
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +283,6 @@ class BvnDecomposition:
         return [w for w, _ in self.terms]
 
 
-def _augment_support(
-    work: list[list[Fraction]], r: int, row_match: list[int],
-    col_match: list[int], seen: set[int],
-) -> bool:
-    for c in range(len(work)):
-        if work[r][c] > 0 and c not in seen:
-            seen.add(c)
-            if col_match[c] < 0 or _augment_support(work, col_match[c], row_match, col_match, seen):
-                row_match[r] = c
-                col_match[c] = r
-                return True
-    return False
-
-
 def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
     """Decompose a doubly stochastic matrix into permutation matrices.
 
@@ -365,13 +293,14 @@ def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
     reconstruction, not any particular term list."""
     dim = Y.dim
     work = [list(row) for row in Y.entries]
+    support = [[c for c in range(dim) if row[c] > 0] for row in work]
     row_match = [-1] * dim
     col_match = [-1] * dim
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
     remaining = Fraction(1)
     while remaining > 0:
         for r in range(dim):
-            if row_match[r] < 0 and not _augment_support(work, r, row_match, col_match, set()):
+            if row_match[r] < 0 and not augment(support, r, row_match, col_match):
                 raise RuntimeError("internal: support has no perfect matching; "
                                    "input was not doubly stochastic")
         delta = min(work[r][row_match[r]] for r in range(dim))
@@ -381,6 +310,7 @@ def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
             c = perm[r]
             work[r][c] -= delta
             if work[r][c] == 0:
+                support[r].remove(c)
                 row_match[r] = -1
                 col_match[c] = -1
         remaining -= delta

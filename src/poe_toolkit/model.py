@@ -11,7 +11,6 @@ concurrent workers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -197,32 +196,26 @@ def subset_value_table(val: Valuation) -> list[int]:
     m = val.m
     if m > 16:
         raise ValueError("subset table limited to m <= 16")
-    table = [0] * (1 << m)
     if isinstance(val, BinaryAdditive):
-        for mask in range(1 << m):
-            table[mask] = (mask & val.row_mask).bit_count()
-        return table
-    if isinstance(val, LinearMatroidGF2):
-        # depth-first include/exclude with an incremental xor basis
-        basis: list[int] = []
+        return [(mask & val.row_mask).bit_count() for mask in range(1 << m)]
+    # LinearMatroidGF2: depth-first include/exclude with an incremental xor basis
+    table = [0] * (1 << m)
+    basis: list[int] = []
 
-        def visit(g: int, mask: int, rank: int) -> None:
-            table[mask] = rank
-            for h in range(g, m):
-                reduced = val.col_masks[h]
-                for b in basis:
-                    reduced = min(reduced, reduced ^ b)
-                if reduced:
-                    basis.append(reduced)
-                    visit(h + 1, mask | (1 << h), rank + 1)
-                    basis.pop()
-                else:
-                    visit(h + 1, mask | (1 << h), rank)
+    def visit(g: int, mask: int, rank: int) -> None:
+        table[mask] = rank
+        for h in range(g, m):
+            reduced = val.col_masks[h]
+            for b in basis:
+                reduced = min(reduced, reduced ^ b)
+            if reduced:
+                basis.append(reduced)
+                visit(h + 1, mask | (1 << h), rank + 1)
+                basis.pop()
+            else:
+                visit(h + 1, mask | (1 << h), rank)
 
-        visit(0, 0, 0)
-    else:  # generic fallback for other rank oracles
-        for mask in range(1 << m):
-            table[mask] = val.value(g for g in range(m) if (mask >> g) & 1)
+    visit(0, 0, 0)
     return table
 
 
@@ -357,14 +350,19 @@ class Allocation:
 
     def values(self, inst: Instance) -> tuple[int, ...]:
         """Per-agent bundle values."""
+        if self.m != inst.m:
+            raise ValueError(f"allocation covers {self.m} goods, instance has {inst.m}")
         return tuple(inst.valuations[i].value(b) for i, b in enumerate(self.bundles()))
 
     def to_json(self) -> dict:
         return {"owner": list(self.owner)}
 
     @staticmethod
-    def from_json(obj: dict, n: int) -> "Allocation":
-        return Allocation(obj["owner"], n)
+    def from_json(obj: dict, n: int, m: int) -> "Allocation":
+        alloc = Allocation(obj["owner"], n)
+        if alloc.m != m:
+            raise ValueError(f"allocation covers {alloc.m} goods, instance has {m}")
+        return alloc
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +483,6 @@ class ValidationReport:
     W: int | None
     r: int
     warnings: list[str] = field(default_factory=list)
-    binary_submodular: bool = True
 
     @property
     def normalised(self) -> bool:
@@ -496,55 +493,16 @@ class ValidationReport:
             "W": self.W if self.W is not None else "not normalised",
             "r": self.r,
             "warnings": list(self.warnings),
-            "binary_submodular": self.binary_submodular,
+            # both valuation kinds are matroid rank functions by construction
+            "binary_submodular": True,
         }
 
 
-def _check_binary_submodular(val: Valuation, rng: random.Random) -> bool:
-    """Monotone with binary marginals and submodular.
-
-    Exhaustive over all bundles for m <= 12 (via the subset table and the
-    local pairwise condition), randomized over 10,000 (S subset of S', g)
-    triples otherwise.
-    """
-    m = val.m
-    if m <= 12:
-        table = subset_value_table(val)
-        for mask in range(1 << m):
-            v = table[mask]
-            outside = [g for g in range(m) if not (mask >> g) & 1]
-            for g in outside:
-                gain = table[mask | (1 << g)] - v
-                if gain not in (0, 1):
-                    return False
-            for a in range(len(outside)):
-                for b in range(a + 1, len(outside)):
-                    ga, gb = outside[a], outside[b]
-                    lhs = table[mask | (1 << ga)] + table[mask | (1 << gb)]
-                    if lhs < table[mask | (1 << ga) | (1 << gb)] + v:
-                        return False
-        return True
-    for _ in range(10_000):
-        sup = [g for g in range(m) if rng.random() < 0.5]
-        sub = [g for g in sup if rng.random() < 0.5]
-        rest = [g for g in range(m) if g not in set(sup)]
-        if not rest:
-            continue
-        g = rng.choice(rest)
-        lo = val.marginal(sub, g)
-        hi = val.marginal(sup, g)
-        if lo not in (0, 1) or hi not in (0, 1) or lo < hi:
-            return False
-    return True
-
-
 def validate(inst: Instance) -> ValidationReport:
-    """Report the normalisation constant, agent-type count, unvalued goods,
-    and the binary-submodularity check result."""
-    rng = random.Random(0xBEEF)
-    ok = all(_check_binary_submodular(v, rng) for v in inst.valuations)
-    if not ok:
-        raise ValueError("valuation is not binary submodular")
+    """Report the normalisation constant, agent-type count and unvalued
+    goods.  Binary submodularity needs no check: the valuation constructors
+    accept only 0/1 rows and 0/1 GF(2) matrices, whose value functions are
+    matroid rank functions."""
     report = ValidationReport(W=inst.normalisation(), r=inst.r)
     unvalued = [
         g

@@ -1,7 +1,8 @@
 """Self-contained verification gates: solver output against the exhaustive
 oracle and against the closed-form guarantees, on a seeded corpus plus the
-named fixtures.  Used by the command-line ``verify`` subcommand; the test
-suite runs the same gates at larger corpus sizes.
+named fixtures.  Used by the command-line ``verify`` subcommand; the
+acceptance tests run the oracle-optimality and matroid-floor gates at
+larger corpus sizes.
 """
 
 from __future__ import annotations

@@ -74,6 +74,43 @@ UTILITARIAN = PParam("real", Fraction(1))
 # ---------------------------------------------------------------------------
 
 
+def augment(
+    adj: Sequence[Sequence[int]], root: int, row_match: list[int], col_match: list[int],
+) -> bool:
+    """Extend a bipartite matching by one augmenting path from the free row
+    ``root``.
+
+    ``adj[r]`` lists the columns row ``r`` may take; ``row_match`` and
+    ``col_match`` hold the partner of each row and column (-1 if free) and
+    are updated in place.  A depth-first (Kuhn) search that tries columns
+    in ``adj`` order and visits each column at most once, kept on an
+    explicit stack so the path length is not bounded by the recursion
+    limit.  Returns False, leaving the matching unchanged, when no
+    augmenting path exists.
+    """
+    seen: set[int] = set()
+    rows = [root]  # rows[k + 1] is matched to the column rows[k] is trying
+    iters = [iter(adj[root])]  # iters[k]: the columns rows[k] has not tried
+    while iters:
+        for c in iters[-1]:
+            if c in seen:
+                continue
+            seen.add(c)
+            owner = col_match[c]
+            if owner < 0:
+                for r in reversed(rows):  # each row takes the next one's column
+                    row_match[r], c = c, row_match[r]
+                    col_match[row_match[r]] = r
+                return True
+            rows.append(owner)
+            iters.append(iter(adj[owner]))
+            break
+        else:
+            iters.pop()
+            rows.pop()
+    return False
+
+
 def max_positive_count(inst: Instance) -> int:
     """Maximum number of agents that can simultaneously get positive value.
 
@@ -85,23 +122,9 @@ def max_positive_count(inst: Instance) -> int:
         [g for g in range(inst.m) if inst.valuations[i].value([g]) == 1]
         for i in range(inst.n)
     ]
-    match_good: dict[int, int] = {}
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for g in adj[i]:
-            if g in seen:
-                continue
-            seen.add(g)
-            if g not in match_good or augment(match_good[g], seen):
-                match_good[g] = i
-                return True
-        return False
-
-    count = 0
-    for i in range(inst.n):
-        if augment(i, set()):
-            count += 1
-    return count
+    row_match = [-1] * inst.n
+    col_match = [-1] * inst.m
+    return sum(augment(adj, i, row_match, col_match) for i in range(inst.n))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +218,10 @@ def poe_ratio(key_opt, key_fair, p: PParam, restrict: int):
     if p.kind == "nash":
         if c1 != c2:
             raise ValueError("Nash ratio undefined across positive counts")
-        return float(Fraction(w1, w2)) ** (1.0 / restrict)
+        try:
+            return float(Fraction(w1, w2)) ** (1.0 / restrict)
+        except OverflowError:  # product ratio beyond the float range
+            return math.exp((math.log(w1) - math.log(w2)) / restrict)
     if p.kind == "neg_inf" or (p.kind == "real" and p.value == 1):
         return Fraction(w1) / Fraction(w2)
     return float(w1) / float(w2)

@@ -28,16 +28,19 @@ from poe_toolkit.generators import (
     gen_submodular_lb_instance,
     random_binary_additive,
     random_matroid_gf2,
-    remark_3x4_instance,
     unnormalised_2agent_instance,
 )
-from poe_toolkit.model import Instance, is_eq1, wasted_goods
-from poe_toolkit.oracle import enumerate_allocations
+from poe_toolkit.model import is_eq1, wasted_goods
+from poe_toolkit.oracle import DEFAULT_BUDGET, enumerate_allocations
 from poe_toolkit.solver import max_utilitarian_clean, solve
+from poe_toolkit.verify import (
+    fixture_instances,
+    gate_matroid_floor,
+    gate_optimal_allocations,
+    oracle_corpus,
+)
 from poe_toolkit.welfare import NASH, NEG_INF, PParam, UTILITARIAN, p_mean
 
-GATE_PS = (UTILITARIAN, PParam.real(Fraction(1, 2)), NASH, PParam.real(-1), NEG_INF)
-EXACT_PS = (UTILITARIAN, NASH, NEG_INF)
 ENVELOPE_PS = (
     UTILITARIAN,
     PParam.real(Fraction(9, 10)),
@@ -122,46 +125,12 @@ def test_criterion_02_w_rules():
 
 
 def test_criterion_03_oracle_gates():
-    rng = random.Random(0x03AC)
-    instances: list[Instance] = [
-        gen_lower_bound_instance(2, 2),
-        gen_lower_bound_instance(3, 2),
-        gen_submodular_lb_instance(2),
-        example1_instance(),
-        remark_3x4_instance(),
-        unnormalised_2agent_instance(6),
-    ]
-    while len(instances) < 206:
-        n, m = rng.randint(2, 4), rng.randint(2, 8)
-        style = rng.randrange(4)
-        if style == 0:
-            instances.append(random_binary_additive(rng, n, m))
-        elif style == 1:
-            instances.append(random_binary_additive(rng, n, m, W=rng.randint(1, m)))
-        elif style == 2:
-            instances.append(random_matroid_gf2(rng, n, m))
-        else:
-            instances.append(random_matroid_gf2(rng, n, m, W=rng.randint(1, min(4, m))))
-    failures = []
-    for idx, inst in enumerate(instances):
-        res = solve(inst, GATE_PS)
-        orc = enumerate_allocations(inst, GATE_PS)
-        for p in GATE_PS:
-            pairs = (
-                ("optimal", res.report_a_star.keys[p], orc.best_key[p]),
-                ("EQ1", res.report_b.keys[p], orc.best_eq1_key[p]),
-            )
-            for what, got, want in pairs:
-                if p in EXACT_PS:
-                    ok = got == want
-                else:
-                    ok = got[0] == want[0] and math.isclose(
-                        float(got[1]), float(want[1]), rel_tol=TOL, abs_tol=TOL
-                    )
-                if not ok:
-                    failures.append(f"#{idx} {what} key mismatch at p={p}")
-    _finish(3, f"A* and B attain the oracle keys on {len(instances)} instances "
-               "for p in {1, 1/2, nash, -1, -inf}", failures)
+    instances = (oracle_corpus(0x03AC, 200) + fixture_instances()
+                 + [unnormalised_2agent_instance(6)])
+    gate = gate_optimal_allocations(instances, DEFAULT_BUDGET)
+    failures = [gate.detail] if not gate.passed else []
+    _finish(3, f"A* and B attain the oracle keys on {gate.cases} instances "
+               "for p in {1, 1/2, nash, -1, -inf}; near-equal A* is leximin", failures)
 
 
 def test_criterion_04_rank_and_waste(additive_corpus):
@@ -253,24 +222,9 @@ def test_criterion_07_matroid_bounds():
         res = solve(inst, [UTILITARIAN])
         if sum(res.b.values(inst)) > 3 * k:
             failures.append(f"k={k}: B welfare above 3k")
-    rng = random.Random(0x07A7)
-    p_check = (UTILITARIAN, NASH, PParam.real(-1))
-    cases = [gen_submodular_lb_instance(k) for k in (2, 3, 4)]
-    while len(cases) < 103:
-        n, m = rng.randint(2, 6), rng.randint(2, 10)
-        cases.append(random_matroid_gf2(rng, n, m, W=rng.randint(1, min(5, m))))
-    for idx, inst in enumerate(cases):
-        W = inst.normalisation()
-        res = solve(inst, p_check)
-        floor = Fraction(W, 2 * inst.n)
-        for v in res.b.values(inst):
-            if 0 < v < floor:
-                failures.append(f"#{idx}: positive B value {v} below W/(2n)")
-        for p in p_check:
-            poe = res.poe[p]
-            ok = poe <= 2 * inst.n if isinstance(poe, Fraction) else float(poe) <= 2 * inst.n + TOL
-            if not ok:
-                failures.append(f"#{idx}: PoE above 2n at p={p}")
+    gate = gate_matroid_floor(0x07A7, 103)
+    if not gate.passed:
+        failures.append(gate.detail)
     _finish(7, "matroid family welfare k+k^2 with B <= 3k; corpus floor W/(2n) "
                "and PoE <= 2n", failures)
 

@@ -123,6 +123,15 @@ def test_check_instance_and_allocation(lb_file, tmp_path):
     assert doc["allocation"]["eq1"] is False  # agent 2 at zero next to value 2
 
 
+def test_check_rejects_allocation_of_wrong_length(lb_file, tmp_path):
+    alloc = tmp_path / "short.json"
+    alloc.write_text(json.dumps({"owner": [0, 3]}))
+    res = run("check", str(lb_file), "--allocation", str(alloc))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "covers 2 goods, instance has 4" in res.stderr
+
+
 def test_check_unknown_flag_rejected(lb_file):
     assert run("check", str(lb_file), "--bogus").returncode == 1
 

@@ -12,7 +12,6 @@ from poe_toolkit.doubly import (
     decode_allocation,
     eating_matrix,
     is_doubly_normalised,
-    q_expansion,
     randomized_allocation,
     solve_flow,
 )
@@ -56,42 +55,6 @@ def test_detect_family_is_not():
 def test_detect_single_agent():
     inst = Instance([BinaryAdditive([1, 1, 1])])
     assert is_doubly_normalised(inst) == (3, 1)
-
-
-# ---------------------------------------------------------------------------
-# q-expansion
-# ---------------------------------------------------------------------------
-
-
-def test_expansion_exists_for_integral_ratio():
-    inst = gen_doubly_normalised(3, 6, 2, 1, seed=2)  # W/W_c = 2
-    res = q_expansion(inst, 2)
-    assert res.exists
-    per_agent = [0] * inst.n
-    goods = set()
-    for i, g in res.edges:
-        per_agent[i] += 1
-        assert g not in goods
-        goods.add(g)
-        assert inst.valuations[i].row[g] == 1
-    assert per_agent == [2] * inst.n
-
-
-def test_expansion_violating_set():
-    inst = Instance([BinaryAdditive([1]), BinaryAdditive([1])])
-    res = q_expansion(inst, 1)
-    assert not res.exists
-    x = res.violating_agents
-    # |N(X)| < q |X|
-    neighbours = {
-        g for i in x for g in range(inst.m) if inst.valuations[i].row[g]
-    }
-    assert len(neighbours) < len(x)
-
-
-def test_expansion_example1_matching():
-    res = q_expansion(example1_instance(), 1)
-    assert res.exists and len(res.edges) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +183,24 @@ def test_bvn_reconstruction_and_bounds(rng):
         assert all(
             recon[r][c] == eat.matrix[r, c] for r in range(dim) for c in range(dim)
         )
+
+
+def test_bvn_example1_term_list():
+    # Pins the deterministic term order; the benchmark digests depend on it.
+    dec = bvn_decompose(eating_matrix(example1_instance()).matrix)
+    sixth, twelfth = Fraction(1, 6), Fraction(1, 12)
+    assert dec.terms == [
+        (sixth, (2, 7, 5, 3, 1, 6, 4, 0)),
+        (twelfth, (2, 7, 3, 5, 1, 6, 0, 4)),
+        (sixth, (0, 6, 3, 4, 2, 1, 5, 7)),
+        (twelfth, (0, 6, 3, 5, 1, 2, 4, 7)),
+        (twelfth, (1, 2, 5, 6, 3, 7, 0, 4)),
+        (twelfth, (1, 2, 4, 6, 3, 7, 0, 5)),
+        (twelfth, (1, 0, 5, 7, 3, 2, 4, 6)),
+        (twelfth, (2, 1, 4, 6, 3, 7, 0, 5)),
+        (twelfth, (0, 1, 4, 7, 2, 3, 5, 6)),
+        (twelfth, (1, 0, 4, 7, 2, 3, 5, 6)),
+    ]
 
 
 def test_bvn_rejects_non_stochastic():

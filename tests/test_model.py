@@ -281,6 +281,7 @@ def test_make_clean_preserves_values(rng):
 def test_validate_family():
     report = validate(gen_lower_bound_instance(3, 2))
     assert report.W == 2 and report.r == 3 and not report.warnings
+    assert report.to_json()["binary_submodular"] is True
 
 
 def test_validate_unvalued_good_warning():
@@ -293,12 +294,6 @@ def test_validate_unvalued_good_warning():
 def test_validate_not_normalised():
     inst = Instance([BinaryAdditive([1, 0]), BinaryAdditive([1, 1])])
     assert validate(inst).W is None
-
-
-def test_validate_large_instance_uses_sampling(rng):
-    # m > 12 takes the randomized triple-sampling path
-    inst = random_matroid_gf2(rng, 2, 14, k=3)
-    assert validate(inst).binary_submodular
 
 
 def test_instance_json_round_trip(rng):
@@ -315,7 +310,18 @@ def test_instance_json_round_trip(rng):
 
 def test_allocation_json_round_trip():
     alloc = Allocation([2, -1, 0], 3)
-    assert Allocation.from_json(alloc.to_json(), 3) == alloc
+    assert Allocation.from_json(alloc.to_json(), 3, 3) == alloc
+
+
+def test_allocation_length_must_match_instance():
+    inst = gen_lower_bound_instance(2, 2)  # 4 goods
+    short = {"owner": [0, 3]}
+    with pytest.raises(ValueError, match="covers 2 goods"):
+        Allocation.from_json(short, inst.n, inst.m)
+    with pytest.raises(ValueError, match="covers 2 goods"):
+        Allocation([0, 3], inst.n).values(inst)
+    with pytest.raises(ValueError, match="covers 5 goods"):
+        Allocation([0, 1, 2, 3, 0], inst.n).values(inst)
 
 
 def test_allocation_double_assignment_rejected():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from poe_toolkit.welfare import (
     UTILITARIAN,
     max_positive_count,
     p_mean,
+    poe_ratio,
     welfare_key,
     welfare_report,
 )
@@ -74,6 +77,16 @@ def test_capacity_disjoint_singletons():
 def test_capacity_single_contested_good():
     inst = Instance([BinaryAdditive([1])] * 3)
     assert max_positive_count(inst) == 1
+
+
+def test_capacity_long_augmenting_path():
+    # Agent i values goods {i, i+1} and the last agent only good 0, so the
+    # last agent's augmenting path runs through every other agent.
+    n = 1200
+    rows = [[1 if g in (i, i + 1) else 0 for g in range(n)] for i in range(n - 1)]
+    rows.append([1] + [0] * (n - 1))
+    inst = Instance([BinaryAdditive(row) for row in rows])
+    assert max_positive_count(inst) == n
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +231,9 @@ def test_exact_keys_for_exact_ps():
     assert key1 == (3, Fraction(3))
     assert welfare_key((2, 3, 4), NASH, 3) == (3, 24)
     assert welfare_key((2, 3, 4), NEG_INF, 3) == (3, 2)
+
+
+def test_poe_ratio_nash_beyond_float_range():
+    ratio = poe_ratio((100, 10**400), (100, 1), NASH, 100)
+    assert math.isclose(ratio, 1e4, rel_tol=1e-12)
+    assert poe_ratio((3, 24), (3, 3), NASH, 3) == float(Fraction(24, 3)) ** (1 / 3)
