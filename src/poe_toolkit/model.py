@@ -12,26 +12,12 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
 # GF(2) helpers (columns and rows are stored as Python int bitmasks)
 # ---------------------------------------------------------------------------
-
-
-def gf2_rank(masks: Iterable[int]) -> int:
-    """Rank over GF(2) of a collection of bitmask vectors."""
-    basis: list[int] = []
-    rank = 0
-    for v in masks:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
 
 
 def gf2_rref(row_masks: Iterable[int]) -> tuple[int, ...]:
@@ -57,13 +43,23 @@ def gf2_rref(row_masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(r for _, r in pivots)
 
 
+def _reduce(basis: dict[int, tuple[int, int]], v: int) -> tuple[int, int]:
+    """Reduce ``v`` by a basis keyed by leading bit: the residual (0 iff ``v``
+    is in the span) and the XOR of the goods masks of the vectors used."""
+    goods = 0
+    while (entry := basis.get(v.bit_length() - 1)) is not None:
+        v ^= entry[0]
+        goods ^= entry[1]
+    return v, goods
+
+
 # ---------------------------------------------------------------------------
 # Valuations
 # ---------------------------------------------------------------------------
 
 
 class Valuation:
-    """Rank-oracle interface: ``value(bundle)`` and ``marginal(bundle, g)``."""
+    """Rank-oracle interface: ``value(bundle)`` and ``circuits(bundle)``."""
 
     m: int
     kind: str
@@ -71,12 +67,12 @@ class Valuation:
     def value(self, bundle: Iterable[int]) -> int:
         raise NotImplementedError
 
-    def marginal(self, bundle: Iterable[int], g: int) -> int:
-        """Marginal gain of adding ``g`` to ``bundle``; always 0 or 1."""
-        bundle = frozenset(bundle)
-        if g in bundle:
-            raise ValueError(f"good {g} already in bundle")
-        return self.value(bundle | {g}) - self.value(bundle)
+    def circuits(self, bundle: int) -> Callable[[int], int | None]:
+        """Exchange oracle at ``bundle``, a bitmask of goods: maps a good g
+        outside it to None if g raises the value, else (for an independent
+        bundle) to the mask of goods h with ``bundle - h + g`` independent,
+        which is g's fundamental circuit without g."""
+        raise NotImplementedError
 
     def canonical_key(self) -> tuple[int, ...]:
         """Representation-independent identity of the valuation function.
@@ -94,6 +90,8 @@ class Valuation:
 
     @staticmethod
     def from_json(obj: dict) -> "Valuation":
+        if not isinstance(obj, dict):
+            raise ValueError("each valuation must be a JSON object")
         kind = obj.get("kind")
         if kind == "additive":
             return BinaryAdditive(obj["row"])
@@ -102,33 +100,38 @@ class Valuation:
         raise ValueError(f"unknown valuation kind: {kind!r}")
 
 
+def _is_bit(x) -> bool:
+    return type(x) is int and x in (0, 1)  # bools and floats are not entries
+
+
+def _bundle_mask(bundle: Iterable[int], m: int) -> int:
+    mask = 0
+    for g in bundle:
+        if not 0 <= g < m:
+            raise ValueError(f"good index {g} out of range")
+        mask |= 1 << g
+    return mask
+
+
 class BinaryAdditive(Valuation):
     """Additive valuation with per-good values in {0, 1}."""
 
     kind = "additive"
 
     def __init__(self, row: Sequence[int]):
-        row = tuple(int(x) for x in row)
-        if any(x not in (0, 1) for x in row):
-            raise ValueError("binary additive row must contain only 0/1 entries")
+        row = tuple(row)
+        if not all(_is_bit(x) for x in row):
+            raise ValueError("binary additive row must contain only 0/1 integers")
         self.row = row
         self.m = len(row)
         self.row_mask = sum(1 << g for g, x in enumerate(row) if x)
 
     def value(self, bundle: Iterable[int]) -> int:
-        total = 0
-        for g in set(bundle):
-            if not 0 <= g < self.m:
-                raise ValueError(f"good index {g} out of range")
-            total += self.row[g]
-        return total
+        return (_bundle_mask(bundle, self.m) & self.row_mask).bit_count()
 
-    def marginal(self, bundle: Iterable[int], g: int) -> int:
-        if g in set(bundle):
-            raise ValueError(f"good {g} already in bundle")
-        if not 0 <= g < self.m:
-            raise ValueError(f"good index {g} out of range")
-        return self.row[g]
+    def circuits(self, bundle: int) -> Callable[[int], int | None]:
+        # a valued good always adds one; an unvalued one replaces nothing
+        return lambda g: None if (self.row_mask >> g) & 1 else 0
 
     def canonical_key(self) -> tuple[int, ...]:
         return tuple(1 << g for g, x in enumerate(self.row) if x)
@@ -150,27 +153,43 @@ class LinearMatroidGF2(Valuation):
     kind = "matroid_gf2"
 
     def __init__(self, rows: int, cols: Sequence[Sequence[int]]):
-        if rows < 0:
-            raise ValueError("row count must be non-negative")
+        if type(rows) is not int or rows < 0:
+            raise ValueError("row count must be a non-negative integer")
         self.rows = rows
         self.m = len(cols)
         masks = []
         for col in cols:
-            col = tuple(int(x) for x in col)
+            col = tuple(col)
             if len(col) != rows:
                 raise ValueError("column length does not match row count")
-            if any(x not in (0, 1) for x in col):
-                raise ValueError("matroid matrix entries must be 0/1")
+            if not all(_is_bit(x) for x in col):
+                raise ValueError("matroid matrix entries must be 0/1 integers")
             masks.append(sum(1 << j for j, x in enumerate(col) if x))
         self.col_masks = tuple(masks)
 
+    def _basis(self, bundle: int) -> dict[int, tuple[int, int]]:
+        """Leading bit -> (vector, goods whose columns sum to it) for a basis
+        of the bundle's span; goods dependent on earlier ones are skipped."""
+        basis: dict[int, tuple[int, int]] = {}
+        while bundle:
+            low = bundle & -bundle
+            bundle ^= low
+            v, goods = _reduce(basis, self.col_masks[low.bit_length() - 1])
+            if v:
+                basis[v.bit_length() - 1] = (v, goods | low)
+        return basis
+
     def value(self, bundle: Iterable[int]) -> int:
-        masks = []
-        for g in set(bundle):
-            if not 0 <= g < self.m:
-                raise ValueError(f"good index {g} out of range")
-            masks.append(self.col_masks[g])
-        return gf2_rank(masks)
+        return len(self._basis(_bundle_mask(bundle, self.m)))
+
+    def circuits(self, bundle: int) -> Callable[[int], int | None]:
+        basis, col_masks = self._basis(bundle), self.col_masks
+
+        def circuit(g: int) -> int | None:
+            v, goods = _reduce(basis, col_masks[g])
+            return None if v else goods
+
+        return circuit
 
     def canonical_key(self) -> tuple[int, ...]:
         # Row g-bit view: row j of the matrix as an m-bit mask.
@@ -198,20 +217,19 @@ def subset_value_table(val: Valuation) -> list[int]:
         raise ValueError("subset table limited to m <= 16")
     if isinstance(val, BinaryAdditive):
         return [(mask & val.row_mask).bit_count() for mask in range(1 << m)]
-    # LinearMatroidGF2: depth-first include/exclude with an incremental xor basis
+    # LinearMatroidGF2: depth-first include/exclude with an incremental basis
     table = [0] * (1 << m)
-    basis: list[int] = []
+    basis: dict[int, tuple[int, int]] = {}
 
     def visit(g: int, mask: int, rank: int) -> None:
         table[mask] = rank
         for h in range(g, m):
-            reduced = val.col_masks[h]
-            for b in basis:
-                reduced = min(reduced, reduced ^ b)
-            if reduced:
-                basis.append(reduced)
+            v, _ = _reduce(basis, val.col_masks[h])
+            if v:
+                lead = v.bit_length() - 1
+                basis[lead] = (v, 0)
                 visit(h + 1, mask | (1 << h), rank + 1)
-                basis.pop()
+                del basis[lead]
             else:
                 visit(h + 1, mask | (1 << h), rank)
 
@@ -286,6 +304,8 @@ class Instance:
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
+        if not isinstance(obj, dict) or not isinstance(obj.get("valuations"), list):
+            raise ValueError("instance must be a JSON object with a 'valuations' list")
         vals = [Valuation.from_json(v) for v in obj["valuations"]]
         inst = Instance(vals)
         if "n" in obj and obj["n"] != inst.n:
@@ -311,9 +331,9 @@ class Allocation:
     n: int
 
     def __init__(self, owner: Sequence[int], n: int):
-        owner = tuple(int(a) for a in owner)
-        if any(a != UNASSIGNED and not 0 <= a < n for a in owner):
-            raise ValueError("owner entries must be agent indices or -1")
+        owner = tuple(owner)
+        if any(type(a) is not int or (a != UNASSIGNED and not 0 <= a < n) for a in owner):
+            raise ValueError("owner entries must be integer agent indices or -1")
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "n", n)
 
@@ -504,11 +524,8 @@ def validate(inst: Instance) -> ValidationReport:
     accept only 0/1 rows and 0/1 GF(2) matrices, whose value functions are
     matroid rank functions."""
     report = ValidationReport(W=inst.normalisation(), r=inst.r)
-    unvalued = [
-        g
-        for g in range(inst.m)
-        if all(v.value([g]) == 0 for v in inst.valuations)
-    ]
+    singletons = [v.circuits(0) for v in inst.valuations]
+    unvalued = [g for g in range(inst.m) if all(c(g) is not None for c in singletons)]
     for g in unvalued:
         report.warnings.append(f"good {g} valued by no agent")
     return report

@@ -48,34 +48,18 @@ class SolverInternalError(RuntimeError):
 
 
 class _State:
-    """Mutable clean partial allocation: per-agent independent bundles."""
+    """Mutable clean partial allocation: per-agent independent bundles as
+    bitmasks of goods, each with its exchange oracle."""
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, owner: list[int]):
         self.inst = inst
-        self.owner = [UNASSIGNED] * inst.m
-        self.bundles: list[set[int]] = [set() for _ in range(inst.n)]
+        self.owner = list(owner)
+        self.bundles = [sum(1 << g for g, a in enumerate(owner) if a == j) for j in range(inst.n)]
+        self.circuits = [v.circuits(b) for v, b in zip(inst.valuations, self.bundles)]
 
     def values(self) -> list[int]:
         # bundles are kept independent, so value == size
-        return [len(b) for b in self.bundles]
-
-    def can_absorb(self, i: int, g: int) -> bool:
-        val = self.inst.valuations[i]
-        return val.value(self.bundles[i] | {g}) == len(self.bundles[i]) + 1
-
-    def swap_ok(self, i: int, g_out: int, g_in: int) -> bool:
-        val = self.inst.valuations[i]
-        b = (self.bundles[i] - {g_out}) | {g_in}
-        return val.value(b) == len(self.bundles[i])
-
-    def _arcs_from(self, g: int) -> Iterable[int]:
-        """Goods g' whose owner can release g' and take g instead."""
-        for g2 in range(self.inst.m):
-            j = self.owner[g2]
-            if j == UNASSIGNED or g2 == g or self.owner[g] == j:
-                continue
-            if self.swap_ok(j, g2, g):
-                yield g2
+        return [b.bit_count() for b in self.bundles]
 
     def _bfs(self, sources: list[int], absorbers: Iterable[int]) -> tuple[list[int], int] | None:
         """Shortest path from any source good to a good some absorber can add.
@@ -84,26 +68,35 @@ class _State:
         each good's owner releases it and takes the preceding good; the
         final good is added to the absorber's bundle, for a net gain of one
         unit of value.  Shortest paths keep the simultaneous swaps valid.
+        Arcs run from g to g's fundamental circuit in each other bundle (all
+        of it if g adds value); ties go to the lowest absorber, then good.
         """
-        absorbers = list(absorbers)
-        parent: dict[int, int | None] = {}
-        queue: deque[int] = deque()
-        for g in sources:
-            parent[g] = None
-            queue.append(g)
+        absorbers = set(absorbers)
+        parent: dict[int, int | None] = dict.fromkeys(sources)
+        queue = deque(sources)
         while queue:
             g = queue.popleft()
-            for j in absorbers:
-                if j != self.owner[g] and self.can_absorb(j, g):
-                    path = [g]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path, j
-            for g2 in self._arcs_from(g):
-                if g2 not in parent:
-                    parent[g2] = g
-                    queue.append(g2)
+            arcs = 0
+            for j, circuit in enumerate(self.circuits):
+                if j == self.owner[g]:
+                    continue
+                swaps = circuit(g)
+                if swaps is None:
+                    if j in absorbers:
+                        path = [g]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        path.reverse()
+                        return path, j
+                    swaps = self.bundles[j]
+                arcs |= swaps
+            while arcs:
+                low = arcs & -arcs
+                arcs ^= low
+                h = low.bit_length() - 1
+                if h not in parent:
+                    parent[h] = g
+                    queue.append(h)
         return None
 
     def apply_path(self, path: list[int], absorber: int) -> None:
@@ -117,20 +110,20 @@ class _State:
         orig_owner = [self.owner[g] for g in path]
         for g, j in zip(path, orig_owner):
             if j != UNASSIGNED:
-                self.bundles[j].discard(g)
+                self.bundles[j] ^= 1 << g
                 self.owner[g] = UNASSIGNED
         for t in range(1, len(path)):
             j = orig_owner[t]
-            self.bundles[j].add(path[t - 1])
+            self.bundles[j] |= 1 << path[t - 1]
             self.owner[path[t - 1]] = j
-        self.bundles[absorber].add(path[-1])
+        self.bundles[absorber] |= 1 << path[-1]
         self.owner[path[-1]] = absorber
-        self._check_clean()
-
-    def _check_clean(self) -> None:
-        for i, b in enumerate(self.bundles):
-            if self.inst.valuations[i].value(b) != len(b):
+        # a bundle the path did not touch is unchanged since it last passed
+        for j in {absorber, *orig_owner} - {UNASSIGNED}:
+            goods = [g for g in range(self.inst.m) if (self.bundles[j] >> g) & 1]
+            if self.inst.valuations[j].value(goods) != len(goods):
                 raise SolverInternalError("exchange path broke bundle independence")
+            self.circuits[j] = self.inst.valuations[j].circuits(self.bundles[j])
 
     def to_allocation(self) -> Allocation:
         return Allocation(self.owner, self.inst.n)
@@ -144,9 +137,9 @@ def max_utilitarian_clean(inst: Instance) -> Allocation:
     raises the total value by exactly one.  Stops when no pool good can be
     brought in, which is the matroid-partition optimality condition.
     """
-    state = _State(inst)
+    state = _State(inst, [UNASSIGNED] * inst.m)
     while True:
-        pool = sorted(g for g in range(inst.m) if state.owner[g] == UNASSIGNED)
+        pool = [g for g, j in enumerate(state.owner) if j == UNASSIGNED]
         found = state._bfs(pool, range(inst.n))
         if found is None:
             return state.to_allocation()
@@ -167,10 +160,10 @@ def _balance(state: _State) -> None:
         values = state.values()
         applied = False
         for i in sorted(range(n), key=lambda a: (values[a], a)):
-            rich = [j for j in range(n) if values[j] >= values[i] + 2]
+            rich = {j for j in range(n) if values[j] >= values[i] + 2}
             if not rich:
                 continue
-            sources = sorted(g for j in rich for g in state.bundles[j])
+            sources = [g for g, j in enumerate(state.owner) if j in rich]
             found = state._bfs(sources, [i])
             if found is None:
                 continue
@@ -199,22 +192,18 @@ def nash_optimal(inst: Instance) -> Allocation:
     paths, with the leftover pool (zero marginal value for every agent once
     no augmenting path remains) handed to the lowest-index minimum-value
     agent."""
-    state = _State(inst)
-    clean = max_utilitarian_clean(inst)
-    state.owner = list(clean.owner)
-    state.bundles = [set(b) for b in clean.bundles()]
+    state = _State(inst, max_utilitarian_clean(inst).owner)
     _balance(state)
 
-    values = state.values()
-    sink = _min_value_agent(values)
-    for g in range(inst.m):
-        if state.owner[g] == UNASSIGNED:
-            if state.inst.valuations[sink].marginal(state.bundles[sink], g):
-                raise SolverInternalError(
-                    "pool good with positive marginal value: augmentation incomplete"
-                )
-            state.bundles[sink].add(g)
-            state.owner[g] = sink
+    sink = _min_value_agent(state.values())
+    pool = [g for g, j in enumerate(state.owner) if j == UNASSIGNED]
+    # one oracle serves the whole pool: a good in the sink's span leaves it unchanged
+    if any(state.circuits[sink](g) is None for g in pool):
+        raise SolverInternalError(
+            "pool good with positive marginal value: augmentation incomplete"
+        )
+    for g in pool:
+        state.owner[g] = sink
     return state.to_allocation()
 
 
@@ -236,7 +225,9 @@ def truncate(inst: Instance, a_star: Allocation) -> Allocation:
     values = list(a_star.values(inst))
     l = min(values)
     i_l = _min_value_agent(values)
-    sink_bundle = a_star.bundle(i_l)
+    # removed goods come from other agents, so the sink's bundle stays fixed
+    sink_bundle = sum(1 << g for g, a in enumerate(a_star.owner) if a == i_l)
+    sink_circuits = inst.valuations[i_l].circuits(sink_bundle)
     owner = list(a_star.owner)
     for i in range(inst.n):
         if values[i] < l + 2:
@@ -248,7 +239,7 @@ def truncate(inst: Instance, a_star: Allocation) -> Allocation:
             if v == l + 1:
                 break
             if val.value(bundle - {g}) == v - 1:  # current marginal 1
-                if inst.valuations[i_l].marginal(sink_bundle - {g}, g) != 0:
+                if sink_circuits(g) is None:
                     raise SolverInternalError(
                         "removed good has positive marginal value for the minimum-value "
                         "agent; input allocation was not Nash-optimal"

@@ -118,10 +118,8 @@ def max_positive_count(inst: Instance) -> int:
     with an edge whenever the agent values the good on its own (under unit
     marginals, one singleton-valued good is exactly what positivity takes).
     """
-    adj = [
-        [g for g in range(inst.m) if inst.valuations[i].value([g]) == 1]
-        for i in range(inst.n)
-    ]
+    singletons = [v.circuits(0) for v in inst.valuations]
+    adj = [[g for g in range(inst.m) if c(g) is None] for c in singletons]
     row_match = [-1] * inst.n
     col_match = [-1] * inst.m
     return sum(augment(adj, i, row_match, col_match) for i in range(inst.n))

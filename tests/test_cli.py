@@ -132,6 +132,43 @@ def test_check_rejects_allocation_of_wrong_length(lb_file, tmp_path):
     assert "covers 2 goods, instance has 4" in res.stderr
 
 
+def _additive(*rows):
+    return [{"kind": "additive", "row": row} for row in rows]
+
+
+@pytest.mark.parametrize(
+    "command, instance",
+    [
+        ("solve", {"valuations": _additive([1.7, 0.2], [True, 1])}),
+        ("solve", {"valuations": _additive([1, 0], [True, 1])}),
+        ("solve", {"valuations": _additive(["1", "0"], [1, 1])}),
+        ("check", {"valuations": [{"kind": "matroid_gf2", "rows": 2.0,
+                                   "cols": [[1, 0], [0, 1]]}]}),
+        ("check", {"valuations": {"kind": "additive", "row": [1, 0]}}),
+    ],
+    ids=["float_row", "bool_row", "string_row", "float_rows", "valuations_not_list"],
+)
+def test_non_integer_instance_rejected(tmp_path, command, instance):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(instance))
+    res = run(command, str(path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: bad instance file")
+    assert "Traceback" not in res.stderr
+
+
+def test_check_rejects_non_integer_owner(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"valuations": _additive([1, 0], [0, 1])}))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"owner": [0.9, 1.2]}))
+    res = run("check", str(inst), "--allocation", str(alloc))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "owner entries must be integer" in res.stderr
+
+
 def test_check_unknown_flag_rejected(lb_file):
     assert run("check", str(lb_file), "--bogus").returncode == 1
 

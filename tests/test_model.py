@@ -40,7 +40,7 @@ def random_allocation(rng: random.Random, inst: Instance) -> Allocation:
 
 
 # ---------------------------------------------------------------------------
-# value / marginal
+# value / exchange oracle
 # ---------------------------------------------------------------------------
 
 
@@ -63,20 +63,51 @@ def test_value_out_of_range():
 
 
 def test_marginal_additive():
-    assert BinaryAdditive([1, 0]).marginal([], 0) == 1
-    assert BinaryAdditive([1, 0]).marginal([], 1) == 0
+    # a valued good adds one; an unvalued good adds nothing and swaps for nothing
+    assert BinaryAdditive([1, 0]).circuits(0)(0) is None
+    assert BinaryAdditive([1, 0]).circuits(0)(1) == 0
 
 
 def test_marginal_matroid_dependent_vs_independent():
     dup = LinearMatroidGF2(2, [E1, E1])
-    assert dup.marginal({0}, 1) == 0
+    assert dup.circuits(0b01)(1) == 0b01  # parallel to good 0: swaps with it
     ind = LinearMatroidGF2(2, [E1, E2])
-    assert ind.marginal({0}, 1) == 1
+    assert ind.circuits(0b01)(1) is None
 
 
-def test_marginal_rejects_member():
-    with pytest.raises(ValueError):
-        BinaryAdditive([1, 1]).marginal({0}, 0)
+@st.composite
+def valuations(draw):
+    """A binary additive or GF(2) valuation over at most 8 goods."""
+    m = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return BinaryAdditive(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    k = draw(st.integers(1, 4))
+    bit_col = st.lists(st.integers(0, 1), min_size=k, max_size=k)
+    return LinearMatroidGF2(k, draw(st.lists(bit_col, min_size=m, max_size=m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuations(), st.data())
+def test_circuits_agree_with_value(val, data):
+    m = val.m
+    indep: list[int] = []  # greedy independent bundle over a random good order
+    for g in data.draw(st.lists(st.integers(0, m - 1), unique=True)):
+        if val.value(indep + [g]) == len(indep) + 1:
+            indep.append(g)
+    circuit = val.circuits(sum(1 << g for g in indep))
+    for g in set(range(m)) - set(indep):
+        if val.value(indep + [g]) == len(indep) + 1:
+            assert circuit(g) is None
+        else:
+            swaps = [h for h in indep
+                     if val.value([x for x in indep if x != h] + [g]) == len(indep)]
+            assert circuit(g) == sum(1 << h for h in swaps)
+    # any bundle, dependent or not: None exactly when g raises the value
+    bundle = data.draw(st.integers(0, (1 << m) - 1))
+    goods = [g for g in range(m) if (bundle >> g) & 1]
+    circuit = val.circuits(bundle)
+    for g in set(range(m)) - set(goods):
+        assert (circuit(g) is None) == (val.value(goods + [g]) == val.value(goods) + 1)
 
 
 @settings(max_examples=60)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poe_toolkit.generators import (
     gen_lower_bound_instance,
@@ -17,6 +21,7 @@ from poe_toolkit.model import (
     Allocation,
     BinaryAdditive,
     Instance,
+    LinearMatroidGF2,
     is_eq1,
     make_clean,
     wasted_goods,
@@ -30,6 +35,7 @@ from poe_toolkit.solver import (
     solve,
     truncate,
 )
+from poe_toolkit.verify import EXACT_P, FLOAT_TOL, GATE_P_LIST, oracle_corpus
 from poe_toolkit.welfare import (
     NASH,
     NEG_INF,
@@ -49,6 +55,21 @@ def brute_force_max_utilitarian(inst: Instance) -> int:
         alloc = Allocation(assign, inst.n)
         best = max(best, sum(alloc.values(inst)))
     return best
+
+
+def relabel(inst: Instance, agents, goods, zero_goods: int = 0) -> Instance:
+    """Agent k of the result is agent ``agents[k]`` of ``inst`` and good h is
+    its good ``goods[h]``; ``zero_goods`` goods nobody values are appended."""
+    vals = []
+    for i in agents:
+        v = inst.valuations[i]
+        if isinstance(v, BinaryAdditive):
+            vals.append(BinaryAdditive([v.row[g] for g in goods] + [0] * zero_goods))
+        else:
+            cols = v.to_json()["cols"]
+            zero_col = [0] * v.rows
+            vals.append(LinearMatroidGF2(v.rows, [cols[g] for g in goods] + [zero_col] * zero_goods))
+    return Instance(vals)
 
 
 def small_corpus(rng, count):
@@ -223,6 +244,62 @@ def test_a_star_clean_completable(rng):
         a_star = nash_optimal(inst)
         cleaned = make_clean(inst, a_star)
         assert cleaned.values(inst) == a_star.values(inst)
+
+
+def test_solver_outputs_pinned():
+    # exact owners: a change of arc order or tie-break in the exchange
+    # search shows here even when every welfare key stays optimal
+    rng = random.Random(0x5017)
+    lb = gen_lower_bound_instance(4, 3)
+    cases = [
+        (
+            relabel(lb, rng.sample(range(lb.n), lb.n), rng.sample(range(lb.m), lb.m)),
+            [4, 1, 4, 2, 0, 5, 6, 6, 5, 4, 5, 6],
+            [3, 1, 3, 2, 0, 3, 3, 3, 3, 4, 5, 6],
+        ),
+        (
+            random_binary_additive(random.Random(55), 7, 16, W=3),
+            [6, 1, 0, 0, 2, 2, 5, 6, 4, 1, 6, 3, 5, 1, 3, 4],
+            [6, 6, 0, 0, 2, 2, 5, 6, 4, 1, 6, 3, 5, 1, 3, 4],
+        ),
+        (
+            random_matroid_gf2(random.Random(7), 8, 20, W=4),
+            [5, 6, 7, 0, 5, 0, 6, 1, 1, 7, 0, 2, 3, 3, 2, 4, 4, 3, 4, 1],
+            [5, 6, 7, 0, 5, 0, 6, 1, 1, 7, 0, 2, 3, 3, 2, 4, 4, 3, 4, 1],
+        ),
+        (
+            gen_submodular_lb_instance(3),
+            [1, 2, 0, 3, 3, 3, 4, 4, 4, 5, 5, 5],
+            [1, 2, 0, 0, 3, 3, 0, 4, 4, 0, 5, 5],
+        ),
+    ]
+    for inst, a_star, b in cases:
+        res = solve(inst, [UTILITARIAN])
+        assert list(res.a_star.owner) == a_star
+        assert list(res.b.owner) == b
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_poe_invariant_under_relabelling(seed, data):
+    # n <= 4, m <= 8, additive and GF(2), normalised or not
+    inst = oracle_corpus(seed, 1)[0]
+    n, m = inst.n, inst.m
+    base = solve(inst, GATE_P_LIST).poe
+    variants = (
+        relabel(inst, range(n), data.draw(st.permutations(range(m)))),
+        relabel(inst, data.draw(st.permutations(range(n))), range(m)),
+        relabel(inst, range(n), range(m), zero_goods=1),
+    )
+    for variant in variants:
+        poe = solve(variant, GATE_P_LIST).poe
+        for p in GATE_P_LIST:
+            if p in EXACT_P:
+                assert poe[p] == base[p]
+            else:
+                assert math.isclose(
+                    float(poe[p]), float(base[p]), rel_tol=FLOAT_TOL, abs_tol=FLOAT_TOL
+                )
 
 
 # ---------------------------------------------------------------------------
