@@ -211,10 +211,8 @@ class LinearMatroidGF2(Valuation):
 
 
 def subset_value_table(val: Valuation) -> list[int]:
-    """Value of every bundle, indexed by good bitmask.  Requires m <= 16."""
+    """Value of every bundle, indexed by good bitmask (2^m entries)."""
     m = val.m
-    if m > 16:
-        raise ValueError("subset table limited to m <= 16")
     if isinstance(val, BinaryAdditive):
         return [(mask & val.row_mask).bit_count() for mask in range(1 << m)]
     # LinearMatroidGF2: depth-first include/exclude with an incremental basis
@@ -308,10 +306,13 @@ class Instance:
             raise ValueError("instance must be a JSON object with a 'valuations' list")
         vals = [Valuation.from_json(v) for v in obj["valuations"]]
         inst = Instance(vals)
-        if "n" in obj and obj["n"] != inst.n:
-            raise ValueError("declared agent count does not match valuations")
-        if "m" in obj and obj["m"] != inst.m:
-            raise ValueError("declared good count does not match valuations")
+        for name, actual, what in (("n", inst.n, "agent"), ("m", inst.m, "good")):
+            if name not in obj:
+                continue
+            if type(obj[name]) is not int:  # bools and floats are not counts
+                raise ValueError(f"declared {what} count {obj[name]!r} is not an integer")
+            if obj[name] != actual:
+                raise ValueError(f"declared {what} count does not match valuations")
         return inst
 
 

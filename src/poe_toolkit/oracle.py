@@ -4,6 +4,15 @@ Enumerates all n^m complete assignments, tracking the best comparison key
 overall and among EQ1 allocations for each requested p, the exact price of
 equity, and the leximin value vector.  Refuses budgets it cannot honour;
 it never samples.
+
+The enumeration splits bundles instead of counting through owner lists:
+agent 0 takes a submask of the goods, agent 1 a submask of what is left,
+and so on, with the last two agents splitting the remainder in one loop.
+Every bundle's value and *floor* (its value after dropping the good whose
+removal lowers it most) come from per-agent tables, and an assignment is
+EQ1 exactly when its largest floor is at most its smallest value.  Each
+assignment is one table-lookup key and one dict update; sorting and the
+welfare keys run once per distinct value vector.
 """
 
 from __future__ import annotations
@@ -55,74 +64,110 @@ def _check_budget(inst: Instance, budget: int) -> int:
     return total
 
 
-def _assignment_values(inst: Instance):
-    """Yield (index, masks, values) over all assignments in lexicographic
-    order (good 0 is the most significant digit)."""
-    n, m = inst.n, inst.m
-    if m <= 16:
-        tables = [subset_value_table(v) for v in inst.valuations]
-    else:
-        tables = None
-    masks = [0] * n
-    masks[0] = (1 << m) - 1  # initial assignment: everything to agent 0
-    assign = [0] * m
+def _floor_table(values: list[int]) -> list[int]:
+    """Each bundle's value after dropping the good whose removal lowers it
+    most, indexed like ``values``.  Marginals are 0 or 1, so this is the
+    bundle's value or one less (0 for the empty bundle)."""
+    floors = list(values)
+    for mask in range(1, len(values)):
+        v = values[mask]
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if values[mask ^ low] < v:
+                floors[mask] = v - 1
+                break
+            rest ^= low
+    return floors
 
-    def values_of(masks: list[int]) -> tuple[int, ...]:
-        if tables is not None:
-            return tuple(tables[i][masks[i]] for i in range(n))
-        return tuple(
-            inst.valuations[i].value(g for g in range(m) if (masks[i] >> g) & 1)
-            for i in range(n)
-        )
 
-    idx = 0
+def _prefixes(tables: list[list[int]], weight: list[int], full: int):
+    """Yield (key bits, index, goods left) for every choice of bundles of
+    agents 0..n-3, each a submask of what the agents before it left.
+    Agents after the last one offered goods hold empty bundles, whose key
+    bits and index weight are 0."""
+    last = len(tables) - 2
+    if last == 0:
+        yield 0, 0, full
+        return
+    rests, subs = [full] * last, [full] * last
+    keys, idxs = [0] * (last + 1), [0] * (last + 1)
+    k = 0
     while True:
-        yield idx, list(masks), values_of(masks), tables
-        idx += 1
-        pos = m - 1
-        while pos >= 0:
-            g_bit = 1 << pos
-            masks[assign[pos]] &= ~g_bit
-            assign[pos] += 1
-            if assign[pos] < n:
-                masks[assign[pos]] |= g_bit
-                break
-            assign[pos] = 0
-            masks[0] |= g_bit
-            pos -= 1
-        if pos < 0:
-            return
+        s = subs[k]
+        keys[k + 1] = keys[k] | tables[k][s]
+        idxs[k + 1] = idxs[k] + k * weight[s]
+        left = rests[k] ^ s
+        if k + 1 < last and left:
+            k += 1
+            rests[k] = subs[k] = left
+            continue
+        yield keys[k + 1], idxs[k + 1], left
+        while not subs[k]:
+            k -= 1
+            if k < 0:
+                return
+        subs[k] = (subs[k] - 1) & rests[k]
 
 
-def _is_eq1_fast(inst: Instance, masks: list[int], values: tuple[int, ...], tables) -> bool:
-    vmin = min(values)
-    for k in range(inst.n):
-        mk = masks[k]
-        if mk == 0:
-            continue
-        vk = values[k]
-        if vk <= vmin:
-            continue
-        if vk - 1 > vmin:
-            return False
-        # vk == vmin + 1: need one good whose removal actually drops the value
-        dropped = False
-        mm = mk
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            if tables is not None:
-                reduced = tables[k][mk ^ bit]
-            else:
-                reduced = inst.valuations[k].value(
-                    g for g in range(inst.m) if ((mk ^ bit) >> g) & 1
-                )
-            if reduced == vk - 1:
-                dropped = True
+def _scan(inst: Instance) -> dict[tuple[tuple[int, ...], bool], int]:
+    """Every distinct outcome (value vector, EQ1 or not) of the n^m complete
+    assignments, mapped to the lowest lexicographic index that attains it
+    (good 0 is the most significant digit).
+
+    Agent k's table holds, for each bundle, its value and whether its floor
+    (``_floor_table``) is one lower, packed into agent k's own bit field, so
+    an assignment's key is the OR of its agents' entries.  The assignment is
+    EQ1 exactly when its largest floor is at most its smallest value.  The
+    first n-2 agents take submasks in turn (``_prefixes``); the last two
+    split what is left, and each split costs one dict update.
+    """
+    n, m = inst.n, inst.m
+    if n == 1:  # one assignment, EQ1 by definition
+        return {((inst.valuations[0].value(range(m)),), True): 0}
+    width = m.bit_length() + 1  # a value <= m, then the floor's drop bit
+    tables = []
+    for k, val in enumerate(inst.valuations):
+        values = subset_value_table(val)
+        shift = k * width
+        tables.append([
+            ((v << 1) | (v - f)) << shift for v, f in zip(values, _floor_table(values))
+        ])
+    weight = [0]  # a bundle's index weight: good g counts n^(m-1-g)
+    for g in range(m):
+        w = n ** (m - 1 - g)
+        weight += [x + w for x in weight]
+
+    end = n**m  # above every index
+    found: dict[int, int] = {}
+    get = found.get
+    ta, tb = tables[-2], tables[-1]
+    for prefix, idx, left in _prefixes(tables, weight, (1 << m) - 1):
+        # agent n-2 takes sub, agent n-1 the rest of left
+        base = idx + (n - 1) * weight[left]
+        sub = left
+        while True:
+            key = prefix | ta[sub] | tb[left ^ sub]
+            i = base - weight[sub]
+            if i < get(key, end):
+                found[key] = i
+            if not sub:
                 break
-        if not dropped:
-            return False
-    return True
+            sub = (sub - 1) & left
+
+    field = (1 << width) - 1
+    outcomes: dict[tuple[tuple[int, ...], bool], int] = {}
+    for key, i in found.items():
+        values, top_floor = [], 0
+        for _ in range(n):
+            v, drop = (key & field) >> 1, key & 1
+            values.append(v)
+            top_floor = max(top_floor, v - drop)
+            key >>= width
+        outcome = (tuple(values), top_floor <= min(values))
+        if i < outcomes.get(outcome, end):
+            outcomes[outcome] = i
+    return outcomes
 
 
 def _alloc_from_index(inst: Instance, idx: int) -> Allocation:
@@ -145,16 +190,14 @@ def enumerate_allocations(
     count = _check_budget(inst, budget)
     restrict = max_positive_count(inst)
 
+    # sorted value vector -> lowest index, over all and over EQ1 assignments
     all_vecs: dict[tuple[int, ...], int] = {}
     eq1_vecs: dict[tuple[int, ...], int] = {}
-    leximin: tuple[int, ...] | None = None
-    for idx, masks, values, tables in _assignment_values(inst):
+    for (values, eq1), idx in _scan(inst).items():
         svals = tuple(sorted(values))
-        if svals not in all_vecs:
+        if idx < all_vecs.get(svals, count):
             all_vecs[svals] = idx
-        if leximin is None or svals > leximin:
-            leximin = svals
-        if _is_eq1_fast(inst, masks, values, tables) and svals not in eq1_vecs:
+        if eq1 and idx < eq1_vecs.get(svals, count):
             eq1_vecs[svals] = idx
 
     best_key: dict[PParam, tuple] = {}
@@ -163,31 +206,27 @@ def enumerate_allocations(
     best_eq1_alloc: dict[PParam, Allocation] = {}
     poe: dict[PParam, object] = {}
     for p in p_list:
+        keys = {vec: welfare_key(vec, p, restrict) for vec in all_vecs}
         for vecs, key_out, alloc_out in (
             (all_vecs, best_key, best_alloc),
             (eq1_vecs, best_eq1_key, best_eq1_alloc),
         ):
-            top = None
-            top_idx = None
-            for vec, idx in vecs.items():
-                key = welfare_key(vec, p, restrict)
-                if top is None or key > top or (key == top and idx < top_idx):
-                    top, top_idx = key, idx
-            key_out[p] = top
-            alloc_out[p] = _alloc_from_index(inst, top_idx)
+            # highest key; among equal keys, the lowest index
+            top = max(vecs, key=lambda vec: (keys[vec], -vecs[vec]))
+            key_out[p] = keys[top]
+            alloc_out[p] = _alloc_from_index(inst, vecs[top])
         if restrict == 0:
             poe[p] = Fraction(1)
         else:
             poe[p] = poe_ratio(best_key[p], best_eq1_key[p], p, restrict)
 
-    assert leximin is not None
     return OracleResult(
         best_key=best_key,
         best_alloc=best_alloc,
         best_eq1_key=best_eq1_key,
         best_eq1_alloc=best_eq1_alloc,
         poe=poe,
-        leximin=leximin,
+        leximin=max(all_vecs),
         enumeration_count=count,
         restrict=restrict,
     )
@@ -202,9 +241,7 @@ def is_pareto_optimal(
     if not alloc.is_complete:
         raise ValueError("Pareto check requires a complete allocation")
     base = alloc.values(inst)
-    for _, _, values, _ in _assignment_values(inst):
-        if all(v >= b for v, b in zip(values, base)) and any(
-            v > b for v, b in zip(values, base)
-        ):
+    for values in {values for values, _ in _scan(inst)}:
+        if all(v >= b for v, b in zip(values, base)) and values != base:
             return False
     return True

@@ -145,8 +145,11 @@ def _additive(*rows):
         ("check", {"valuations": [{"kind": "matroid_gf2", "rows": 2.0,
                                    "cols": [[1, 0], [0, 1]]}]}),
         ("check", {"valuations": {"kind": "additive", "row": [1, 0]}}),
+        ("check", {"n": True, "m": 2, "valuations": _additive([1, 0])}),
+        ("check", {"n": 1, "m": 2.0, "valuations": _additive([1, 0])}),
     ],
-    ids=["float_row", "bool_row", "string_row", "float_rows", "valuations_not_list"],
+    ids=["float_row", "bool_row", "string_row", "float_rows", "valuations_not_list",
+         "bool_n", "float_m"],
 )
 def test_non_integer_instance_rejected(tmp_path, command, instance):
     path = tmp_path / "bad.json"

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poe_toolkit.generators import (
     gen_lower_bound_instance,
@@ -12,14 +15,29 @@ from poe_toolkit.generators import (
     random_matroid_gf2,
     unnormalised_2agent_instance,
 )
-from poe_toolkit.model import Allocation, BinaryAdditive, Instance, is_eq1
+from poe_toolkit.model import (
+    Allocation,
+    BinaryAdditive,
+    Instance,
+    LinearMatroidGF2,
+    is_eq1,
+)
 from poe_toolkit.oracle import (
     BudgetExceededError,
     enumerate_allocations,
     is_pareto_optimal,
 )
-from poe_toolkit.solver import nash_optimal
-from poe_toolkit.welfare import NASH, NEG_INF, PParam, UTILITARIAN
+from poe_toolkit.solver import nash_optimal, solve
+from poe_toolkit.verify import GATE_P_LIST, _keys_match
+from poe_toolkit.welfare import (
+    NASH,
+    NEG_INF,
+    PParam,
+    UTILITARIAN,
+    max_positive_count,
+    poe_ratio,
+    welfare_key,
+)
 
 P_LIST = (UTILITARIAN, PParam.real(Fraction(1, 2)), NASH, PParam.real(-1), NEG_INF)
 
@@ -129,3 +147,94 @@ def test_deterministic_tie_break():
     orc = enumerate_allocations(inst, [UTILITARIAN])
     # both assignments have key (1, 1/1); the first in enumeration order wins
     assert orc.best_alloc[UTILITARIAN].owner == (0,)
+
+
+def test_unnormalised_example_beyond_sixteen_goods():
+    orc = enumerate_allocations(unnormalised_2agent_instance(17), [UTILITARIAN])
+    assert orc.poe[UTILITARIAN] == Fraction(17, 3)
+    assert orc.enumeration_count == 2**17
+
+
+def test_single_agent_many_goods():
+    inst = Instance([BinaryAdditive([1, 0] * 10)])
+    orc = enumerate_allocations(inst, P_LIST)
+    assert orc.enumeration_count == 1
+    assert orc.leximin == (10,)
+    assert orc.best_eq1_alloc[UTILITARIAN].owner == (0,) * 20
+    assert all(orc.poe[p] == 1 for p in P_LIST)
+
+
+# ---------------------------------------------------------------------------
+# Property test: the oracle against a definitional brute force
+# ---------------------------------------------------------------------------
+
+
+def _bits(size: int):
+    return st.lists(st.integers(0, 1), min_size=size, max_size=size)
+
+
+@st.composite
+def small_instances(draw):
+    """n <= 3 agents over m <= 6 goods, each additive or GF(2)."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    vals = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            vals.append(BinaryAdditive(draw(_bits(m))))
+        else:
+            k = draw(st.integers(1, 3))
+            vals.append(LinearMatroidGF2(k, draw(st.lists(_bits(k), min_size=m, max_size=m))))
+    return Instance(vals)
+
+
+def brute_force(inst, p_list):
+    """Best allocation overall and among EQ1 ones per p (the first in
+    ``itertools.product`` order on key ties), the leximin vector and every
+    value vector.  Keys are taken on sorted value vectors, as the oracle
+    does, so float p-means round alike."""
+    restrict = max_positive_count(inst)
+    best: dict = {}
+    best_eq1: dict = {}
+    vectors = set()
+    for assign in itertools.product(range(inst.n), repeat=inst.m):
+        alloc = Allocation(assign, inst.n)
+        values = alloc.values(inst)
+        vectors.add(values)
+        eq1 = is_eq1(inst, alloc)
+        for p in p_list:
+            key = welfare_key(sorted(values), p, restrict)
+            if p not in best or key > best[p][0]:
+                best[p] = (key, alloc)
+            if eq1 and (p not in best_eq1 or key > best_eq1[p][0]):
+                best_eq1[p] = (key, alloc)
+    leximin = max(tuple(sorted(v)) for v in vectors)
+    return restrict, best, best_eq1, leximin, vectors
+
+
+def dominated(values, vectors) -> bool:
+    return any(
+        all(v >= b for v, b in zip(other, values)) and other != values for other in vectors
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances(), st.data())
+def test_oracle_matches_brute_force(inst, data):
+    orc = enumerate_allocations(inst, GATE_P_LIST)
+    restrict, best, best_eq1, leximin, vectors = brute_force(inst, GATE_P_LIST)
+    assert orc.enumeration_count == inst.n**inst.m
+    assert orc.leximin == leximin
+    for p in GATE_P_LIST:
+        assert orc.best_key[p] == best[p][0]
+        assert orc.best_alloc[p] == best[p][1]
+        assert orc.best_eq1_key[p] == best_eq1[p][0]
+        assert orc.best_eq1_alloc[p] == best_eq1[p][1]
+        want = Fraction(1) if restrict == 0 else poe_ratio(best[p][0], best_eq1[p][0], p, restrict)
+        assert orc.poe[p] == want
+    owner = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=inst.m, max_size=inst.m))
+    for alloc in (nash_optimal(inst), Allocation(owner, inst.n)):
+        assert is_pareto_optimal(inst, alloc) == (not dominated(alloc.values(inst), vectors))
+    res = solve(inst, GATE_P_LIST)
+    for p in GATE_P_LIST:
+        assert _keys_match(res.report_a_star.keys[p], orc.best_key[p], p)
+        assert _keys_match(res.report_b.keys[p], orc.best_eq1_key[p], p)
