@@ -10,14 +10,18 @@ agents:
   doubly stochastic matrix, decomposed into permutation matrices and decoded
   back into allocations.
 
-Everything here is exact rational arithmetic; no tolerances anywhere.
+Everything here is exact: matrix arithmetic runs on integer numerators over
+one common denominator, and Fractions appear only at the API boundary (entries,
+lottery weights); no tolerances anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .model import Allocation, BinaryAdditive, Instance
@@ -81,20 +85,35 @@ class _MaxFlow:
                     queue.append(v)
         return level if level[t] >= 0 else None
 
-    def _push(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            eid = self.adj[u][it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                pushed = self._push(v, t, min(limit, self.cap[eid]), level, it)
-                if pushed:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def _push(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push flow along one s-t path of the level graph; return the amount
+        (0 when the level graph has no path left).
+
+        Iterative depth-first search: ``it[u]`` is u's current-arc pointer,
+        advanced only past an arc that is not admissible or leads nowhere, so
+        arcs are tried in the same order as a recursive search would."""
+        adj, to, cap = self.adj, self.to, self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            arcs = adj[u]
+            while it[u] < len(arcs):
+                eid = arcs[it[u]]
+                if cap[eid] > 0 and level[to[eid]] == level[u] + 1:
+                    path.append(eid)
+                    u = to[eid]
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min(cap[eid] for eid in path)
+        for eid in path:
+            cap[eid] -= pushed
+            cap[eid ^ 1] += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
@@ -104,7 +123,7 @@ class _MaxFlow:
                 return total
             it = [0] * self.size
             while True:
-                pushed = self._push(s, t, 1 << 60, level, it)
+                pushed = self._push(s, t, level, it)
                 if not pushed:
                     break
                 total += pushed
@@ -163,31 +182,51 @@ def solve_flow(inst: Instance) -> Allocation:
 
 @dataclass
 class DoublyStochasticMatrix:
-    """Square matrix of exact rationals with all row and column sums 1."""
+    """Square matrix of exact rationals with all row and column sums 1, held
+    as integer numerators over one common denominator: entry (r, c) is
+    ``counts[r][c] / scale``, with ``scale`` the least common denominator."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    counts: tuple[tuple[int, ...], ...]
+    scale: int
 
-    def __init__(self, entries: Sequence[Sequence[Fraction]]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+    def __init__(self, entries: Sequence[Sequence[int | Fraction]], scale: int = 1):
+        """Entry (r, c) is ``entries[r][c] / scale``.  Integer entries are kept
+        as numerators; rational ones are first brought over the lcm of their
+        denominators."""
+        if type(scale) is not int or scale <= 0:
+            raise ValueError("scale must be a positive integer")
+        rows = [list(row) for row in entries]
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            rows = [[Fraction(x) for x in row] for row in rows]
+            den = math.lcm(*(x.denominator for row in rows for x in row))
+            rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+            scale *= den
         dim = len(rows)
         if any(len(row) != dim for row in rows):
             raise ValueError("matrix must be square")
         for row in rows:
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise ValueError("entries must be non-negative")
-            if sum(row) != 1:
+            if sum(row) != scale:
                 raise ValueError("every row must sum to exactly 1")
-        for c in range(dim):
-            if sum(row[c] for row in rows) != 1:
-                raise ValueError("every column must sum to exactly 1")
-        object.__setattr__(self, "entries", rows)
+        if any(sum(col) != scale for col in zip(*rows)):
+            raise ValueError("every column must sum to exactly 1")
+        g = math.gcd(scale, *chain.from_iterable(rows))
+        if g > 1:
+            rows = [[x // g for x in row] for row in rows]
+        self.counts = tuple(map(tuple, rows))
+        self.scale = scale // g
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.counts)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.counts)
 
     def __getitem__(self, rc: tuple[int, int]) -> Fraction:
-        return self.entries[rc[0]][rc[1]]
+        return Fraction(self.counts[rc[0]][rc[1]], self.scale)
 
 
 @dataclass
@@ -226,7 +265,8 @@ def eating_matrix(inst: Instance) -> EatingMatrix:
 
     Each of the first p copies of an agent eats 1/W of every liked good;
     the last copy eats q/(W*W_c) of every liked good plus an equal share
-    (1 - q/W_c)/t of each of the t dummy goods."""
+    (1 - q/W_c)/t of each of the t dummy goods.  Over the common denominator
+    W*W_c*t these shares are W_c*t, q*t and W*(W_c - q)."""
     dn = is_doubly_normalised(inst)
     if dn is None:
         raise ValueError("instance is not doubly normalised")
@@ -238,23 +278,20 @@ def eating_matrix(inst: Instance) -> EatingMatrix:
     copies = p + 1
     dim = copies * n
     t = dim - m
-    share_early = Fraction(1, W)
-    share_last = Fraction(q, W * W_c)
-    share_dummy = (1 - Fraction(q, W_c)) / t
-    entries = []
+    share_early, share_last, share_dummy = W_c * t, q * t, W * (W_c - q)
+    counts = []
     for i in range(n):
         liked = [g for g in range(m) if inst.valuations[i].row[g] == 1]
         for j in range(copies):
-            row = [Fraction(0)] * dim
-            frac = share_early if j < p else share_last
+            row = [0] * dim
+            share = share_early if j < p else share_last
             for g in liked:
-                row[g] = frac
+                row[g] = share
             if j == p:
-                for d in range(m, dim):
-                    row[d] = share_dummy
-            entries.append(row)
+                row[m:] = [share_dummy] * t
+            counts.append(row)
     return EatingMatrix(
-        matrix=DoublyStochasticMatrix(entries),
+        matrix=DoublyStochasticMatrix(counts, W * W_c * t),
         copies=copies,
         n=n,
         m=m,
@@ -290,14 +327,15 @@ def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
     subtracting the minimum matched entry each round (which zeroes at least
     one entry, so at most dim^2 - 2*dim + 2 terms are produced).  The
     decomposition is deterministic but not unique; the contract is exact
-    reconstruction, not any particular term list."""
-    dim = Y.dim
-    work = [list(row) for row in Y.entries]
+    reconstruction, not any particular term list.  The arithmetic runs on
+    ``Y.counts``; each weight is its integer delta over ``Y.scale``."""
+    dim, scale = Y.dim, Y.scale
+    work = [list(row) for row in Y.counts]
     support = [[c for c in range(dim) if row[c] > 0] for row in work]
     row_match = [-1] * dim
     col_match = [-1] * dim
-    terms: list[tuple[Fraction, tuple[int, ...]]] = []
-    remaining = Fraction(1)
+    terms: list[tuple[int, tuple[int, ...]]] = []
+    remaining = scale
     while remaining > 0:
         for r in range(dim):
             if row_match[r] < 0 and not augment(support, r, row_match, col_match):
@@ -314,11 +352,11 @@ def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
                 row_match[r] = -1
                 col_match[c] = -1
         remaining -= delta
-    if sum(w for w, _ in terms) != 1:
+    if sum(delta for delta, _ in terms) != scale:
         raise RuntimeError("internal: decomposition weights do not sum to 1")
     if len(terms) > dim * dim - 2 * dim + 2 and dim > 1:
         raise RuntimeError("internal: decomposition exceeded the term bound")
-    return BvnDecomposition(terms=terms)
+    return BvnDecomposition(terms=[(Fraction(delta, scale), perm) for delta, perm in terms])
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poe_toolkit.doubly import (
     DoublyStochasticMatrix,
+    _MaxFlow,
     bvn_decompose,
     decode_allocation,
     eating_matrix,
@@ -24,7 +28,7 @@ from poe_toolkit.generators import (
 )
 from poe_toolkit.model import BinaryAdditive, Instance, is_eq, is_eq1, wasted_goods
 from poe_toolkit.solver import solve
-from poe_toolkit.welfare import NASH, UTILITARIAN
+from poe_toolkit.welfare import NASH, UTILITARIAN, augment
 
 
 def biregular_corpus(rng, count, max_n=10, max_m=12):
@@ -85,6 +89,24 @@ def test_flow_on_random_biregular(rng):
         assert sum(alloc.values(inst)) == inst.m
 
 
+def test_flow_allocations_pinned():
+    # Pins the paths Dinic picks (its arc order); the benchmark digests of the
+    # flow route depend on them.
+    assert solve_flow(example1_instance()).owner == (0, 2, 0, 1, 3, 1)
+    assert solve_flow(gen_doubly_normalised(6, 12, 4, 2, seed=3)).owner == (
+        0, 1, 0, 1, 3, 3, 4, 5, 2, 5, 2, 4)
+    assert solve_flow(gen_doubly_normalised(12, 18, 3, 2, seed=11)).owner == (
+        11, 8, 7, 0, 6, 9, 2, 1, 3, 7, 1, 5, 2, 4, 10, 3, 4, 0)
+
+
+def test_max_flow_long_chain():
+    # One 3000-node path: the search depth is not bounded by the recursion limit.
+    net = _MaxFlow(3000)
+    for i in range(2999):
+        net.add_edge(i, i + 1, 1)
+    assert net.max_flow(0, 2999) == 1
+
+
 def test_flow_rejects_non_doubly():
     with pytest.raises(ValueError):
         solve_flow(remark_3x4_instance())
@@ -105,6 +127,24 @@ def test_eating_example1_entries():
         last = eat.matrix.entries[i * 2 + 1]
         assert sum(last[:6]) == Fraction(1, 2)
         assert sum(last[6:]) == Fraction(1, 2)
+
+
+def test_eating_example1_counts_and_csv():
+    eat = eating_matrix(example1_instance())
+    # W * W_c * t = 3 * 2 * 2; shares W_c*t = 4, q*t = 2, W*(W_c - q) = 3
+    assert eat.matrix.scale == 12
+    assert {x for row in eat.matrix.counts for x in row} == {0, 4, 2, 3}
+    # bytes of `poe-toolkit doubly --matrix-csv` from the Fraction implementation
+    assert eat.to_csv() == (
+        "1/3,1/3,1/3,0,0,0,0,0\n"
+        "1/6,1/6,1/6,0,0,0,1/4,1/4\n"
+        "0,0,0,1/3,1/3,1/3,0,0\n"
+        "0,0,0,1/6,1/6,1/6,1/4,1/4\n"
+        "0,1/3,1/3,1/3,0,0,0,0\n"
+        "0,1/6,1/6,1/6,0,0,1/4,1/4\n"
+        "1/3,0,0,0,1/3,1/3,0,0\n"
+        "1/6,0,0,0,1/6,1/6,1/4,1/4\n"
+    )
 
 
 def test_eating_doubly_stochastic_exact(rng):
@@ -206,6 +246,104 @@ def test_bvn_example1_term_list():
 def test_bvn_rejects_non_stochastic():
     with pytest.raises(ValueError):
         DoublyStochasticMatrix([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 2), Fraction(3, 4)]])
+
+
+def _circulant(first_row):
+    dim = len(first_row)
+    return [[Fraction(first_row[(c - r) % dim]) for c in range(dim)] for r in range(dim)]
+
+
+MIXED = ["1/2", "1/3", "1/7", "1/42"]  # sums to 1 over lcm 42
+
+
+def test_matrix_counts_over_lcm():
+    y = DoublyStochasticMatrix(_circulant(MIXED))
+    assert y.scale == 42
+    assert y.counts[0] == (21, 14, 6, 1) and y.counts[1] == (1, 21, 14, 6)
+    assert y[2, 0] == Fraction(1, 7)
+    assert DoublyStochasticMatrix([[2, 4], [4, 2]], scale=6) == DoublyStochasticMatrix(
+        [[Fraction(1, 3), Fraction(2, 3)], [Fraction(2, 3), Fraction(1, 3)]])
+
+
+def _off_by_one_lcm():
+    rows = _circulant(MIXED)
+    rows[0][3] += Fraction(1, 42)
+    return rows
+
+
+@pytest.mark.parametrize("entries, scale, message", [
+    (_off_by_one_lcm(), 1, "row"),
+    ([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3)]], 1, "column"),
+    (_circulant(["4/3", "-1/2", "1/6"]), 1, "non-negative"),
+    ([[Fraction(1, 3), Fraction(2, 3), 0], [Fraction(2, 3), Fraction(1, 3), 0]], 1, "square"),
+    ([[1]], 0, "scale"),
+], ids=["row_off_by_one_lcm", "column_sums", "negative_entry", "non_square", "zero_scale"])
+def test_matrix_rejects(entries, scale, message):
+    with pytest.raises(ValueError, match=message):
+        DoublyStochasticMatrix(entries, scale)
+
+
+def _bvn_fractions(entries):
+    """The decomposition computed on Fractions throughout: the reference that
+    the integer version must reproduce term for term."""
+    dim = len(entries)
+    work = [list(row) for row in entries]
+    support = [[c for c in range(dim) if row[c] > 0] for row in work]
+    row_match, col_match = [-1] * dim, [-1] * dim
+    terms = []
+    remaining = Fraction(1)
+    while remaining > 0:
+        for r in range(dim):
+            if row_match[r] < 0:
+                assert augment(support, r, row_match, col_match)
+        delta = min(work[r][row_match[r]] for r in range(dim))
+        perm = tuple(row_match)
+        terms.append((delta, perm))
+        for r, c in enumerate(perm):
+            work[r][c] -= delta
+            if work[r][c] == 0:
+                support[r].remove(c)
+                row_match[r] = col_match[c] = -1
+        remaining -= delta
+    return terms
+
+
+@st.composite
+def convex_combinations(draw):
+    """A random convex combination of permutation matrices whose weights have
+    mixed denominators."""
+    dim = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    perms = [draw(st.permutations(range(dim))) for _ in range(k)]
+    raw = [
+        Fraction(draw(st.integers(1, 9)), draw(st.sampled_from((1, 2, 3, 5, 7, 11))))
+        for _ in range(k)
+    ]
+    matrix = [[Fraction(0)] * dim for _ in range(dim)]
+    for w, perm in zip(raw, perms):
+        for r, c in enumerate(perm):
+            matrix[r][c] += w / sum(raw)
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(convex_combinations())
+def test_bvn_integer_counts(entries):
+    y = DoublyStochasticMatrix(entries)
+    dim = y.dim
+    assert y.scale == math.lcm(*(x.denominator for row in entries for x in row))
+    assert y.entries == tuple(map(tuple, entries))
+    dec = bvn_decompose(y)
+    assert dec.terms == _bvn_fractions(entries)
+    assert all(type(w) is Fraction and w > 0 for w in dec.weights())
+    assert sum(dec.weights()) == 1
+    assert len(dec.terms) <= dim * dim - 2 * dim + 2
+    recon = [[Fraction(0)] * dim for _ in range(dim)]
+    for w, perm in dec.terms:
+        for r, c in enumerate(perm):
+            assert entries[r][c] > 0  # support containment
+            recon[r][c] += w
+    assert recon == entries
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poe_toolkit.bounds import lambda_family_poe
@@ -191,17 +191,24 @@ def test_averaging_weakly_increases(x, data):
         assert float(p_mean(y, p)) >= float(p_mean(x, p)) - 1e-9
 
 
+def _le_up_to_rounding(a: float, b: float) -> bool:
+    """a <= b, forgiving float rounding only: a relative 1e-12 of the larger
+    side (the sums here reach about 6e6, where one ulp is about 1e-9)."""
+    return a <= b + 1e-12 * max(abs(a), abs(b))
+
+
 @settings(max_examples=150)
-@given(positive_vectors, st.data())
-def test_jensen_direction(x, data):
+@given(positive_vectors)
+@example([43.26888530418735] * 3)  # equal sides at p = -3 differ by 2.3e-9 after rounding
+def test_jensen_direction(x):
     l = len(x)
     mean = sum(x) / l
     for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
         q = 1 - p
-        assert sum(v ** float(q) for v in x) / l <= float(mean) ** float(q) + 1e-9
+        assert _le_up_to_rounding(sum(v ** float(q) for v in x) / l, float(mean) ** float(q))
     for p in (Fraction(-1), Fraction(-3)):
         q = 1 - p
-        assert sum(v ** float(q) for v in x) / l >= float(mean) ** float(q) - 1e-9
+        assert _le_up_to_rounding(float(mean) ** float(q), sum(v ** float(q) for v in x) / l)
 
 
 def test_strict_monotonicity(rng):
