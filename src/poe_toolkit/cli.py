@@ -15,7 +15,7 @@ import math
 import sys
 
 from .bounds import bound_table, poe_lower_bound, poe_upper_bound
-from .doubly import eating_matrix, is_doubly_normalised, randomized_allocation
+from .doubly import is_doubly_normalised, lottery_and_eating
 from .generators import (
     example1_instance,
     gen_doubly_normalised,
@@ -217,22 +217,23 @@ def cmd_doubly(args) -> int:
     if dn is None:
         raise UsageError("instance is not doubly normalised")
     W, W_c = dn
-    lottery = randomized_allocation(inst)
+    if args.matrix_csv and W % W_c == 0:
+        raise UsageError("no eating matrix: W divisible by W_c (flow route)")
+    lottery, eating = lottery_and_eating(inst)
+    values = [a.values(inst) for _, a in lottery]
     doc = {
         "W": W,
         "W_c": W_c,
         "weights": [str(w) for w, _ in lottery],
         "allocations": [list(a.owner) for _, a in lottery],
         "expected_values": [
-            str(sum(w * a.values(inst)[i] for w, a in lottery))
+            str(sum(w * vals[i] for (w, _), vals in zip(lottery, values)))
             for i in range(inst.n)
         ],
     }
     _emit_json(doc, args.out)
     if args.matrix_csv:
-        if W % W_c == 0:
-            raise UsageError("no eating matrix: W divisible by W_c (flow route)")
-        _emit(eating_matrix(inst).to_csv(), args.matrix_csv)
+        _emit(eating.to_csv(), args.matrix_csv)
     return 0
 
 

@@ -5,6 +5,16 @@ binary additive (a 0/1 row over the goods) and GF(2) linear-matroid rank
 (the value of a bundle is the GF(2) rank of its column vectors).  Both are
 binary submodular by construction, with all marginal gains in {0, 1}.
 
+Inside the package a bundle is a bitmask of goods (bit g set when the bundle
+holds good g).  Besides its value, each valuation answers four questions on
+such masks: which goods are worth one on their own (``nonloops()``; the
+others are loops), a basis of a bundle (the rest of the bundle is what
+cleaning removes), the exchange oracle of the solver's search
+(``circuits``), and the *floor* of a bundle (``coloops``: the goods whose
+removal lowers its value), which serves EQ1, EF1 and truncation.
+``Instance.takers`` turns the ``nonloops()`` masks into the agent–good
+adjacency that the exchange search walks.
+
 Everything here is immutable after construction and safe to share between
 concurrent workers.
 """
@@ -12,6 +22,7 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 
@@ -43,6 +54,17 @@ def gf2_rref(row_masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(r for _, r in pivots)
 
 
+def goods_of(mask: int) -> list[int]:
+    """The goods of a bitmask bundle, ascending."""
+    bits = bin(mask)[:1:-1]  # bit g is character g
+    out = []
+    g = bits.find("1")
+    while g >= 0:
+        out.append(g)
+        g = bits.find("1", g + 1)
+    return out
+
+
 def _reduce(basis: dict[int, tuple[int, int]], v: int) -> tuple[int, int]:
     """Reduce ``v`` by a basis keyed by leading bit: the residual (0 iff ``v``
     is in the span) and the XOR of the goods masks of the vectors used."""
@@ -59,19 +81,35 @@ def _reduce(basis: dict[int, tuple[int, int]], v: int) -> tuple[int, int]:
 
 
 class Valuation:
-    """Rank-oracle interface: ``value(bundle)`` and ``circuits(bundle)``."""
+    """Rank-oracle interface.  ``value`` takes a bitmask of goods or any
+    iterable of goods; the other methods take a bundle as a bitmask."""
 
     m: int
     kind: str
 
-    def value(self, bundle: Iterable[int]) -> int:
+    def value(self, bundle: int | Iterable[int]) -> int:
         raise NotImplementedError
 
-    def circuits(self, bundle: int) -> Callable[[int], int | None]:
-        """Exchange oracle at ``bundle``, a bitmask of goods: maps a good g
-        outside it to None if g raises the value, else (for an independent
-        bundle) to the mask of goods h with ``bundle - h + g`` independent,
-        which is g's fundamental circuit without g."""
+    def nonloops(self) -> int:
+        """The goods worth one on their own; every other good is a loop."""
+        raise NotImplementedError
+
+    def basis(self, bundle: int) -> int:
+        """A basis of ``bundle`` built greedily from the highest index.  Its
+        size is the bundle's value; the bundle goods outside it are the ones
+        ``make_clean`` removes."""
+        raise NotImplementedError
+
+    def circuits(self, bundle: int) -> tuple[int, Callable[[int], int | None]]:
+        """The bundle's value and its exchange oracle, which maps a good g
+        outside the bundle to None if g raises the value, else (for an
+        independent bundle) to the mask of goods h with ``bundle - h + g``
+        independent: g's fundamental circuit without g."""
+        raise NotImplementedError
+
+    def coloops(self, bundle: int) -> int:
+        """The goods of ``bundle`` whose removal lowers its value (the goods
+        in every basis of it); independent or not."""
         raise NotImplementedError
 
     def canonical_key(self) -> tuple[int, ...]:
@@ -100,11 +138,19 @@ class Valuation:
         raise ValueError(f"unknown valuation kind: {kind!r}")
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> 0/1 bytes
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # and back
+
+
 def _is_bit(x) -> bool:
     return type(x) is int and x in (0, 1)  # bools and floats are not entries
 
 
-def _bundle_mask(bundle: Iterable[int], m: int) -> int:
+def _bundle_mask(bundle: int | Iterable[int], m: int) -> int:
+    if type(bundle) is int:
+        if bundle < 0 or bundle >> m:
+            raise ValueError(f"bundle mask {bundle:#x} has goods out of range")
+        return bundle
     mask = 0
     for g in bundle:
         if not 0 <= g < m:
@@ -126,15 +172,25 @@ class BinaryAdditive(Valuation):
         self.m = len(row)
         self.row_mask = sum(1 << g for g, x in enumerate(row) if x)
 
-    def value(self, bundle: Iterable[int]) -> int:
+    def value(self, bundle: int | Iterable[int]) -> int:
         return (_bundle_mask(bundle, self.m) & self.row_mask).bit_count()
 
-    def circuits(self, bundle: int) -> Callable[[int], int | None]:
+    def nonloops(self) -> int:
+        return self.row_mask
+
+    def basis(self, bundle: int) -> int:
+        return bundle & self.row_mask
+
+    def circuits(self, bundle: int) -> tuple[int, Callable[[int], int | None]]:
         # a valued good always adds one; an unvalued one replaces nothing
-        return lambda g: None if (self.row_mask >> g) & 1 else 0
+        row_mask = self.row_mask
+        return (bundle & row_mask).bit_count(), lambda g: None if (row_mask >> g) & 1 else 0
+
+    def coloops(self, bundle: int) -> int:
+        return bundle & self.row_mask
 
     def canonical_key(self) -> tuple[int, ...]:
-        return tuple(1 << g for g, x in enumerate(self.row) if x)
+        return tuple(1 << g for g in goods_of(self.row_mask))
 
     def to_json(self) -> dict:
         return {"kind": "additive", "row": list(self.row)}
@@ -167,29 +223,48 @@ class LinearMatroidGF2(Valuation):
             masks.append(sum(1 << j for j, x in enumerate(col) if x))
         self.col_masks = tuple(masks)
 
-    def _basis(self, bundle: int) -> dict[int, tuple[int, int]]:
-        """Leading bit -> (vector, goods whose columns sum to it) for a basis
-        of the bundle's span; goods dependent on earlier ones are skipped."""
+    def _basis(self, bundle: int) -> tuple[dict[int, tuple[int, int]], int, int]:
+        """Basis of the bundle's span built greedily from the highest index,
+        as leading bit -> (vector, basis goods whose columns sum to it); the
+        mask of bundle goods left out (each dependent on higher ones); and
+        the basis goods on the fundamental circuit of some left-out good."""
         basis: dict[int, tuple[int, int]] = {}
+        col_masks = self.col_masks
+        skipped = swappable = 0
         while bundle:
-            low = bundle & -bundle
-            bundle ^= low
-            v, goods = _reduce(basis, self.col_masks[low.bit_length() - 1])
+            g = bundle.bit_length() - 1
+            bundle ^= 1 << g
+            v, goods = _reduce(basis, col_masks[g])
             if v:
-                basis[v.bit_length() - 1] = (v, goods | low)
-        return basis
+                basis[v.bit_length() - 1] = (v, goods | (1 << g))
+            else:
+                skipped |= 1 << g
+                swappable |= goods
+        return basis, skipped, swappable
 
-    def value(self, bundle: Iterable[int]) -> int:
-        return len(self._basis(_bundle_mask(bundle, self.m)))
+    def value(self, bundle: int | Iterable[int]) -> int:
+        return len(self._basis(_bundle_mask(bundle, self.m))[0])
 
-    def circuits(self, bundle: int) -> Callable[[int], int | None]:
-        basis, col_masks = self._basis(bundle), self.col_masks
+    def nonloops(self) -> int:
+        # one 0/1 byte per column, highest good first, read as binary in C
+        return int(bytes(map(bool, self.col_masks[::-1])).translate(_DIGITS) or b"0", 2)
+
+    def basis(self, bundle: int) -> int:
+        return bundle ^ self._basis(bundle)[1]
+
+    def circuits(self, bundle: int) -> tuple[int, Callable[[int], int | None]]:
+        basis, col_masks = self._basis(bundle)[0], self.col_masks
 
         def circuit(g: int) -> int | None:
             v, goods = _reduce(basis, col_masks[g])
             return None if v else goods
 
-        return circuit
+        return len(basis), circuit
+
+    def coloops(self, bundle: int) -> int:
+        # a basis good outside every fundamental circuit is in every basis
+        _, skipped, swappable = self._basis(bundle)
+        return bundle & ~(skipped | swappable)
 
     def canonical_key(self) -> tuple[int, ...]:
         # Row g-bit view: row j of the matrix as an m-bit mask.
@@ -287,6 +362,16 @@ class Instance:
             groups[t].append(i)
         return groups
 
+    def takers(self) -> list[list[int]]:
+        """Good -> the agents for whom it is worth one on its own, ascending:
+        the agent–good adjacency, read from the valuations' ``nonloops()``."""
+        out: list[list[int]] = [[] for _ in range(self.m)]
+        for j, v in enumerate(self.valuations):
+            # the 0/1 bytes of j's row pick the goods' lists in C
+            for agents in compress(out, bin(v.nonloops())[:1:-1].encode().translate(_BITS)):
+                agents.append(j)
+        return out
+
     def normalisation(self) -> int | None:
         """Common grand-bundle value W, or None if not normalised."""
         all_goods = range(self.m)
@@ -366,14 +451,21 @@ class Allocation:
                 sets[a].add(g)
         return tuple(frozenset(s) for s in sets)
 
-    def unassigned(self) -> frozenset[int]:
-        return frozenset(g for g, a in enumerate(self.owner) if a == UNASSIGNED)
+    def masks(self, inst: Instance) -> list[int]:
+        """Per-agent bundles as bitmasks of goods."""
+        if self.m != inst.m:
+            raise ValueError(f"allocation covers {self.m} goods, instance has {inst.m}")
+        if self.n != inst.n:
+            raise ValueError(f"allocation has {self.n} agents, instance has {inst.n}")
+        masks = [0] * self.n
+        for g, a in enumerate(self.owner):
+            if a != UNASSIGNED:
+                masks[a] |= 1 << g
+        return masks
 
     def values(self, inst: Instance) -> tuple[int, ...]:
         """Per-agent bundle values."""
-        if self.m != inst.m:
-            raise ValueError(f"allocation covers {self.m} goods, instance has {inst.m}")
-        return tuple(inst.valuations[i].value(b) for i, b in enumerate(self.bundles()))
+        return tuple(v.value(b) for v, b in zip(inst.valuations, self.masks(inst)))
 
     def to_json(self) -> dict:
         return {"owner": list(self.owner)}
@@ -396,16 +488,11 @@ def _require_complete(alloc: Allocation) -> None:
         raise ValueError("predicate requires a complete allocation")
 
 
-def _reduced_value(val: Valuation, bundle: frozenset[int]) -> int:
-    """min over g in bundle of value(bundle - {g}); bundle must be nonempty."""
-    full = val.value(bundle)
-    best = full
-    for g in sorted(bundle):
-        v = val.value(bundle - {g})
-        if v < best:
-            best = v
-            break  # binary marginals: can only drop by 1
-    return best
+def _reduced_value(val: Valuation, bundle: int) -> int:
+    """min over g in bundle of value(bundle - {g}); bundle must be nonempty.
+    Marginals are binary, so this is the value, less one if some good's
+    removal lowers it."""
+    return val.value(bundle) - (val.coloops(bundle) != 0)
 
 
 def is_eq1(inst: Instance, alloc: Allocation) -> bool:
@@ -413,17 +500,13 @@ def is_eq1(inst: Instance, alloc: Allocation) -> bool:
     nonempty, some good of k can be dropped so that i's value for its own
     bundle is at least k's value for the reduced bundle."""
     _require_complete(alloc)
-    bundles = alloc.bundles()
-    values = [inst.valuations[i].value(b) for i, b in enumerate(bundles)]
+    masks = alloc.masks(inst)
     if inst.n <= 1:
         return True
-    vmin = min(values)
-    for k in range(inst.n):
-        if not bundles[k]:
-            continue
-        if _reduced_value(inst.valuations[k], bundles[k]) > vmin:
-            return False
-    return True
+    vmin = min(v.value(b) for v, b in zip(inst.valuations, masks))
+    return all(
+        not b or _reduced_value(v, b) <= vmin for v, b in zip(inst.valuations, masks)
+    )
 
 
 def is_eq(inst: Instance, alloc: Allocation) -> bool:
@@ -435,12 +518,11 @@ def is_eq(inst: Instance, alloc: Allocation) -> bool:
 def is_ef(inst: Instance, alloc: Allocation) -> bool:
     """Envy-free: no agent values another's bundle above its own."""
     _require_complete(alloc)
-    bundles = alloc.bundles()
-    for i in range(inst.n):
-        vi = inst.valuations[i].value(bundles[i])
-        for k in range(inst.n):
-            if k != i and inst.valuations[i].value(bundles[k]) > vi:
-                return False
+    masks = alloc.masks(inst)
+    for i, val in enumerate(inst.valuations):
+        vi = val.value(masks[i])
+        if any(k != i and val.value(b) > vi for k, b in enumerate(masks)):
+            return False
     return True
 
 
@@ -448,13 +530,11 @@ def is_ef1(inst: Instance, alloc: Allocation) -> bool:
     """Envy-free up to one good, with the envious agent's own valuation
     applied to the reduced bundle."""
     _require_complete(alloc)
-    bundles = alloc.bundles()
-    for i in range(inst.n):
-        vi = inst.valuations[i].value(bundles[i])
-        for k in range(inst.n):
-            if k == i or not bundles[k]:
-                continue
-            if _reduced_value(inst.valuations[i], bundles[k]) > vi:
+    masks = alloc.masks(inst)
+    for i, val in enumerate(inst.valuations):
+        vi = val.value(masks[i])
+        for k, b in enumerate(masks):
+            if k != i and b and _reduced_value(val, b) > vi:
                 return False
     return True
 
@@ -465,19 +545,14 @@ def wasted_goods(inst: Instance, alloc: Allocation) -> frozenset[int]:
     Scans assigned goods in ascending index; a good reported wasted is
     dropped from the working bundle before later goods are tested, so the
     result is exactly the set ``make_clean`` removes.  An allocation is
-    clean iff the result is empty.
+    clean iff the result is empty.  The goods that scan keeps form the
+    basis of each bundle built greedily from the highest index, so the
+    result is every bundle minus that basis.
     """
-    removed: set[int] = set()
-    work = [set(b) for b in alloc.bundles()]
-    for g in range(alloc.m):
-        i = alloc.owner[g]
-        if i == UNASSIGNED:
-            continue
-        val = inst.valuations[i]
-        if val.value(work[i]) == val.value(work[i] - {g}):
-            removed.add(g)
-            work[i].discard(g)
-    return frozenset(removed)
+    wasted = 0
+    for v, b in zip(inst.valuations, alloc.masks(inst)):
+        wasted |= b ^ v.basis(b)
+    return frozenset(goods_of(wasted))
 
 
 def is_clean(inst: Instance, alloc: Allocation) -> bool:
@@ -525,8 +600,7 @@ def validate(inst: Instance) -> ValidationReport:
     accept only 0/1 rows and 0/1 GF(2) matrices, whose value functions are
     matroid rank functions."""
     report = ValidationReport(W=inst.normalisation(), r=inst.r)
-    singletons = [v.circuits(0) for v in inst.valuations]
-    unvalued = [g for g in range(inst.m) if all(c(g) is not None for c in singletons)]
-    for g in unvalued:
-        report.warnings.append(f"good {g} valued by no agent")
+    for g, agents in enumerate(inst.takers()):
+        if not agents:
+            report.warnings.append(f"good {g} valued by no agent")
     return report

@@ -16,8 +16,12 @@ The pipeline is:
    agent for whom they are worthless; the result is EQ1 and optimal among
    EQ1 allocations for every p.
 
-Correctness of the search steps is gated end-to-end against the exhaustive
-oracle in the test suite.
+Bundles, the pool and the search's sources are bitmasks of goods.  The
+search asks about a good only the agents for whom it is not a loop
+(``Instance.takers``, built once per search), and truncation
+reads the goods to remove from ``Valuation.coloops``.  Correctness of the
+search steps is gated end-to-end against the exhaustive oracle in the test
+suite.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Container, Iterable, Sequence
 
 from .model import (
     UNASSIGNED,
     Allocation,
     BinaryAdditive,
     Instance,
+    goods_of,
     is_eq1,
     make_clean,
 )
@@ -49,20 +54,28 @@ class SolverInternalError(RuntimeError):
 
 class _State:
     """Mutable clean partial allocation: per-agent independent bundles as
-    bitmasks of goods, each with its exchange oracle."""
+    bitmasks of goods, each with its exchange oracle, the pool of
+    unassigned goods as a bitmask, and the agent–good adjacency
+    ``takers`` (``Instance.takers``) that the search walks."""
 
-    def __init__(self, inst: Instance, owner: list[int]):
+    def __init__(self, inst: Instance, owner: Sequence[int]):
         self.inst = inst
         self.owner = list(owner)
-        self.bundles = [sum(1 << g for g, a in enumerate(owner) if a == j) for j in range(inst.n)]
-        self.circuits = [v.circuits(b) for v, b in zip(inst.valuations, self.bundles)]
+        self.takers = takers = inst.takers()
+        # goods with two or more takers: an owned good outside this mask has
+        # its owner as its only taker, so no arcs leave it
+        self.shared = sum(1 << g for g, agents in enumerate(takers) if len(agents) > 1)
+        self.bundles = Allocation(owner, inst.n).masks(inst)
+        self.pool = ((1 << inst.m) - 1) ^ sum(self.bundles)
+        self.circuits = [v.circuits(b)[1] for v, b in zip(inst.valuations, self.bundles)]
 
     def values(self) -> list[int]:
         # bundles are kept independent, so value == size
         return [b.bit_count() for b in self.bundles]
 
-    def _bfs(self, sources: list[int], absorbers: Iterable[int]) -> tuple[list[int], int] | None:
-        """Shortest path from any source good to a good some absorber can add.
+    def _bfs(self, sources: int, absorbers: Container[int]) -> tuple[list[int], int] | None:
+        """Shortest path from any source good (a bitmask) to a good some
+        absorber can add.
 
         Returns (path of goods, absorbing agent) or None.  Along the path,
         each good's owner releases it and takes the preceding good; the
@@ -70,34 +83,44 @@ class _State:
         unit of value.  Shortest paths keep the simultaneous swaps valid.
         Arcs run from g to g's fundamental circuit in each other bundle (all
         of it if g adds value); ties go to the lowest absorber, then good.
+        Only the agents in ``takers[g]`` are asked about g: for the others
+        g is a loop, which adds no value and lies on no circuit.  Goods are
+        visited sources first, ascending, then in the order found.
         """
-        absorbers = set(absorbers)
-        parent: dict[int, int | None] = dict.fromkeys(sources)
-        queue = deque(sources)
-        while queue:
-            g = queue.popleft()
+        owner, takers, circuits, bundles = self.owner, self.takers, self.circuits, self.bundles
+        parent: dict[int, int] = {}
+        seen = sources
+        sources &= self.shared | self.pool  # skip sources no arc leaves
+        queue: deque[int] = deque()
+        while True:
+            if sources:
+                low = sources & -sources
+                sources ^= low
+                g = low.bit_length() - 1
+            elif queue:
+                g = queue.popleft()
+            else:
+                return None
             arcs = 0
-            for j, circuit in enumerate(self.circuits):
-                if j == self.owner[g]:
+            for j in takers[g]:
+                if j == owner[g]:
                     continue
-                swaps = circuit(g)
+                swaps = circuits[j](g)
                 if swaps is None:
                     if j in absorbers:
                         path = [g]
-                        while parent[path[-1]] is not None:
+                        while path[-1] in parent:
                             path.append(parent[path[-1]])
                         path.reverse()
                         return path, j
-                    swaps = self.bundles[j]
+                    swaps = bundles[j]
                 arcs |= swaps
-            while arcs:
-                low = arcs & -arcs
-                arcs ^= low
-                h = low.bit_length() - 1
-                if h not in parent:
+            arcs &= ~seen
+            if arcs:
+                seen |= arcs
+                for h in goods_of(arcs):
                     parent[h] = g
                     queue.append(h)
-        return None
 
     def apply_path(self, path: list[int], absorber: int) -> None:
         """Shift ownership along a path and absorb its last good.
@@ -109,7 +132,9 @@ class _State:
         """
         orig_owner = [self.owner[g] for g in path]
         for g, j in zip(path, orig_owner):
-            if j != UNASSIGNED:
+            if j == UNASSIGNED:
+                self.pool ^= 1 << g
+            else:
                 self.bundles[j] ^= 1 << g
                 self.owner[g] = UNASSIGNED
         for t in range(1, len(path)):
@@ -120,10 +145,9 @@ class _State:
         self.owner[path[-1]] = absorber
         # a bundle the path did not touch is unchanged since it last passed
         for j in {absorber, *orig_owner} - {UNASSIGNED}:
-            goods = [g for g in range(self.inst.m) if (self.bundles[j] >> g) & 1]
-            if self.inst.valuations[j].value(goods) != len(goods):
+            rank, self.circuits[j] = self.inst.valuations[j].circuits(self.bundles[j])
+            if rank != self.bundles[j].bit_count():
                 raise SolverInternalError("exchange path broke bundle independence")
-            self.circuits[j] = self.inst.valuations[j].circuits(self.bundles[j])
 
     def to_allocation(self) -> Allocation:
         return Allocation(self.owner, self.inst.n)
@@ -138,9 +162,9 @@ def max_utilitarian_clean(inst: Instance) -> Allocation:
     brought in, which is the matroid-partition optimality condition.
     """
     state = _State(inst, [UNASSIGNED] * inst.m)
+    everyone = range(inst.n)
     while True:
-        pool = [g for g, j in enumerate(state.owner) if j == UNASSIGNED]
-        found = state._bfs(pool, range(inst.n))
+        found = state._bfs(state.pool, everyone)
         if found is None:
             return state.to_allocation()
         path, absorber = found
@@ -160,11 +184,13 @@ def _balance(state: _State) -> None:
         values = state.values()
         applied = False
         for i in sorted(range(n), key=lambda a: (values[a], a)):
-            rich = {j for j in range(n) if values[j] >= values[i] + 2}
-            if not rich:
+            sources = 0
+            for j in range(n):
+                if values[j] >= values[i] + 2:
+                    sources |= state.bundles[j]
+            if not sources:
                 continue
-            sources = [g for g, j in enumerate(state.owner) if j in rich]
-            found = state._bfs(sources, [i])
+            found = state._bfs(sources, (i,))
             if found is None:
                 continue
             path, absorber = found
@@ -196,7 +222,7 @@ def nash_optimal(inst: Instance) -> Allocation:
     _balance(state)
 
     sink = _min_value_agent(state.values())
-    pool = [g for g, j in enumerate(state.owner) if j == UNASSIGNED]
+    pool = goods_of(state.pool)
     # one oracle serves the whole pool: a good in the sink's span leaves it unchanged
     if any(state.circuits[sink](g) is None for g in pool):
         raise SolverInternalError(
@@ -219,35 +245,32 @@ def truncate(inst: Instance, a_star: Allocation) -> Allocation:
     is reduced to exactly ``l + 1`` by removing value-carrying goods in
     ascending index order; the removed goods go to the lowest-index
     minimum-value agent, for whom Nash optimality forces their marginal
-    value to be zero."""
+    value to be zero.  A good carries value when its removal lowers the
+    bundle's value, and removing one such good leaves the others carrying
+    value, so the goods removed are the bundle's first ``v - l - 1``
+    coloops."""
     if not a_star.is_complete:
         raise ValueError("truncation requires a complete allocation")
-    values = list(a_star.values(inst))
+    masks = a_star.masks(inst)
+    values = [v.value(b) for v, b in zip(inst.valuations, masks)]
     l = min(values)
     i_l = _min_value_agent(values)
     # removed goods come from other agents, so the sink's bundle stays fixed
-    sink_bundle = sum(1 << g for g, a in enumerate(a_star.owner) if a == i_l)
-    sink_circuits = inst.valuations[i_l].circuits(sink_bundle)
+    sink_circuits = inst.valuations[i_l].circuits(masks[i_l])[1]
     owner = list(a_star.owner)
-    for i in range(inst.n):
-        if values[i] < l + 2:
+    for i, val in enumerate(inst.valuations):
+        excess = values[i] - l - 1
+        if excess < 1:
             continue
-        val = inst.valuations[i]
-        bundle = set(a_star.bundle(i))
-        v = values[i]
-        for g in sorted(a_star.bundle(i)):
-            if v == l + 1:
-                break
-            if val.value(bundle - {g}) == v - 1:  # current marginal 1
-                if sink_circuits(g) is None:
-                    raise SolverInternalError(
-                        "removed good has positive marginal value for the minimum-value "
-                        "agent; input allocation was not Nash-optimal"
-                    )
-                bundle.discard(g)
-                v -= 1
-                owner[g] = i_l
-        if v != l + 1:
+        removed = goods_of(val.coloops(masks[i]))[:excess]
+        for g in removed:
+            if sink_circuits(g) is None:
+                raise SolverInternalError(
+                    "removed good has positive marginal value for the minimum-value "
+                    "agent; input allocation was not Nash-optimal"
+                )
+            owner[g] = i_l
+        if len(removed) != excess:
             raise SolverInternalError("could not truncate bundle to the target value")
     b = Allocation(owner, inst.n)
     if not is_eq1(inst, b):
@@ -298,7 +321,7 @@ def diagnostics(inst: Instance, a_star: Allocation) -> TruncationDiagnostics:
         raise ValueError("diagnostics are defined for binary additive instances")
     clean = make_clean(inst, a_star)
     type_of = inst.type_index
-    r = inst.r
+    r = max(type_of) + 1
     goods = [0] * r
     agents = [0] * r
     for g, a in enumerate(clean.owner):

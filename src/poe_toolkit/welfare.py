@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import Allocation, Instance
+from .model import Allocation, Instance, goods_of
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +116,10 @@ def max_positive_count(inst: Instance) -> int:
 
     Equals the size of a maximum matching in the agent-good bipartite graph
     with an edge whenever the agent values the good on its own (under unit
-    marginals, one singleton-valued good is exactly what positivity takes).
+    marginals, one singleton-valued good is exactly what positivity takes):
+    the agent–good adjacency of ``Instance.takers``, read by agent.
     """
-    singletons = [v.circuits(0) for v in inst.valuations]
-    adj = [[g for g in range(inst.m) if c(g) is None] for c in singletons]
+    adj = [goods_of(v.nonloops()) for v in inst.valuations]
     row_match = [-1] * inst.n
     col_match = [-1] * inst.m
     return sum(augment(adj, i, row_match, col_match) for i in range(inst.n))

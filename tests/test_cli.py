@@ -252,6 +252,19 @@ def test_doubly_example1(tmp_path):
     assert first_row[:3] == ["1/3", "1/3", "1/3"]
 
 
+def test_doubly_flow_route_matrix_csv_refused_before_output(tmp_path):
+    # W_c divides W: there is no eating matrix, so nothing may be written
+    inst = tmp_path / "flow.json"
+    gen = ("generate", "doubly", "--n", "6", "--m", "12", "--W", "4", "--Wc", "2", "--seed", "3")
+    assert run(*gen, "--out", str(inst)).returncode == 0
+    matrix = tmp_path / "eating.csv"
+    res = run("doubly", str(inst), "--matrix-csv", str(matrix))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "flow route" in res.stderr
+    assert not matrix.exists()
+
+
 def test_doubly_rejects_non_normalised(tmp_path):
     inst = tmp_path / "r.json"
     run("generate", "remark_3x4", "--out", str(inst))

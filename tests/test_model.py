@@ -60,19 +60,34 @@ def test_value_matroid_repeated_basis():
 def test_value_out_of_range():
     with pytest.raises(ValueError):
         BinaryAdditive([1, 0]).value({5})
+    with pytest.raises(ValueError):
+        BinaryAdditive([1, 0]).value(0b100)
+    with pytest.raises(ValueError):
+        LinearMatroidGF2(1, [[1]]).value(-1)
+
+
+def test_value_of_bitmask_bundle():
+    add = BinaryAdditive([1, 1, 0, 1])
+    mat = LinearMatroidGF2(3, [E1 + [0], E1 + [0], E2 + [0]])
+    assert add.value(0b1011) == add.value({0, 1, 3}) == 3
+    assert mat.value(0b111) == mat.value({0, 1, 2}) == 2
+    assert add.value(0) == mat.value(0) == 0
 
 
 def test_marginal_additive():
     # a valued good adds one; an unvalued good adds nothing and swaps for nothing
-    assert BinaryAdditive([1, 0]).circuits(0)(0) is None
-    assert BinaryAdditive([1, 0]).circuits(0)(1) == 0
+    rank, circuit = BinaryAdditive([1, 0]).circuits(0)
+    assert rank == 0
+    assert circuit(0) is None
+    assert circuit(1) == 0
 
 
 def test_marginal_matroid_dependent_vs_independent():
     dup = LinearMatroidGF2(2, [E1, E1])
-    assert dup.circuits(0b01)(1) == 0b01  # parallel to good 0: swaps with it
+    assert dup.circuits(0b01)[1](1) == 0b01  # parallel to good 0: swaps with it
     ind = LinearMatroidGF2(2, [E1, E2])
-    assert ind.circuits(0b01)(1) is None
+    assert ind.circuits(0b01)[1](1) is None
+    assert dup.circuits(0b11)[0] == 1 and ind.circuits(0b11)[0] == 2
 
 
 @st.composite
@@ -94,7 +109,8 @@ def test_circuits_agree_with_value(val, data):
     for g in data.draw(st.lists(st.integers(0, m - 1), unique=True)):
         if val.value(indep + [g]) == len(indep) + 1:
             indep.append(g)
-    circuit = val.circuits(sum(1 << g for g in indep))
+    rank, circuit = val.circuits(sum(1 << g for g in indep))
+    assert rank == len(indep)
     for g in set(range(m)) - set(indep):
         if val.value(indep + [g]) == len(indep) + 1:
             assert circuit(g) is None
@@ -105,9 +121,96 @@ def test_circuits_agree_with_value(val, data):
     # any bundle, dependent or not: None exactly when g raises the value
     bundle = data.draw(st.integers(0, (1 << m) - 1))
     goods = [g for g in range(m) if (bundle >> g) & 1]
-    circuit = val.circuits(bundle)
+    rank, circuit = val.circuits(bundle)
+    assert rank == val.value(goods)
     for g in set(range(m)) - set(goods):
         assert (circuit(g) is None) == (val.value(goods + [g]) == val.value(goods) + 1)
+
+
+# Reference copies of the per-good loops that coloops() and basis() replaced.
+
+
+def reference_reduced_value(val, bundle: frozenset) -> int:
+    best = val.value(bundle)
+    for g in sorted(bundle):
+        v = val.value(bundle - {g})
+        if v < best:
+            return v
+    return best
+
+
+def reference_is_eq1(inst, alloc) -> bool:
+    bundles = alloc.bundles()
+    vmin = min(v.value(b) for v, b in zip(inst.valuations, bundles))
+    return inst.n <= 1 or all(
+        not b or reference_reduced_value(v, b) <= vmin for v, b in zip(inst.valuations, bundles)
+    )
+
+
+def reference_is_ef1(inst, alloc) -> bool:
+    bundles = alloc.bundles()
+    for i, val in enumerate(inst.valuations):
+        vi = val.value(bundles[i])
+        for k, b in enumerate(bundles):
+            if k != i and b and reference_reduced_value(val, b) > vi:
+                return False
+    return True
+
+
+def reference_wasted_goods(inst, alloc) -> frozenset:
+    removed = set()
+    work = [set(b) for b in alloc.bundles()]
+    for g in range(alloc.m):
+        i = alloc.owner[g]
+        if i == -1:
+            continue
+        val = inst.valuations[i]
+        if val.value(work[i]) == val.value(work[i] - {g}):
+            removed.add(g)
+            work[i].discard(g)
+    return frozenset(removed)
+
+
+@st.composite
+def floor_cases(draw):
+    """An instance of n <= 4 agents over m <= 10 goods, additive or GF(2)
+    per agent, with some goods forced to be loops for some agents, and an
+    allocation of it (complete or partial)."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    vals = []
+    for _ in range(n):
+        loops = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        if draw(st.booleans()):
+            vals.append(BinaryAdditive([0 if loop else draw(st.integers(0, 1)) for loop in loops]))
+            continue
+        k = draw(st.integers(1, 4))
+        bit_col = st.lists(st.integers(0, 1), min_size=k, max_size=k)
+        vals.append(LinearMatroidGF2(k, [[0] * k if loop else draw(bit_col) for loop in loops]))
+    low = -1 if draw(st.booleans()) else 0
+    owner = draw(st.lists(st.integers(low, n - 1), min_size=m, max_size=m))
+    return Instance(vals), Allocation(owner, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_cases())
+def test_floor_matches_definitions(case):
+    inst, alloc = case
+    for val in inst.valuations:
+        for bundle in alloc.masks(inst) + [(1 << inst.m) - 1]:
+            goods = frozenset(g for g in range(inst.m) if (bundle >> g) & 1)
+            full = val.value(goods)
+            coloops = {g for g in goods if val.value(goods - {g}) < full}
+            assert val.coloops(bundle) == sum(1 << g for g in coloops)
+            assert val.basis(bundle) & ~bundle == 0
+            assert val.basis(bundle).bit_count() == val.value(goods)
+        assert val.nonloops() == sum(1 << g for g in range(inst.m) if val.value([g]))
+    assert inst.takers() == [
+        [j for j, val in enumerate(inst.valuations) if val.value([g])] for g in range(inst.m)
+    ]
+    assert wasted_goods(inst, alloc) == reference_wasted_goods(inst, alloc)
+    if alloc.is_complete:
+        assert is_eq1(inst, alloc) == reference_is_eq1(inst, alloc)
+        assert is_ef1(inst, alloc) == reference_is_ef1(inst, alloc)
 
 
 @settings(max_examples=60)
@@ -353,6 +456,8 @@ def test_allocation_length_must_match_instance():
         Allocation([0, 3], inst.n).values(inst)
     with pytest.raises(ValueError, match="covers 5 goods"):
         Allocation([0, 1, 2, 3, 0], inst.n).values(inst)
+    with pytest.raises(ValueError, match="has 5 agents"):
+        Allocation([0, 1, 2, 4], 5).values(inst)
 
 
 def test_allocation_double_assignment_rejected():

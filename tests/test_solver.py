@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poe_toolkit.bounds import lambda_family_poe
 from poe_toolkit.generators import (
     gen_lower_bound_instance,
     gen_submodular_lb_instance,
@@ -272,11 +273,35 @@ def test_solver_outputs_pinned():
             [1, 2, 0, 3, 3, 3, 4, 4, 4, 5, 5, 5],
             [1, 2, 0, 0, 3, 3, 0, 4, 4, 0, 5, 5],
         ),
+        (
+            # zero columns make 11 of the 14 goods loops for some agents only,
+            # so the exchange search skips part of each good's agents
+            random_matroid_gf2(random.Random(5), 6, 14),
+            [0, 1, 5, 0, 1, 2, 4, 3, 4, 4, 4, 5, 0, 5],
+            [2, 1, 2, 0, 1, 2, 2, 3, 2, 4, 4, 5, 0, 5],
+        ),
     ]
     for inst, a_star, b in cases:
         res = solve(inst, [UTILITARIAN])
         assert list(res.a_star.owner) == a_star
         assert list(res.b.owner) == b
+    takers = cases[-1][0].takers()
+    assert any(0 < len(agents) < 6 for agents in takers)
+
+
+def test_family_at_scale():
+    # n = 96, m = 2048: exchange search, truncation and EQ1 check at paper scale
+    rng = random.Random(0x5CA1E)
+    lb = gen_lower_bound_instance(32, 64)
+    inst = relabel(lb, rng.sample(range(lb.n), lb.n), rng.sample(range(lb.m), lb.m))
+    ps = (UTILITARIAN, NASH, PParam.real(-1), NEG_INF)
+    res = solve(inst, ps)
+    assert res.poe[UTILITARIAN] == lambda_family_poe(UTILITARIAN, 64, 32)
+    for p in ps[1:]:
+        assert math.isclose(
+            float(res.poe[p]), float(lambda_family_poe(p, 64, 32)), rel_tol=FLOAT_TOL
+        )
+    assert is_eq1(inst, res.b)
 
 
 @settings(max_examples=250, deadline=None)
