@@ -245,10 +245,6 @@ class EatingMatrix:
     W: int
     W_c: int
 
-    @property
-    def dummies(self) -> int:
-        return self.matrix.dim - self.m
-
     def row_agent(self, row: int) -> int:
         return row // self.copies
 

@@ -10,10 +10,13 @@ holds good g).  Besides its value, each valuation answers four questions on
 such masks: which goods are worth one on their own (``nonloops()``; the
 others are loops), a basis of a bundle (the rest of the bundle is what
 cleaning removes), the exchange oracle of the solver's search
-(``circuits``), and the *floor* of a bundle (``coloops``: the goods whose
-removal lowers its value), which serves EQ1, EF1 and truncation.
-``Instance.takers`` turns the ``nonloops()`` masks into the agent–good
-adjacency that the exchange search walks.
+(``circuits``), and the floor primitive (``coloops``: the bundle's value
+with the mask of goods whose removal lowers it).  A bundle's *floor*, its
+value after dropping the good whose removal lowers it most, is that value
+less one exactly when the mask is nonzero; EQ1, EF1 and truncation read it
+from ``coloops``, and the oracle from ``floor_table``, which packs the same
+pair for every bundle.  ``Instance.takers`` turns the ``nonloops()`` masks
+into the agent–good adjacency that the exchange search walks.
 
 Everything here is immutable after construction and safe to share between
 concurrent workers.
@@ -107,9 +110,9 @@ class Valuation:
         independent: g's fundamental circuit without g."""
         raise NotImplementedError
 
-    def coloops(self, bundle: int) -> int:
-        """The goods of ``bundle`` whose removal lowers its value (the goods
-        in every basis of it); independent or not."""
+    def coloops(self, bundle: int) -> tuple[int, int]:
+        """The bundle's value and the mask of its goods whose removal lowers
+        it (the goods in every basis of it); independent or not."""
         raise NotImplementedError
 
     def canonical_key(self) -> tuple[int, ...]:
@@ -186,8 +189,9 @@ class BinaryAdditive(Valuation):
         row_mask = self.row_mask
         return (bundle & row_mask).bit_count(), lambda g: None if (row_mask >> g) & 1 else 0
 
-    def coloops(self, bundle: int) -> int:
-        return bundle & self.row_mask
+    def coloops(self, bundle: int) -> tuple[int, int]:
+        valued = bundle & self.row_mask
+        return valued.bit_count(), valued
 
     def canonical_key(self) -> tuple[int, ...]:
         return tuple(1 << g for g in goods_of(self.row_mask))
@@ -261,10 +265,10 @@ class LinearMatroidGF2(Valuation):
 
         return len(basis), circuit
 
-    def coloops(self, bundle: int) -> int:
+    def coloops(self, bundle: int) -> tuple[int, int]:
         # a basis good outside every fundamental circuit is in every basis
-        _, skipped, swappable = self._basis(bundle)
-        return bundle & ~(skipped | swappable)
+        basis, skipped, swappable = self._basis(bundle)
+        return len(basis), bundle & ~(skipped | swappable)
 
     def canonical_key(self) -> tuple[int, ...]:
         # Row g-bit view: row j of the matrix as an m-bit mask.
@@ -285,28 +289,35 @@ class LinearMatroidGF2(Valuation):
         return f"LinearMatroidGF2(rows={self.rows}, m={self.m})"
 
 
-def subset_value_table(val: Valuation) -> list[int]:
-    """Value of every bundle, indexed by good bitmask (2^m entries)."""
+def floor_table(val: Valuation) -> list[int]:
+    """``coloops`` of every bundle, indexed by good bitmask (2^m entries) and
+    packed as ``value << 1 | has_coloop``: the floor is the entry's value
+    less its low bit."""
     m = val.m
     if isinstance(val, BinaryAdditive):
-        return [(mask & val.row_mask).bit_count() for mask in range(1 << m)]
-    # LinearMatroidGF2: depth-first include/exclude with an incremental basis
+        row_mask = val.row_mask
+        return [((v := (s & row_mask).bit_count()) << 1) | (v > 0) for s in range(1 << m)]
+    # LinearMatroidGF2: depth-first include/exclude with an incremental basis;
+    # ``covered`` holds the goods left out of the basis with their fundamental
+    # circuits, and the bundle goods outside it are its coloops (as in _basis)
     table = [0] * (1 << m)
     basis: dict[int, tuple[int, int]] = {}
+    col_masks = val.col_masks
 
-    def visit(g: int, mask: int, rank: int) -> None:
-        table[mask] = rank
+    def visit(g: int, mask: int, rank: int, covered: int) -> None:
+        table[mask] = (rank << 1) | (mask & ~covered != 0)
         for h in range(g, m):
-            v, _ = _reduce(basis, val.col_masks[h])
+            bit = 1 << h
+            v, goods = _reduce(basis, col_masks[h])
             if v:
                 lead = v.bit_length() - 1
-                basis[lead] = (v, 0)
-                visit(h + 1, mask | (1 << h), rank + 1)
+                basis[lead] = (v, goods | bit)
+                visit(h + 1, mask | bit, rank + 1, covered)
                 del basis[lead]
             else:
-                visit(h + 1, mask | (1 << h), rank)
+                visit(h + 1, mask | bit, rank, covered | goods | bit)
 
-    visit(0, 0, 0)
+    visit(0, 0, 0, 0)
     return table
 
 
@@ -423,16 +434,6 @@ class Allocation:
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "n", n)
 
-    @staticmethod
-    def from_bundles(bundles: Sequence[Iterable[int]], m: int) -> "Allocation":
-        owner = [UNASSIGNED] * m
-        for i, bundle in enumerate(bundles):
-            for g in bundle:
-                if owner[g] != UNASSIGNED:
-                    raise ValueError(f"good {g} assigned twice")
-                owner[g] = i
-        return Allocation(owner, len(bundles))
-
     @property
     def m(self) -> int:
         return len(self.owner)
@@ -440,9 +441,6 @@ class Allocation:
     @property
     def is_complete(self) -> bool:
         return UNASSIGNED not in self.owner
-
-    def bundle(self, i: int) -> frozenset[int]:
-        return frozenset(g for g, a in enumerate(self.owner) if a == i)
 
     def bundles(self) -> tuple[frozenset[int], ...]:
         sets: list[set[int]] = [set() for _ in range(self.n)]
@@ -488,25 +486,20 @@ def _require_complete(alloc: Allocation) -> None:
         raise ValueError("predicate requires a complete allocation")
 
 
-def _reduced_value(val: Valuation, bundle: int) -> int:
-    """min over g in bundle of value(bundle - {g}); bundle must be nonempty.
-    Marginals are binary, so this is the value, less one if some good's
-    removal lowers it."""
-    return val.value(bundle) - (val.coloops(bundle) != 0)
+def _top_floor(pairs: Iterable[tuple[int, int]]) -> int:
+    """The largest floor among ``coloops`` pairs: a bundle's value, less one
+    when some good's removal lowers it (marginals are binary)."""
+    return max(value - (mask != 0) for value, mask in pairs)
 
 
 def is_eq1(inst: Instance, alloc: Allocation) -> bool:
     """Equitable up to one good: for every pair (i, k) with k's bundle
     nonempty, some good of k can be dropped so that i's value for its own
-    bundle is at least k's value for the reduced bundle."""
+    bundle is at least k's value for the reduced bundle; that is, the
+    largest floor is at most the smallest value."""
     _require_complete(alloc)
-    masks = alloc.masks(inst)
-    if inst.n <= 1:
-        return True
-    vmin = min(v.value(b) for v, b in zip(inst.valuations, masks))
-    return all(
-        not b or _reduced_value(v, b) <= vmin for v, b in zip(inst.valuations, masks)
-    )
+    pairs = [v.coloops(b) for v, b in zip(inst.valuations, alloc.masks(inst))]
+    return _top_floor(pairs) <= min(value for value, _ in pairs)
 
 
 def is_eq(inst: Instance, alloc: Allocation) -> bool:
@@ -528,14 +521,14 @@ def is_ef(inst: Instance, alloc: Allocation) -> bool:
 
 def is_ef1(inst: Instance, alloc: Allocation) -> bool:
     """Envy-free up to one good, with the envious agent's own valuation
-    applied to the reduced bundle."""
+    applied to the reduced bundle: in each agent's view, the largest floor is
+    at most the value of its own bundle."""
     _require_complete(alloc)
     masks = alloc.masks(inst)
     for i, val in enumerate(inst.valuations):
-        vi = val.value(masks[i])
-        for k, b in enumerate(masks):
-            if k != i and b and _reduced_value(val, b) > vi:
-                return False
+        pairs = [val.coloops(b) for b in masks]
+        if _top_floor(pairs) > pairs[i][0]:
+            return False
     return True
 
 
@@ -553,10 +546,6 @@ def wasted_goods(inst: Instance, alloc: Allocation) -> frozenset[int]:
     for v, b in zip(inst.valuations, alloc.masks(inst)):
         wasted |= b ^ v.basis(b)
     return frozenset(goods_of(wasted))
-
-
-def is_clean(inst: Instance, alloc: Allocation) -> bool:
-    return not wasted_goods(inst, alloc)
 
 
 def make_clean(inst: Instance, alloc: Allocation) -> Allocation:

@@ -9,10 +9,11 @@ The enumeration splits bundles instead of counting through owner lists:
 agent 0 takes a submask of the goods, agent 1 a submask of what is left,
 and so on, with the last two agents splitting the remainder in one loop.
 Every bundle's value and *floor* (its value after dropping the good whose
-removal lowers it most) come from per-agent tables, and an assignment is
-EQ1 exactly when its largest floor is at most its smallest value.  Each
-assignment is one table-lookup key and one dict update; sorting and the
-welfare keys run once per distinct value vector.
+removal lowers it most) come from one ``model.floor_table`` per agent, the
+``coloops`` pair of every bundle built in one pass, and an assignment is EQ1
+exactly when its largest floor is at most its smallest value, the rule of
+``model.is_eq1``.  Each assignment is one table-lookup key and one dict
+update; sorting and the welfare keys run once per distinct value vector.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .model import Allocation, Instance, subset_value_table
+from .model import Allocation, Instance, floor_table
 from .welfare import PParam, max_positive_count, poe_ratio, welfare_key
 
 DEFAULT_BUDGET = 10_000_000
@@ -64,23 +65,6 @@ def _check_budget(inst: Instance, budget: int) -> int:
     return total
 
 
-def _floor_table(values: list[int]) -> list[int]:
-    """Each bundle's value after dropping the good whose removal lowers it
-    most, indexed like ``values``.  Marginals are 0 or 1, so this is the
-    bundle's value or one less (0 for the empty bundle)."""
-    floors = list(values)
-    for mask in range(1, len(values)):
-        v = values[mask]
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if values[mask ^ low] < v:
-                floors[mask] = v - 1
-                break
-            rest ^= low
-    return floors
-
-
 def _prefixes(tables: list[list[int]], weight: list[int], full: int):
     """Yield (key bits, index, goods left) for every choice of bundles of
     agents 0..n-3, each a submask of what the agents before it left.
@@ -116,7 +100,7 @@ def _scan(inst: Instance) -> dict[tuple[tuple[int, ...], bool], int]:
     (good 0 is the most significant digit).
 
     Agent k's table holds, for each bundle, its value and whether its floor
-    (``_floor_table``) is one lower, packed into agent k's own bit field, so
+    is one lower (``floor_table``), shifted into agent k's own bit field, so
     an assignment's key is the OR of its agents' entries.  The assignment is
     EQ1 exactly when its largest floor is at most its smallest value.  The
     first n-2 agents take submasks in turn (``_prefixes``); the last two
@@ -126,13 +110,10 @@ def _scan(inst: Instance) -> dict[tuple[tuple[int, ...], bool], int]:
     if n == 1:  # one assignment, EQ1 by definition
         return {((inst.valuations[0].value(range(m)),), True): 0}
     width = m.bit_length() + 1  # a value <= m, then the floor's drop bit
-    tables = []
-    for k, val in enumerate(inst.valuations):
-        values = subset_value_table(val)
-        shift = k * width
-        tables.append([
-            ((v << 1) | (v - f)) << shift for v, f in zip(values, _floor_table(values))
-        ])
+    tables = [
+        [entry << (k * width) for entry in floor_table(val)]
+        for k, val in enumerate(inst.valuations)
+    ]
     weight = [0]  # a bundle's index weight: good g counts n^(m-1-g)
     for g in range(m):
         w = n ** (m - 1 - g)

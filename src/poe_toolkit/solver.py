@@ -18,10 +18,10 @@ The pipeline is:
 
 Bundles, the pool and the search's sources are bitmasks of goods.  The
 search asks about a good only the agents for whom it is not a loop
-(``Instance.takers``, built once per search), and truncation
-reads the goods to remove from ``Valuation.coloops``.  Correctness of the
-search steps is gated end-to-end against the exhaustive oracle in the test
-suite.
+(``Instance.takers``, built once per search), and truncation reads each
+bundle's value and the goods to remove from one ``Valuation.coloops``
+call.  Correctness of the search steps is gated end-to-end against the
+exhaustive oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -252,17 +252,17 @@ def truncate(inst: Instance, a_star: Allocation) -> Allocation:
     if not a_star.is_complete:
         raise ValueError("truncation requires a complete allocation")
     masks = a_star.masks(inst)
-    values = [v.value(b) for v, b in zip(inst.valuations, masks)]
+    values, coloops = zip(*(v.coloops(b) for v, b in zip(inst.valuations, masks)))
     l = min(values)
     i_l = _min_value_agent(values)
     # removed goods come from other agents, so the sink's bundle stays fixed
     sink_circuits = inst.valuations[i_l].circuits(masks[i_l])[1]
     owner = list(a_star.owner)
-    for i, val in enumerate(inst.valuations):
-        excess = values[i] - l - 1
+    for i, value in enumerate(values):
+        excess = value - l - 1
         if excess < 1:
             continue
-        removed = goods_of(val.coloops(masks[i]))[:excess]
+        removed = goods_of(coloops[i])[:excess]
         for g in removed:
             if sink_circuits(g) is None:
                 raise SolverInternalError(

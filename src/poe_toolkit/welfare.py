@@ -51,10 +51,6 @@ class PParam:
             return NEG_INF
         return PParam.real(Fraction(token))
 
-    @property
-    def is_utilitarian(self) -> bool:
-        return self.kind == "real" and self.value == 1
-
     def __str__(self) -> str:
         if self.kind == "real":
             return str(self.value)

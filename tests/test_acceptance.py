@@ -130,7 +130,7 @@ def test_criterion_03_oracle_gates():
     gate = gate_optimal_allocations(instances, DEFAULT_BUDGET)
     failures = [gate.detail] if not gate.passed else []
     _finish(3, f"A* and B attain the oracle keys on {gate.cases} instances "
-               "for p in {1, 1/2, nash, -1, -inf}; near-equal A* is leximin", failures)
+               "for p in {1, 1/2, nash, -1, -inf}; sorted A* is the leximin vector", failures)
 
 
 def test_criterion_04_rank_and_waste(additive_corpus):

@@ -162,7 +162,7 @@ def test_lambda_family_matches_solver(rng):
         for p in GRID_PS:
             want = lambda_family_poe(p, W, r)
             got = res.poe[p]
-            if p.is_utilitarian:
+            if p == UTILITARIAN:
                 assert got == want
             else:
                 assert float(got) == pytest.approx(float(want), rel=1e-9)

@@ -119,7 +119,7 @@ def test_flow_rejects_non_doubly():
 
 def test_eating_example1_entries():
     eat = eating_matrix(example1_instance())
-    assert eat.copies == 2 and eat.dummies == 2
+    assert eat.copies == 2 and eat.matrix.dim == eat.m + 2  # two dummy goods
     nonzero = {x for row in eat.matrix.entries for x in row if x}
     assert nonzero == {Fraction(1, 3), Fraction(1, 6), Fraction(1, 4)}
     # last copies: real-good total q/W_c, dummy total 1 - q/W_c

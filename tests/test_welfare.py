@@ -158,7 +158,7 @@ def test_report_values_match_direct_calls(rng):
         alloc = Allocation([rng.randrange(inst.n) for _ in range(inst.m)], inst.n)
         rep = welfare_report(inst, alloc, [UTILITARIAN])
         assert rep.values == tuple(
-            inst.valuations[i].value(alloc.bundle(i)) for i in range(inst.n)
+            v.value(b) for v, b in zip(inst.valuations, alloc.masks(inst))
         )
 
 
