@@ -16,7 +16,10 @@ value after dropping the good whose removal lowers it most, is that value
 less one exactly when the mask is nonzero; EQ1, EF1 and truncation read it
 from ``coloops``, and the oracle from ``floor_table``, which packs the same
 pair for every bundle.  ``Instance.takers`` turns the ``nonloops()`` masks
-into the agent–good adjacency that the exchange search walks.
+into the agent–good adjacency that the exchange search walks, and agent
+types (``canonical_key``) are read from the same queries: the greedy basis
+of all goods and its fundamental circuits.  ``_reduce`` is the one GF(2)
+elimination behind all of them.
 
 Everything here is immutable after construction and safe to share between
 concurrent workers.
@@ -32,29 +35,6 @@ from typing import Callable, Iterable, Sequence
 # ---------------------------------------------------------------------------
 # GF(2) helpers (columns and rows are stored as Python int bitmasks)
 # ---------------------------------------------------------------------------
-
-
-def gf2_rref(row_masks: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row-echelon form of a GF(2) matrix, rows as bitmasks.
-
-    Zero rows are dropped; the result is a canonical basis of the row space
-    (unique for a given row space), returned sorted by pivot position.
-    Bit ``g`` of a row mask is the entry in column ``g``.
-    """
-    rows = [r for r in row_masks if r]
-    pivots: list[tuple[int, int]] = []  # (pivot bit, row)
-    for r in rows:
-        for p, pr in pivots:
-            if (r >> p) & 1:
-                r ^= pr
-        if r == 0:
-            continue
-        p = r.bit_length() - 1
-        # eliminate the new pivot from earlier rows
-        pivots = [(q, qr ^ r if (qr >> p) & 1 else qr) for q, qr in pivots]
-        pivots.append((p, r))
-    pivots.sort()
-    return tuple(r for _, r in pivots)
 
 
 def goods_of(mask: int) -> list[int]:
@@ -115,16 +95,24 @@ class Valuation:
         it (the goods in every basis of it); independent or not."""
         raise NotImplementedError
 
-    def canonical_key(self) -> tuple[int, ...]:
-        """Representation-independent identity of the valuation function.
+    def canonical_key(self) -> tuple[int, int, tuple[int, ...]]:
+        """Representation-independent identity of the valuation function:
+        ``(B, rest, circuits)`` with ``B`` the greedy basis of all goods,
+        ``rest`` the goods outside ``B`` that are not loops, and the
+        fundamental circuit (without the good) of each good of ``rest``,
+        ascending.
 
-        Binary matroids are uniquely representable over GF(2) up to row
-        operations, so the RREF of the representing matrix (rows as
-        ``m``-bit masks) is a complete invariant.  Additive rows embed as
-        the matroid with one standard basis column per valued good, so the
-        key is comparable across variants.
+        The greedy basis, the loops and the fundamental circuits depend only
+        on the rank function, and together they fix it: a binary matroid is
+        represented over GF(2) by the fundamental-circuit incidence matrix of
+        any of its bases.  An additive row keys to ``(row_mask, 0, ())``,
+        the key of the free matroid on its valued goods, so keys are
+        comparable across variants.
         """
-        raise NotImplementedError
+        B = self.basis((1 << self.m) - 1)
+        rest = self.nonloops() & ~B
+        circuit = self.circuits(B)[1]
+        return B, rest, tuple(map(circuit, goods_of(rest)))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -145,8 +133,13 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> 0/1 bytes
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # and back
 
 
-def _is_bit(x) -> bool:
-    return type(x) is int and x in (0, 1)  # bools and floats are not entries
+def _bit_mask(entries: tuple, message: str) -> int:
+    """The bitmask of a 0/1 sequence (bit g set when entry g is 1), checked
+    in C-level passes; bools and floats are not entries.  The type test runs
+    first, so unhashable entries raise ``ValueError(message)`` too."""
+    if not (set(map(type, entries)) <= {int} and set(entries) <= {0, 1}):
+        raise ValueError(message)
+    return int(bytes(entries[::-1]).translate(_DIGITS) or b"0", 2)
 
 
 def _bundle_mask(bundle: int | Iterable[int], m: int) -> int:
@@ -168,12 +161,9 @@ class BinaryAdditive(Valuation):
     kind = "additive"
 
     def __init__(self, row: Sequence[int]):
-        row = tuple(row)
-        if not all(_is_bit(x) for x in row):
-            raise ValueError("binary additive row must contain only 0/1 integers")
-        self.row = row
+        self.row = row = tuple(row)
         self.m = len(row)
-        self.row_mask = sum(1 << g for g, x in enumerate(row) if x)
+        self.row_mask = _bit_mask(row, "binary additive row must contain only 0/1 integers")
 
     def value(self, bundle: int | Iterable[int]) -> int:
         return (_bundle_mask(bundle, self.m) & self.row_mask).bit_count()
@@ -192,9 +182,6 @@ class BinaryAdditive(Valuation):
     def coloops(self, bundle: int) -> tuple[int, int]:
         valued = bundle & self.row_mask
         return valued.bit_count(), valued
-
-    def canonical_key(self) -> tuple[int, ...]:
-        return tuple(1 << g for g in goods_of(self.row_mask))
 
     def to_json(self) -> dict:
         return {"kind": "additive", "row": list(self.row)}
@@ -222,9 +209,7 @@ class LinearMatroidGF2(Valuation):
             col = tuple(col)
             if len(col) != rows:
                 raise ValueError("column length does not match row count")
-            if not all(_is_bit(x) for x in col):
-                raise ValueError("matroid matrix entries must be 0/1 integers")
-            masks.append(sum(1 << j for j, x in enumerate(col) if x))
+            masks.append(_bit_mask(col, "matroid matrix entries must be 0/1 integers"))
         self.col_masks = tuple(masks)
 
     def _basis(self, bundle: int) -> tuple[dict[int, tuple[int, int]], int, int]:
@@ -269,17 +254,6 @@ class LinearMatroidGF2(Valuation):
         # a basis good outside every fundamental circuit is in every basis
         basis, skipped, swappable = self._basis(bundle)
         return len(basis), bundle & ~(skipped | swappable)
-
-    def canonical_key(self) -> tuple[int, ...]:
-        # Row g-bit view: row j of the matrix as an m-bit mask.
-        row_masks = []
-        for j in range(self.rows):
-            r = 0
-            for g, cm in enumerate(self.col_masks):
-                if (cm >> j) & 1:
-                    r |= 1 << g
-            row_masks.append(r)
-        return gf2_rref(row_masks)
 
     def to_json(self) -> dict:
         cols = [[(cm >> j) & 1 for j in range(self.rows)] for cm in self.col_masks]
@@ -365,13 +339,6 @@ class Instance:
     def r(self) -> int:
         """Number of agent types."""
         return max(self.type_index) + 1
-
-    def types(self) -> list[list[int]]:
-        """Agents grouped by type id."""
-        groups: list[list[int]] = [[] for _ in range(self.r)]
-        for i, t in enumerate(self.type_index):
-            groups[t].append(i)
-        return groups
 
     def takers(self) -> list[list[int]]:
         """Good -> the agents for whom it is worth one on its own, ascending:

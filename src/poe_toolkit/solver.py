@@ -38,7 +38,6 @@ from .model import (
     Instance,
     goods_of,
     is_eq1,
-    make_clean,
 )
 from .welfare import PParam, WelfareReport, max_positive_count, poe_ratio, welfare_report
 
@@ -316,19 +315,18 @@ class TruncationDiagnostics:
 
 def diagnostics(inst: Instance, a_star: Allocation) -> TruncationDiagnostics:
     """Evaluate the type-level truncation quantities on a clean view of the
-    optimal allocation.  Binary additive instances only."""
+    optimal allocation.  Binary additive instances only.  A clean bundle
+    keeps one good per unit of value, so a type's goods are the sum of its
+    agents' values."""
     if not all(isinstance(v, BinaryAdditive) for v in inst.valuations):
         raise ValueError("diagnostics are defined for binary additive instances")
-    clean = make_clean(inst, a_star)
     type_of = inst.type_index
     r = max(type_of) + 1
     goods = [0] * r
     agents = [0] * r
-    for g, a in enumerate(clean.owner):
-        if a != UNASSIGNED:
-            goods[type_of[a]] += 1
-    for i in range(inst.n):
-        agents[type_of[i]] += 1
+    for t, value in zip(type_of, a_star.values(inst)):
+        goods[t] += value
+        agents[t] += 1
 
     order = sorted(range(r), key=lambda t: (Fraction(goods[t], agents[t]), t))
     m_k = [goods[t] for t in order]
@@ -410,7 +408,7 @@ def solve(inst: Instance, p_list: Iterable[PParam]) -> SolveResult:
     return SolveResult(
         a_star=a_star,
         b=b,
-        min_value=min(a_star.values(inst)),
+        min_value=min(rep_a.values),
         report_a_star=rep_a,
         report_b=rep_b,
         poe=poe,

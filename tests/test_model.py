@@ -307,14 +307,45 @@ def test_type_identity_across_representations():
     assert Instance([mat, mat3]).r == 2
 
 
+def test_type_key_keeps_the_non_loops_outside_the_basis():
+    # same greedy basis {2} and the same circuit list ({2},), but good 0 is
+    # the loop of one and good 1 the loop of the other
+    a = LinearMatroidGF2(1, [[1], [0], [1]])
+    b = LinearMatroidGF2(1, [[0], [1], [1]])
+    assert a.value(0b001) != b.value(0b001)
+    assert a.canonical_key() != b.canonical_key()
+    assert Instance([a, b]).r == 2
+
+
+def _random_valuation(rng, m):
+    """An additive row, or a GF(2) matrix with zero rows and columns, and
+    columns repeated from a small pool."""
+    if rng.random() < 0.3:
+        return BinaryAdditive([rng.randint(0, 1) for _ in range(m)])
+    k = rng.randint(0, 4)
+    pool = [[rng.randint(0, 1) for _ in range(k)] for _ in range(rng.randint(1, 3))]
+    cols = []
+    for _ in range(m):
+        col = [rng.randint(0, 1) for _ in range(k)] if rng.random() < 0.5 else rng.choice(pool)
+        cols.append(list(col))
+    if k and rng.random() < 0.5:
+        zero = rng.randrange(k)
+        for col in cols:
+            col[zero] = 0
+    return LinearMatroidGF2(k, cols)
+
+
 def test_type_identity_iff_equal_rank_function(rng):
-    # the canonical key agrees exactly with bundle-by-bundle equality
-    for _ in range(200):
-        m = rng.randint(1, 5)
-        a = random_matroid_gf2(rng, 1, m, k=rng.randint(1, 3)).valuations[0]
-        b = random_matroid_gf2(rng, 1, m, k=rng.randint(1, 3)).valuations[0]
+    # the canonical key agrees exactly with bundle-by-bundle equality, across
+    # additive rows and GF(2) matrices with zero rows and repeated columns
+    same = 0
+    for _ in range(1500):
+        m = rng.randint(0, 6)
+        a, b = _random_valuation(rng, m), _random_valuation(rng, m)
         same_fn = all(a.value(s) == b.value(s) for s in range(1 << m))
         assert same_fn == (a.canonical_key() == b.canonical_key())
+        same += same_fn
+    assert 100 < same < 1400  # both outcomes well represented
 
 
 # ---------------------------------------------------------------------------

@@ -228,16 +228,11 @@ def test_oracle_gates_on_random_corpus(rng):
 
 
 def test_leximin_when_near_equal(rng):
-    checked = 0
+    # A* is leximin-optimal on every instance, near-equal values or not
     for inst in small_corpus(rng, 40):
-        a_star = nash_optimal(inst)
-        values = a_star.values(inst)
-        positives = [v for v in values if v > 0]
-        if positives and max(positives) - min(positives) <= 1:
-            orc = enumerate_allocations(inst, [NEG_INF], budget=10**6)
-            assert tuple(sorted(values)) == orc.leximin
-            checked += 1
-    assert checked
+        values = nash_optimal(inst).values(inst)
+        orc = enumerate_allocations(inst, [NEG_INF], budget=10**6)
+        assert tuple(sorted(values)) == orc.leximin
 
 
 def test_a_star_clean_completable(rng):
@@ -390,6 +385,20 @@ def test_diagnostics_retained_types_cover_normalisation(rng):
         inst = random_binary_additive(rng, n, m, W=W, every_good_valued=True)
         d = diagnostics(inst, nash_optimal(inst))
         assert sum(d.goods_per_type[: d.retained_types]) >= W
+
+
+def test_diagnostics_goods_per_type_match_clean_goods(rng):
+    # reference: count the goods a clean view of A* keeps, owner by owner
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(0, 10)
+        inst = random_binary_additive(rng, n, m, W=rng.randint(0, m))
+        for alloc in (nash_optimal(inst), Allocation([rng.randrange(n) for _ in range(m)], n)):
+            d = diagnostics(inst, alloc)
+            goods = [0] * inst.r
+            for a in make_clean(inst, alloc).owner:
+                if a >= 0:
+                    goods[inst.type_index[a]] += 1
+            assert d.goods_per_type == [goods[t] for t in d.type_order]
 
 
 def test_diagnostics_rejects_matroids(rng):
