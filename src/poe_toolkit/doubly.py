@@ -245,9 +245,6 @@ class EatingMatrix:
     W: int
     W_c: int
 
-    def row_agent(self, row: int) -> int:
-        return row // self.copies
-
     def to_csv(self) -> str:
         lines = []
         for row in self.matrix.entries:
@@ -332,21 +329,25 @@ def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
     col_match = [-1] * dim
     terms: list[tuple[int, tuple[int, ...]]] = []
     remaining = scale
+    # the free rows, ascending: all of them, then the rows the last subtraction
+    # unmatched (augment never unmatches a row, so a scan finds the same rows)
+    freed: Sequence[int] = range(dim)
     while remaining > 0:
-        for r in range(dim):
-            if row_match[r] < 0 and not augment(support, r, row_match, col_match):
+        for r in freed:
+            if not augment(support, r, row_match, col_match):
                 raise RuntimeError("internal: support has no perfect matching; "
                                    "input was not doubly stochastic")
-        delta = min(work[r][row_match[r]] for r in range(dim))
         perm = tuple(row_match)
+        delta = min(map(list.__getitem__, work, perm))
         terms.append((delta, perm))
-        for r in range(dim):
-            c = perm[r]
+        freed = []
+        for r, c in enumerate(perm):
             work[r][c] -= delta
             if work[r][c] == 0:
                 support[r].remove(c)
                 row_match[r] = -1
                 col_match[c] = -1
+                freed.append(r)
         remaining -= delta
     if sum(delta for delta, _ in terms) != scale:
         raise RuntimeError("internal: decomposition weights do not sum to 1")
@@ -364,10 +365,11 @@ def decode_allocation(inst: Instance, perm: Sequence[int], eating: EatingMatrix)
     """Map a permutation of the eating matrix back to a full allocation:
     goods eaten by any copy of an agent belong to that agent; dummy columns
     are dropped (they carry zero value for everyone)."""
-    owner = [-1] * inst.m
+    m, copies = inst.m, eating.copies
+    owner = [-1] * m
     for row, col in enumerate(perm):
-        if col < inst.m:
-            owner[col] = eating.row_agent(row)
+        if col < m:
+            owner[col] = row // copies  # rows are agent-major copies
     alloc = Allocation(owner, inst.n)
     if not alloc.is_complete:
         raise RuntimeError("internal: permutation did not cover every real good")

@@ -396,7 +396,9 @@ class Allocation:
 
     def __init__(self, owner: Sequence[int], n: int):
         owner = tuple(owner)
-        if any(type(a) is not int or (a != UNASSIGNED and not 0 <= a < n) for a in owner):
+        if not set(map(type, owner)) <= {int} or (
+            owner and (min(owner) < UNASSIGNED or max(owner) >= n)
+        ):
             raise ValueError("owner entries must be integer agent indices or -1")
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "n", n)

@@ -26,9 +26,11 @@ exhaustive oracle in the test suite.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Container, Iterable, Sequence
 
 from .model import (
@@ -178,15 +180,14 @@ def _balance(state: _State) -> None:
     absorbing one good: the source agent's value drops by one, the target's
     rises by one, everyone else is unchanged.
     """
-    n = state.inst.n
+    n, bundles = state.inst.n, state.bundles
     while True:
         values = state.values()
         applied = False
-        for i in sorted(range(n), key=lambda a: (values[a], a)):
-            sources = 0
-            for j in range(n):
-                if values[j] >= values[i] + 2:
-                    sources |= state.bundles[j]
+        # targets by value; the sort is stable, so ties stay in agent order
+        for i in sorted(range(n), key=values.__getitem__):
+            # bundles are disjoint, so their sum is their union
+            sources = sum(compress(bundles, map((values[i] + 2).__le__, values)))
             if not sources:
                 continue
             found = state._bfs(sources, (i,))
@@ -195,8 +196,8 @@ def _balance(state: _State) -> None:
             path, absorber = found
             donor = state.owner[path[0]]
             state.apply_path(path, absorber)
-            new_values = state.values()
-            if new_values[donor] != values[donor] - 1 or new_values[i] != values[i] + 1:
+            if (bundles[donor].bit_count() != values[donor] - 1
+                    or bundles[i].bit_count() != values[i] + 1):
                 raise SolverInternalError("transfer path did not move one unit of value")
             applied = True
             break
@@ -328,22 +329,21 @@ def diagnostics(inst: Instance, a_star: Allocation) -> TruncationDiagnostics:
         goods[t] += value
         agents[t] += 1
 
-    order = sorted(range(r), key=lambda t: (Fraction(goods[t], agents[t]), t))
+    # goods/agents over the common denominator L; the sort is stable, so
+    # equal ratios stay in type order
+    L = math.lcm(*agents)
+    order = sorted(range(r), key=lambda t: goods[t] * (L // agents[t]))
     m_k = [goods[t] for t in order]
     n_k = [agents[t] for t in order]
 
-    ratio1 = Fraction(m_k[0], n_k[0])
-    if ratio1.denominator == 1:
-        level = int(ratio1) + 1
-    else:
-        level = -(-m_k[0] // n_k[0])  # ceil
+    level = m_k[0] // n_k[0] + 1  # the ceiling, plus one when the ratio is integral
     warnings = []
     if level < 2:
         warnings.append(
             f"truncation level {level} < 2: the leading type holds fewer goods than agents"
         )
 
-    rho = max(k + 1 for k in range(r) if level >= Fraction(m_k[k], n_k[k]))
+    rho = max(k + 1 for k in range(r) if level * n_k[k] >= m_k[k])
     alpha = Fraction(sum(n_k[:rho]), inst.n)
     return TruncationDiagnostics(
         type_order=order,

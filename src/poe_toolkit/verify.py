@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import rank_of_instance
+from .doubly import is_doubly_normalised, randomized_allocation
 from .generators import (
     biregular_parameter_choices,
     example1_instance,
@@ -24,10 +25,10 @@ from .generators import (
     random_matroid_gf2,
     remark_3x4_instance,
 )
-from .model import Instance, wasted_goods
+from .model import Allocation, Instance, is_eq1, wasted_goods
 from .oracle import enumerate_allocations
 from .solver import solve
-from .welfare import NASH, NEG_INF, PParam, UTILITARIAN
+from .welfare import NASH, NEG_INF, PParam, UTILITARIAN, welfare_key, welfare_report
 
 GATE_P_LIST = (UTILITARIAN, PParam.real(Fraction(1, 2)), NASH, PParam.real(-1), NEG_INF)
 EXACT_P = (UTILITARIAN, NASH, NEG_INF)
@@ -183,7 +184,10 @@ def gate_matroid_floor(seed: int, count: int) -> GateResult:
 
 def gate_doubly(seed: int, count: int) -> GateResult:
     """On biregular instances the price of equity is exactly 1 for p = 1
-    and Nash."""
+    and Nash, and ``randomized_allocation``'s lottery (flow or eating route)
+    is a lottery over complete EQ1 allocations whose positive ``Fraction``
+    weights sum to 1, each with ``solve``'s B key for p = 1 and Nash, that
+    gives every agent exactly W/W_c in expectation."""
     start = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -196,11 +200,31 @@ def gate_doubly(seed: int, count: int) -> GateResult:
             continue
         W, W_c = rng.choice(choices)
         insts.append(gen_doubly_normalised(n, m, W, W_c, seed=rng.randrange(1 << 30)))
+    p_check = (UTILITARIAN, NASH)
     for idx, inst in enumerate(insts):
-        res = solve(inst, (UTILITARIAN, NASH))
-        for p in (UTILITARIAN, NASH):
+        res = solve(inst, p_check)
+        for p in p_check:
             if res.poe[p] != 1:
                 failures.append(f"case {idx}: PoE {res.poe[p]} != 1 at p={p}")
+        lottery = randomized_allocation(inst)
+        weights = [w for w, _ in lottery]
+        if not all(type(w) is Fraction and w > 0 for w in weights) or sum(weights) != 1:
+            failures.append(f"case {idx}: lottery weights are not positive Fractions summing to 1")
+        expected = [Fraction(0)] * inst.n
+        for w, alloc in lottery:
+            if not alloc.is_complete or not is_eq1(inst, alloc):
+                failures.append(f"case {idx}: lottery allocation is not complete and EQ1")
+                break
+            rep = welfare_report(inst, alloc, p_check, restrict=res.report_b.restrict)
+            if any(rep.keys[p] != res.report_b.keys[p] for p in p_check):
+                failures.append(f"case {idx}: lottery allocation key differs from B's")
+                break
+            for i, v in enumerate(rep.values):
+                expected[i] += w * v
+        else:
+            W, W_c = is_doubly_normalised(inst)
+            if expected != [Fraction(W, W_c)] * inst.n:
+                failures.append(f"case {idx}: expected values are not W/W_c")
     return GateResult(
         name="doubly-normalised",
         passed=not failures,
@@ -216,9 +240,6 @@ def gate_self_test(budget: int) -> GateResult:
 
     The gate is expected to FAIL: a failing result here means the check
     works; a passing one means the corruption went undetected."""
-    from .model import Allocation, is_eq1
-    from .welfare import welfare_key
-
     start = time.perf_counter()
     inst = gen_lower_bound_instance(2, 2)
     res = solve(inst, [UTILITARIAN])

@@ -114,11 +114,34 @@ def max_positive_count(inst: Instance) -> int:
     with an edge whenever the agent values the good on its own (under unit
     marginals, one singleton-valued good is exactly what positivity takes):
     the agent–good adjacency of ``Instance.takers``, read by agent.
+
+    The matching starts greedily on the ``nonloops()`` bitmasks: in agent
+    order, each agent takes its lowest valued good still free.  Kuhn's
+    search (``augment``) then runs once from each agent left unmatched that
+    values some good, over goods lists built only in that case.  A row with
+    no augmenting path keeps none after later augmentations, so one search
+    from every initially free row ends at a maximum matching whatever
+    matching it starts from; only its size is returned.
     """
-    adj = [goods_of(v.nonloops()) for v in inst.valuations]
+    rows = [v.nonloops() for v in inst.valuations]
     row_match = [-1] * inst.n
     col_match = [-1] * inst.m
-    return sum(augment(adj, i, row_match, col_match) for i in range(inst.n))
+    free = (1 << inst.m) - 1
+    unmatched = []
+    for i, row in enumerate(rows):
+        avail = row & free
+        if avail:
+            low = avail & -avail
+            free ^= low
+            g = low.bit_length() - 1
+            row_match[i], col_match[g] = g, i
+        elif row:
+            unmatched.append(i)
+    count = inst.n - row_match.count(-1)
+    if unmatched:
+        adj = list(map(goods_of, rows))
+        count += sum(augment(adj, i, row_match, col_match) for i in unmatched)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +279,23 @@ def welfare_report(
     inst: Instance, alloc: Allocation, p_list: Iterable[PParam],
     restrict: int | None = None,
 ) -> WelfareReport:
-    """Per-agent values plus the p-mean and comparison key for each p."""
+    """Per-agent values plus the p-mean and comparison key for each p.  A
+    real p's key is ``welfare_key``'s (positive count, p-mean), built from
+    the p-mean already computed."""
     if not alloc.is_complete:
         raise ValueError("welfare report requires a complete allocation")
     if restrict is None:
         restrict = max_positive_count(inst)
     values = alloc.values(inst)
-    p_list = list(p_list)
+    positive_count = sum(1 for v in values if v > 0)
+    pmean = {p: p_mean(values, p, restrict) for p in p_list}
     return WelfareReport(
         values=values,
-        positive_count=sum(1 for v in values if v > 0),
+        positive_count=positive_count,
         restrict=restrict,
-        pmean={p: p_mean(values, p, restrict) for p in p_list},
-        keys={p: welfare_key(values, p, restrict) for p in p_list},
+        pmean=pmean,
+        keys={
+            p: (positive_count, w) if p.kind == "real" else welfare_key(values, p, restrict)
+            for p, w in pmean.items()
+        },
     )

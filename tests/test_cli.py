@@ -283,6 +283,28 @@ def test_verify_small_corpus_passes():
     assert report.passed
 
 
+def test_verify_doubly_gate_passes_at_default_seed():
+    from poe_toolkit.verify import gate_doubly
+
+    gate = gate_doubly(20240 + 3, 40)  # as run_verification calls it by default
+    assert gate.passed and gate.cases == 40 and gate.detail == ""
+
+
+def test_verify_doubly_gate_catches_a_wrong_weight(monkeypatch):
+    from poe_toolkit import verify
+
+    honest = verify.randomized_allocation
+
+    def one_weight_halved(inst):
+        (w, alloc), *rest = honest(inst)
+        return [(w / 2, alloc), *rest]
+
+    monkeypatch.setattr(verify, "randomized_allocation", one_weight_halved)
+    gate = verify.gate_doubly(20240 + 3, 40)
+    assert not gate.passed and gate.cases == 40
+    assert gate.detail.startswith("case 0: lottery weights")
+
+
 def test_verify_default_corpus_exits_0():
     res = run("verify")
     assert res.returncode == 0

@@ -469,6 +469,25 @@ def test_make_clean_preserves_values(rng):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "entry, accepted",
+    [(0, True), (2, True), (-1, True), (True, False), (-2, False), (3, False),
+     (1.0, False), ("0", False), ([0], False)],
+)
+def test_allocation_entries(entry, accepted):
+    n = 3  # agent indices 0..2, or -1 for unassigned
+    owner = [0, entry, -1]
+    if accepted:
+        assert Allocation(owner, n).owner == (0, entry, -1)
+    else:
+        with pytest.raises(ValueError, match="owner entries must be integer agent indices or -1"):
+            Allocation(owner, n)
+
+
+def test_allocation_without_goods():
+    assert Allocation([], 2).m == 0
+
+
 def test_validate_family():
     report = validate(gen_lower_bound_instance(3, 2))
     assert report.W == 2 and report.r == 3 and not report.warnings

@@ -401,6 +401,54 @@ def test_diagnostics_goods_per_type_match_clean_goods(rng):
             assert d.goods_per_type == [goods[t] for t in d.type_order]
 
 
+def fraction_diagnostics(inst: Instance, alloc: Allocation):
+    """Reference: the type ordering and truncation quantities in Fractions."""
+    type_of = inst.type_index
+    r = max(type_of) + 1
+    goods, agents = [0] * r, [0] * r
+    for t, value in zip(type_of, alloc.values(inst)):
+        goods[t] += value
+        agents[t] += 1
+    order = sorted(range(r), key=lambda t: (Fraction(goods[t], agents[t]), t))
+    m_k = [goods[t] for t in order]
+    n_k = [agents[t] for t in order]
+    ratio1 = Fraction(m_k[0], n_k[0])
+    level = int(ratio1) + 1 if ratio1.denominator == 1 else -(-m_k[0] // n_k[0])
+    rho = max(k + 1 for k in range(r) if level >= Fraction(m_k[k], n_k[k]))
+    return order, m_k, n_k, level, rho, Fraction(sum(n_k[:rho]), inst.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2)),
+                min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_diagnostics_match_fraction_reference(types, rnd):
+    # type t: k agents valuing a block of k*c + extra + 1 goods, each agent
+    # given c of them, so types with equal c tie in goods per agent
+    blocks, m = [], 0
+    for k, c, extra in types:
+        size = k * c + extra + 1
+        blocks.append((m, size, k, c))
+        m += size
+    agents = [t for t, (_, _, k, _) in enumerate(blocks) for _ in range(k)]
+    rnd.shuffle(agents)  # first appearance fixes the type ids
+    rows = [[1 if blocks[t][0] <= g < blocks[t][0] + blocks[t][1] else 0 for g in range(m)]
+            for t in agents]
+    owner = [-1] * m
+    for i, t in enumerate(agents):
+        start, _, k, c = blocks[t]
+        j = agents[:i].count(t)
+        for g in range(start + j * c, start + (j + 1) * c):
+            owner[g] = i
+    for g in range(m):
+        if owner[g] < 0:
+            owner[g] = rnd.randrange(len(agents))
+    inst, alloc = Instance([BinaryAdditive(row) for row in rows]), Allocation(owner, len(agents))
+    d = diagnostics(inst, alloc)
+    got = (d.type_order, d.goods_per_type, d.agents_per_type, d.truncation_level,
+           d.retained_types, d.retained_fraction)
+    assert got == fraction_diagnostics(inst, alloc)
+
+
 def test_diagnostics_rejects_matroids(rng):
     inst = random_matroid_gf2(rng, 2, 3)
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from poe_toolkit.generators import (
     random_binary_additive,
 )
 from poe_toolkit.doubly import solve_flow
-from poe_toolkit.model import Allocation, BinaryAdditive, Instance
+from poe_toolkit.model import Allocation, BinaryAdditive, Instance, LinearMatroidGF2
 from poe_toolkit.welfare import (
     NASH,
     NEG_INF,
@@ -77,6 +77,51 @@ def test_capacity_disjoint_singletons():
 def test_capacity_single_contested_good():
     inst = Instance([BinaryAdditive([1])] * 3)
     assert max_positive_count(inst) == 1
+
+
+def test_capacity_greedy_rerouted():
+    # greedy gives good 0 to agent 0; augment must move agent 0 to good 1
+    inst = Instance([BinaryAdditive([1, 1]), BinaryAdditive([1, 0])])
+    assert max_positive_count(inst) == 2
+
+
+def test_capacity_greedy_matches_everyone():
+    inst = Instance([BinaryAdditive([1, 1, 0]), BinaryAdditive([1, 1, 0]),
+                     BinaryAdditive([0, 1, 1])])
+    assert max_positive_count(inst) == 3
+
+
+def test_capacity_agent_valuing_nothing():
+    inst = Instance([BinaryAdditive([0, 0]), BinaryAdditive([1, 1]), BinaryAdditive([1, 0])])
+    assert max_positive_count(inst) == 2
+
+
+def brute_force_capacity(valued: list[set[int]]) -> int:
+    """Most agents mapped injectively to goods they value."""
+    def best(i: int, used: frozenset[int]) -> int:
+        if i == len(valued):
+            return 0
+        return max([best(i + 1, used)]
+                   + [1 + best(i + 1, used | {g}) for g in valued[i] - used])
+    return best(0, frozenset())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_capacity_matches_brute_force(data):
+    n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    matrix = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                                min_size=n, max_size=n))
+    vals = []
+    for row in matrix:
+        if data.draw(st.booleans()):
+            vals.append(BinaryAdditive(row))
+        else:  # a GF(2) matrix whose nonzero columns are the valued goods
+            cols = [data.draw(st.sampled_from([(0, 1), (1, 0), (1, 1)])) if x else (0, 0)
+                    for x in row]
+            vals.append(LinearMatroidGF2(2, cols))
+    valued = [{g for g in range(m) if row[g]} for row in matrix]
+    assert max_positive_count(Instance(vals)) == brute_force_capacity(valued)
 
 
 def test_capacity_long_augmenting_path():
