@@ -15,7 +15,7 @@ import math
 import sys
 
 from .bounds import bound_table, poe_lower_bound, poe_upper_bound
-from .doubly import is_doubly_normalised, lottery_and_eating
+from .doubly import eating_matrix, is_doubly_normalised, randomized_allocation
 from .generators import (
     example1_instance,
     gen_doubly_normalised,
@@ -219,7 +219,7 @@ def cmd_doubly(args) -> int:
     W, W_c = dn
     if args.matrix_csv and W % W_c == 0:
         raise UsageError("no eating matrix: W divisible by W_c (flow route)")
-    lottery, eating = lottery_and_eating(inst)
+    lottery = randomized_allocation(inst)
     values = [a.values(inst) for _, a in lottery]
     doc = {
         "W": W,
@@ -233,7 +233,7 @@ def cmd_doubly(args) -> int:
     }
     _emit_json(doc, args.out)
     if args.matrix_csv:
-        _emit(eating.to_csv(), args.matrix_csv)
+        _emit(eating_matrix(inst).to_csv(), args.matrix_csv)
     return 0
 
 

@@ -380,20 +380,12 @@ def randomized_allocation(inst: Instance) -> list[tuple[Fraction, Allocation]]:
     """Lottery over welfare-optimal EQ1 allocations whose expected value is
     exactly W/W_c for every agent.  A single deterministic allocation when
     W_c divides W; otherwise the decoded eating-matrix decomposition."""
-    return lottery_and_eating(inst)[0]
-
-
-def lottery_and_eating(
-    inst: Instance,
-) -> tuple[list[tuple[Fraction, Allocation]], EatingMatrix | None]:
-    """``randomized_allocation``'s lottery with the eating matrix it was
-    decomposed from, None on the flow route (W_c divides W)."""
     dn = is_doubly_normalised(inst)
     if dn is None:
         raise ValueError("instance is not doubly normalised")
     W, W_c = dn
     if W % W_c == 0:
-        return [(Fraction(1), solve_flow(inst))], None
+        return [(Fraction(1), solve_flow(inst))]
     eating = eating_matrix(inst)
     decomp = bvn_decompose(eating.matrix)
-    return [(w, decode_allocation(inst, perm, eating)) for w, perm in decomp.terms], eating
+    return [(w, decode_allocation(inst, perm, eating)) for w, perm in decomp.terms]

@@ -19,7 +19,6 @@ update; sorting and the welfare keys run once per distinct value vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .model import Allocation, Instance, floor_table
@@ -196,10 +195,7 @@ def enumerate_allocations(
             top = max(vecs, key=lambda vec: (keys[vec], -vecs[vec]))
             key_out[p] = keys[top]
             alloc_out[p] = _alloc_from_index(inst, vecs[top])
-        if restrict == 0:
-            poe[p] = Fraction(1)
-        else:
-            poe[p] = poe_ratio(best_key[p], best_eq1_key[p], p, restrict)
+        poe[p] = poe_ratio(best_key[p], best_eq1_key[p], p, restrict)
 
     return OracleResult(
         best_key=best_key,

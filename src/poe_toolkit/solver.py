@@ -396,12 +396,7 @@ def solve(inst: Instance, p_list: Iterable[PParam]) -> SolveResult:
     rep_b = welfare_report(inst, b, p_list, restrict=restrict)
     if rep_a.positive_count != restrict or rep_b.positive_count != restrict:
         raise SolverInternalError("optimal allocations missed the positive capacity")
-    poe: dict[PParam, object] = {}
-    for p in p_list:
-        if restrict == 0:
-            poe[p] = Fraction(1)
-        else:
-            poe[p] = poe_ratio(rep_a.keys[p], rep_b.keys[p], p, restrict)
+    poe = {p: poe_ratio(rep_a.keys[p], rep_b.keys[p], p, restrict) for p in p_list}
     diag = None
     if all(isinstance(v, BinaryAdditive) for v in inst.valuations):
         diag = diagnostics(inst, a_star)

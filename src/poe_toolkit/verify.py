@@ -92,23 +92,15 @@ def fixture_instances() -> list[Instance]:
     ]
 
 
-def gate_optimal_allocations(instances, budget: int) -> GateResult:
-    """Solver A* and B attain the oracle-optimal keys for every p, and the
-    sorted A* vector is the oracle leximin vector."""
+def _run_gate(name: str, instances, check) -> GateResult:
+    """Run ``check`` (instance -> failure messages) on each instance of an
+    iterable corpus, timing the whole gate; each failure in the detail
+    names its 0-based case index."""
     start = time.perf_counter()
-    failures = []
-    for idx, inst in enumerate(instances):
-        res = solve(inst, GATE_P_LIST)
-        orc = enumerate_allocations(inst, GATE_P_LIST, budget=budget)
-        for p in GATE_P_LIST:
-            if not _keys_match(res.report_a_star.keys[p], orc.best_key[p], p):
-                failures.append(f"instance {idx}: optimal key mismatch at p={p}")
-            if not _keys_match(res.report_b.keys[p], orc.best_eq1_key[p], p):
-                failures.append(f"instance {idx}: EQ1 key mismatch at p={p}")
-        if tuple(sorted(res.a_star.values(inst))) != orc.leximin:
-            failures.append(f"instance {idx}: optimum is not leximin")
+    instances = list(instances)
+    failures = [f"case {idx}: {msg}" for idx, inst in enumerate(instances) for msg in check(inst)]
     return GateResult(
-        name="oracle-optimality",
+        name=name,
         passed=not failures,
         cases=len(instances),
         seconds=time.perf_counter() - start,
@@ -116,70 +108,79 @@ def gate_optimal_allocations(instances, budget: int) -> GateResult:
     )
 
 
+def gate_optimal_allocations(instances, budget: int) -> GateResult:
+    """Solver A* and B attain the oracle-optimal keys for every p, and the
+    sorted A* vector is the oracle leximin vector."""
+
+    def check(inst):
+        res = solve(inst, GATE_P_LIST)
+        orc = enumerate_allocations(inst, GATE_P_LIST, budget=budget)
+        for p in GATE_P_LIST:
+            if not _keys_match(res.report_a_star.keys[p], orc.best_key[p], p):
+                yield f"optimal key mismatch at p={p}"
+            if not _keys_match(res.report_b.keys[p], orc.best_eq1_key[p], p):
+                yield f"EQ1 key mismatch at p={p}"
+        if tuple(sorted(res.a_star.values(inst))) != orc.leximin:
+            yield "optimum is not leximin"
+
+    return _run_gate("oracle-optimality", instances, check)
+
+
 def gate_rank_bound(seed: int, count: int) -> GateResult:
     """Utilitarian price of equity <= instance rank, and the wasted-good
     count of B is at most m(1 - 1/rank), on normalised additive instances
     with every good valued."""
-    start = time.perf_counter()
     rng = random.Random(seed)
-    failures = []
-    done = 0
-    while done < count:
-        n = rng.randint(2, 6)
-        m = rng.randint(2, 12)
-        W = rng.randint(max(1, -(-m // n)), m)
-        inst = random_binary_additive(rng, n, m, W=W, every_good_valued=True)
-        done += 1
+
+    def corpus():
+        for _ in range(count):
+            n = rng.randint(2, 6)
+            m = rng.randint(2, 12)
+            W = rng.randint(max(1, -(-m // n)), m)
+            yield random_binary_additive(rng, n, m, W=W, every_good_valued=True)
+
+    def check(inst):
         rank = rank_of_instance(inst)
         res = solve(inst, [UTILITARIAN])
         poe = res.poe[UTILITARIAN]
         if poe > rank:
-            failures.append(f"case {done}: PoE {poe} > rank {rank}")
+            yield f"PoE {poe} > rank {rank}"
         waste = len(wasted_goods(inst, res.b))
-        if Fraction(waste) > Fraction(m) * (1 - Fraction(1, rank)):
-            failures.append(f"case {done}: {waste} wasted goods exceed the rank bound")
-    return GateResult(
-        name="rank-bound",
-        passed=not failures,
-        cases=done,
-        seconds=time.perf_counter() - start,
-        detail="; ".join(failures[:5]),
-    )
+        if Fraction(waste) > Fraction(inst.m) * (1 - Fraction(1, rank)):
+            yield f"{waste} wasted goods exceed the rank bound"
+
+    return _run_gate("rank-bound", corpus(), check)
 
 
 def gate_matroid_floor(seed: int, count: int) -> GateResult:
     """On normalised matroid instances, every positive-value agent in B has
     value >= W/(2n), and the price of equity is at most 2n for p in
     {1, nash, -1}."""
-    start = time.perf_counter()
     rng = random.Random(seed)
-    failures = []
-    insts = [gen_submodular_lb_instance(k) for k in (2, 3, 4)]
-    while len(insts) < count:
-        n = rng.randint(2, 6)
-        m = rng.randint(2, 10)
-        insts.append(random_matroid_gf2(rng, n, m, W=rng.randint(1, min(5, m))))
     p_check = (UTILITARIAN, NASH, PParam.real(-1))
-    for idx, inst in enumerate(insts):
-        W = inst.normalisation()
+
+    def corpus():
+        for k in (2, 3, 4):
+            yield gen_submodular_lb_instance(k)
+        for _ in range(count - 3):
+            n = rng.randint(2, 6)
+            m = rng.randint(2, 10)
+            yield random_matroid_gf2(rng, n, m, W=rng.randint(1, min(5, m)))
+
+    def check(inst):
         res = solve(inst, p_check)
-        floor = Fraction(W, 2 * inst.n)
+        floor = Fraction(inst.normalisation(), 2 * inst.n)
         for v in res.b.values(inst):
             if v > 0 and v < floor:
-                failures.append(f"case {idx}: positive value {v} below floor {floor}")
+                yield f"positive value {v} below floor {floor}"
         for p in p_check:
             poe = res.poe[p]
             bound = 2 * inst.n
             ok = poe <= bound if isinstance(poe, Fraction) else float(poe) <= bound + FLOAT_TOL
             if not ok:
-                failures.append(f"case {idx}: PoE {poe} above 2n at p={p}")
-    return GateResult(
-        name="matroid-floor",
-        passed=not failures,
-        cases=len(insts),
-        seconds=time.perf_counter() - start,
-        detail="; ".join(failures[:5]),
-    )
+                yield f"PoE {poe} above 2n at p={p}"
+
+    return _run_gate("matroid-floor", corpus(), check)
 
 
 def gate_doubly(seed: int, count: int) -> GateResult:
@@ -188,50 +189,46 @@ def gate_doubly(seed: int, count: int) -> GateResult:
     is a lottery over complete EQ1 allocations whose positive ``Fraction``
     weights sum to 1, each with ``solve``'s B key for p = 1 and Nash, that
     gives every agent exactly W/W_c in expectation."""
-    start = time.perf_counter()
     rng = random.Random(seed)
-    failures = []
-    insts = [example1_instance()]
-    while len(insts) < count:
-        n = rng.randint(2, 10)
-        m = rng.randint(2, 12)
-        choices = biregular_parameter_choices(n, m)
-        if not choices:
-            continue
-        W, W_c = rng.choice(choices)
-        insts.append(gen_doubly_normalised(n, m, W, W_c, seed=rng.randrange(1 << 30)))
     p_check = (UTILITARIAN, NASH)
-    for idx, inst in enumerate(insts):
+
+    def corpus():
+        yield example1_instance()
+        done = 1
+        while done < count:
+            n = rng.randint(2, 10)
+            m = rng.randint(2, 12)
+            choices = biregular_parameter_choices(n, m)
+            if choices:
+                W, W_c = rng.choice(choices)
+                yield gen_doubly_normalised(n, m, W, W_c, seed=rng.randrange(1 << 30))
+                done += 1
+
+    def check(inst):
         res = solve(inst, p_check)
         for p in p_check:
             if res.poe[p] != 1:
-                failures.append(f"case {idx}: PoE {res.poe[p]} != 1 at p={p}")
+                yield f"PoE {res.poe[p]} != 1 at p={p}"
         lottery = randomized_allocation(inst)
         weights = [w for w, _ in lottery]
         if not all(type(w) is Fraction and w > 0 for w in weights) or sum(weights) != 1:
-            failures.append(f"case {idx}: lottery weights are not positive Fractions summing to 1")
+            yield "lottery weights are not positive Fractions summing to 1"
         expected = [Fraction(0)] * inst.n
         for w, alloc in lottery:
             if not alloc.is_complete or not is_eq1(inst, alloc):
-                failures.append(f"case {idx}: lottery allocation is not complete and EQ1")
-                break
+                yield "lottery allocation is not complete and EQ1"
+                return
             rep = welfare_report(inst, alloc, p_check, restrict=res.report_b.restrict)
             if any(rep.keys[p] != res.report_b.keys[p] for p in p_check):
-                failures.append(f"case {idx}: lottery allocation key differs from B's")
-                break
+                yield "lottery allocation key differs from B's"
+                return
             for i, v in enumerate(rep.values):
                 expected[i] += w * v
-        else:
-            W, W_c = is_doubly_normalised(inst)
-            if expected != [Fraction(W, W_c)] * inst.n:
-                failures.append(f"case {idx}: expected values are not W/W_c")
-    return GateResult(
-        name="doubly-normalised",
-        passed=not failures,
-        cases=len(insts),
-        seconds=time.perf_counter() - start,
-        detail="; ".join(failures[:5]),
-    )
+        W, W_c = is_doubly_normalised(inst)
+        if expected != [Fraction(W, W_c)] * inst.n:
+            yield "expected values are not W/W_c"
+
+    return _run_gate("doubly-normalised", corpus(), check)
 
 
 def gate_self_test(budget: int) -> GateResult:
@@ -275,20 +272,14 @@ def gate_self_test(budget: int) -> GateResult:
 
 
 def run_verification(
-    budget: int = 10_000_000,
-    seed: int = 20240,
-    oracle_cases: int = 60,
-    rank_cases: int = 80,
-    matroid_cases: int = 40,
-    doubly_cases: int = 40,
-    self_test: bool = False,
+    budget: int = 10_000_000, seed: int = 20240, self_test: bool = False,
 ) -> VerifyReport:
     report = VerifyReport()
-    instances = oracle_corpus(seed, oracle_cases) + fixture_instances()
+    instances = oracle_corpus(seed, 60) + fixture_instances()
     report.gates.append(gate_optimal_allocations(instances, budget))
-    report.gates.append(gate_rank_bound(seed + 1, rank_cases))
-    report.gates.append(gate_matroid_floor(seed + 2, matroid_cases))
-    report.gates.append(gate_doubly(seed + 3, doubly_cases))
+    report.gates.append(gate_rank_bound(seed + 1, 80))
+    report.gates.append(gate_matroid_floor(seed + 2, 40))
+    report.gates.append(gate_doubly(seed + 3, 40))
     if self_test:
         report.gates.append(gate_self_test(budget))
     return report

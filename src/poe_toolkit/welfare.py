@@ -3,10 +3,13 @@
 When some agents are bound to receive zero value, welfare is evaluated over
 a largest subset of agents that can simultaneously get positive value; the
 size of that subset is the instance's *positive capacity* (a maximum
-bipartite matching between agents and the goods they value).  Allocations
-are ranked by the lexicographic key (number of positive agents, welfare
-over positive agents), with exact arithmetic for p = 1, Nash, and the
-egalitarian limit.
+bipartite matching between agents and the goods they value).  ``p_mean`` is
+the one place that rule is written: ``welfare_key`` ranks allocations by
+(number of positive agents, ``p_mean`` over the capacity), with the integer
+product of positive values standing in for the Nash mean;
+``welfare_report`` reads its keys and means from those two; and
+``poe_ratio`` divides two keys.  Arithmetic is exact for p = 1, Nash, and
+the egalitarian limit.
 """
 
 from __future__ import annotations
@@ -150,24 +153,18 @@ def max_positive_count(inst: Instance) -> int:
 
 
 def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
-    """Generalized p-mean of a value vector.
-
-    With ``restrict`` given (the instance's positive capacity), the mean is
-    taken over a size-``restrict`` agent subset containing every positive
-    entry, per the positive-subset convention; vectors with fewer positive
-    entries than ``restrict`` are *dominated* and evaluate with the implied
-    zeros (which makes them 0 for p <= 0).  Without ``restrict``, the plain
-    mean over all entries is returned.
+    """Generalized p-mean of a nonnegative value vector under the
+    positive-subset convention: the mean is taken over ``restrict`` agents
+    (the instance's positive capacity; all ``len(values)`` entries when not
+    given) that include every positive entry.  A vector with fewer positive
+    entries is *dominated* and evaluates with the implied zeros, which makes
+    it 0 for p <= 0.
 
     Returns an exact Fraction for p = 1 on rational inputs, an exact
     integer/Fraction for the egalitarian limit, and a float otherwise.
     """
-    if restrict is None:
-        entries = sorted(values)
-        denom = len(entries)
-    else:
-        entries = sorted(v for v in values if v > 0)
-        denom = restrict
+    entries = sorted(v for v in values if v > 0)
+    denom = len(values) if restrict is None else restrict
     if denom == 0:
         return Fraction(0)
     short = len(entries) < denom  # implied zero entries
@@ -177,7 +174,7 @@ def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
             return Fraction(0)
         return min(entries)
     if p.kind == "nash":
-        if short or any(v == 0 for v in entries):
+        if short:
             return 0.0
         return math.exp(sum(math.log(v) for v in entries) / denom)
     assert p.value is not None
@@ -187,9 +184,9 @@ def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
             return total / denom
         return Fraction(total, denom)
     pf = float(p.value)
-    if pf < 0 and (short or any(v == 0 for v in entries)):
+    if pf < 0 and short:
         return 0.0
-    acc = sum(float(v) ** pf for v in entries if v > 0)
+    acc = sum(float(v) ** pf for v in entries)
     if acc == 0.0:
         return 0.0
     return (acc / denom) ** (1.0 / pf)
@@ -198,34 +195,24 @@ def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
 def welfare_key(values: Sequence[int], p: PParam, restrict: int):
     """Total-preorder comparison key: (positive count, welfare).
 
-    The welfare component is exact for p = 1 (rational mean), Nash (the
-    integer product over positive entries), and the egalitarian limit (the
-    minimum positive entry); it is a float for other p.  Keys are only
-    comparable for a fixed p and restrict.
+    The welfare is ``p_mean(values, p, restrict)`` except for Nash, where
+    it is the integer product of the positive entries (1 for none); it is
+    exact for p = 1, Nash and the egalitarian limit, and a float for other
+    p.  Keys are only comparable for a fixed p and restrict.
     """
     positives = [v for v in values if v > 0]
-    count = len(positives)
-    if count < restrict:
-        if p.kind == "nash":
-            second = math.prod(positives) if positives else 0
-        elif p.kind == "neg_inf":
-            second = 0
-        else:
-            second = p_mean(values, p, restrict)
-        return (count, second)
     if p.kind == "nash":
-        return (count, math.prod(positives))
-    if p.kind == "neg_inf":
-        return (count, min(positives) if positives else 0)
-    return (count, p_mean(values, p, restrict))
+        return (len(positives), math.prod(positives))
+    return (len(positives), p_mean(values, p, restrict))
 
 
 def poe_ratio(key_opt, key_fair, p: PParam, restrict: int):
     """Welfare ratio of two comparison keys for the same p and restrict.
 
-    Exact Fraction when both welfare components are exact and the ratio is
-    rational (always for p = 1 and the egalitarian limit, and whenever the
-    keys coincide); float otherwise.
+    Equal keys give ``Fraction(1)``; that includes zero positive capacity,
+    where every value is 0 and the keys coincide.  Otherwise an exact
+    Fraction when both welfare components are exact and the ratio is
+    rational (always for p = 1 and the egalitarian limit); float otherwise.
     """
     (c1, w1), (c2, w2) = key_opt, key_fair
     if (c1, w1) == (c2, w2):
@@ -279,23 +266,22 @@ def welfare_report(
     inst: Instance, alloc: Allocation, p_list: Iterable[PParam],
     restrict: int | None = None,
 ) -> WelfareReport:
-    """Per-agent values plus the p-mean and comparison key for each p.  A
-    real p's key is ``welfare_key``'s (positive count, p-mean), built from
-    the p-mean already computed."""
+    """Per-agent values plus the comparison key and p-mean for each p.  The
+    keys are ``welfare_key``'s; a p-mean is read from its key's welfare,
+    except Nash's, whose key holds the product instead."""
     if not alloc.is_complete:
         raise ValueError("welfare report requires a complete allocation")
     if restrict is None:
         restrict = max_positive_count(inst)
     values = alloc.values(inst)
-    positive_count = sum(1 for v in values if v > 0)
-    pmean = {p: p_mean(values, p, restrict) for p in p_list}
+    keys = {p: welfare_key(values, p, restrict) for p in p_list}
     return WelfareReport(
         values=values,
-        positive_count=positive_count,
+        positive_count=sum(1 for v in values if v > 0),
         restrict=restrict,
-        pmean=pmean,
-        keys={
-            p: (positive_count, w) if p.kind == "real" else welfare_key(values, p, restrict)
-            for p, w in pmean.items()
+        pmean={
+            p: p_mean(values, p, restrict) if p.kind == "nash" else w
+            for p, (_, w) in keys.items()
         },
+        keys=keys,
     )

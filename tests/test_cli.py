@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -279,7 +280,7 @@ def test_doubly_rejects_non_normalised(tmp_path):
 def test_verify_small_corpus_passes():
     from poe_toolkit.verify import run_verification
 
-    report = run_verification(oracle_cases=8, rank_cases=8, matroid_cases=6, doubly_cases=6)
+    report = run_verification()
     assert report.passed
 
 
@@ -303,6 +304,15 @@ def test_verify_doubly_gate_catches_a_wrong_weight(monkeypatch):
     gate = verify.gate_doubly(20240 + 3, 40)
     assert not gate.passed and gate.cases == 40
     assert gate.detail.startswith("case 0: lottery weights")
+
+
+def test_verify_rank_gate_numbers_cases_from_0(monkeypatch):
+    from poe_toolkit import verify
+
+    monkeypatch.setattr(verify, "rank_of_instance", lambda inst: Fraction(1, 2))
+    gate = verify.gate_rank_bound(20240 + 1, 80)
+    assert not gate.passed and gate.cases == 80
+    assert gate.detail.startswith("case 0: PoE ")
 
 
 def test_verify_default_corpus_exits_0():

@@ -210,6 +210,23 @@ def test_solve_r1_value_vectors_match(rng):
             assert res.poe[p] == 1
 
 
+def test_zero_capacity_poe_is_one():
+    # no agent can get positive value: every value is 0, so A* and B share
+    # one key and poe_ratio returns exactly 1 for every p
+    zero_capacity = [
+        Instance([BinaryAdditive([0, 0, 0])] * 3),
+        Instance([LinearMatroidGF2(2, [[0, 0]] * 3), LinearMatroidGF2(1, [[0]] * 3)]),
+        Instance([BinaryAdditive([])] * 2),
+    ]
+    for inst in zero_capacity:
+        assert max_positive_count(inst) == 0
+        res = solve(inst, GATE_P_LIST)
+        orc = enumerate_allocations(inst, GATE_P_LIST)
+        for p in GATE_P_LIST:
+            for poe in (res.poe[p], orc.poe[p]):
+                assert type(poe) is Fraction and poe == 1, (inst, p, poe)
+
+
 def test_oracle_gates_on_random_corpus(rng):
     for inst in small_corpus(rng, 60):
         res = solve(inst, GATE_PS)

@@ -171,10 +171,112 @@ def test_p_mean_dominated_vector_counts_first():
     assert attaining > dominated  # positive count precedes welfare
 
 
-def test_p_mean_plain_mode_matches_convention_on_positive_vectors():
-    values = (2, 3, 5)
-    for p in P_GRID:
-        assert p_mean(values, p) == p_mean(values, p, 3)
+P_WIDE = P_GRID + (PParam.real(Fraction(9, 10)), PParam.real(Fraction(-1, 3)))
+EXACT = (UTILITARIAN, NEG_INF)
+
+
+def plain_mean(values, p: PParam):
+    """The p-mean over all entries, zeros included; 0 for no entries."""
+    n = len(values)
+    if n == 0:
+        return 0
+    if p.kind == "neg_inf":
+        return min(values)
+    if p.kind == "nash":
+        return 0.0 if 0 in values else math.exp(math.fsum(map(math.log, values)) / n)
+    if p.value == 1:
+        total = sum(values)
+        return total / n if isinstance(total, float) else Fraction(total, n)
+    pf = float(p.value)
+    if pf < 0 and 0 in values:
+        return 0.0
+    return (math.fsum(float(v) ** pf for v in values) / n) ** (1 / pf)
+
+
+nonnegative_vectors = st.one_of(
+    st.lists(st.integers(0, 9), max_size=7),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.05, 50.0)), max_size=7),
+)
+
+
+@settings(max_examples=300)
+@given(nonnegative_vectors)
+@example([])
+@example([0, 0])
+@example([0.0, 2.5, 3])
+def test_p_mean_default_restrict_is_the_plain_mean(values):
+    # the positive-subset convention over all len(values) agents is the
+    # plain mean over every entry, zeros included
+    for p in P_WIDE:
+        got = p_mean(values, p)
+        assert got == p_mean(values, p, len(values))
+        want = plain_mean(values, p)
+        if p in EXACT and all(type(v) is int for v in values):
+            assert got == want, (p, values)
+        else:
+            assert math.isclose(float(got), float(want), rel_tol=1e-12), (p, values)
+
+
+def case_table_key(values, p: PParam, restrict: int):
+    """The comparison key written out case by case: short of the capacity
+    or not, times Nash, egalitarian or real p."""
+    positives = [v for v in values if v > 0]
+    count = len(positives)
+    if count < restrict:
+        if p.kind == "nash":
+            second = math.prod(positives) if positives else 0
+        elif p.kind == "neg_inf":
+            second = 0
+        else:
+            second = p_mean(values, p, restrict)
+        return (count, second)
+    if p.kind == "nash":
+        return (count, math.prod(positives))
+    if p.kind == "neg_inf":
+        return (count, min(positives) if positives else 0)
+    return (count, p_mean(values, p, restrict))
+
+
+def vectors_within(restrict: int):
+    """Nonnegative int vectors with at most ``restrict`` positive entries."""
+    return st.tuples(st.lists(st.integers(1, 6), max_size=restrict), st.integers(0, 2)).flatmap(
+        lambda pz: st.permutations(pz[0] + [0] * pz[1])
+    )
+
+
+def _cmp(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 4), st.data())
+def test_welfare_key_orders_as_the_case_table(restrict, data):
+    a = data.draw(vectors_within(restrict))
+    b = data.draw(vectors_within(restrict))
+    for p in P_WIDE:
+        key_a, key_b = welfare_key(a, p, restrict), welfare_key(b, p, restrict)
+        ref_a, ref_b = case_table_key(a, p, restrict), case_table_key(b, p, restrict)
+        assert _cmp(key_a, key_b) == _cmp(ref_a, ref_b), (p, a, b)
+        # the keys agree outright, except Nash's with no positive entry:
+        # (0, 1), the empty product, where the table wrote (0, 0) short of
+        # the capacity; every such vector still shares one key
+        if p.kind != "nash" or key_a[0] > 0:
+            assert key_a == ref_a, (p, a)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+def test_report_reads_keys_and_means_from_the_rule(n, m, data):
+    bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    rows = data.draw(st.lists(bits, min_size=n, max_size=n))
+    owner = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    inst = Instance([BinaryAdditive(row) for row in rows])
+    rep = welfare_report(inst, Allocation(owner, n), P_WIDE)
+    restrict = max_positive_count(inst)
+    assert rep.restrict == restrict and list(rep.keys) == list(rep.pmean) == list(P_WIDE)
+    for p in P_WIDE:
+        assert rep.keys[p] == welfare_key(rep.values, p, restrict)
+        assert rep.pmean[p] == p_mean(rep.values, p, restrict)
 
 
 # ---------------------------------------------------------------------------
