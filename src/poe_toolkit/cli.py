@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
+from fractions import Fraction
 
 from .bounds import bound_table, poe_lower_bound, poe_upper_bound
 from .doubly import eating_matrix, is_doubly_normalised, randomized_allocation
@@ -220,15 +222,17 @@ def cmd_doubly(args) -> int:
     if args.matrix_csv and W % W_c == 0:
         raise UsageError("no eating matrix: W divisible by W_c (flow route)")
     lottery = randomized_allocation(inst)
-    values = [a.values(inst) for _, a in lottery]
+    # expected values as integer numerators over the weights' common denominator
+    denom = math.lcm(*(w.denominator for w, _ in lottery))
+    nums = [w.numerator * (denom // w.denominator) for w, _ in lottery]
+    per_agent = zip(*(a.values(inst) for _, a in lottery))
     doc = {
         "W": W,
         "W_c": W_c,
         "weights": [str(w) for w, _ in lottery],
         "allocations": [list(a.owner) for _, a in lottery],
         "expected_values": [
-            str(sum(w * vals[i] for (w, _), vals in zip(lottery, values)))
-            for i in range(inst.n)
+            str(Fraction(sum(map(operator.mul, nums, column)), denom)) for column in per_agent
         ],
     }
     _emit_json(doc, args.out)

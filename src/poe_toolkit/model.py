@@ -18,8 +18,11 @@ from ``coloops``, and the oracle from ``floor_table``, which packs the same
 pair for every bundle.  ``Instance.takers`` turns the ``nonloops()`` masks
 into the agent–good adjacency that the exchange search walks, and agent
 types (``canonical_key``) are read from the same queries: the greedy basis
-of all goods and its fundamental circuits.  ``_reduce`` is the one GF(2)
-elimination behind all of them.
+of all goods and its fundamental circuits.  Every valuation also carries
+``grand_value``, r(E), the value of all goods, computed once at
+construction: ``Instance.normalisation`` reads it, and the exchange search
+skips an agent whose bundle has reached it, since that bundle spans every
+good.  ``_reduce`` is the one GF(2) elimination behind all of them.
 
 Everything here is immutable after construction and safe to share between
 concurrent workers.
@@ -69,6 +72,7 @@ class Valuation:
 
     m: int
     kind: str
+    grand_value: int  # r(E): the value of all goods, set at construction
 
     def value(self, bundle: int | Iterable[int]) -> int:
         raise NotImplementedError
@@ -164,6 +168,7 @@ class BinaryAdditive(Valuation):
         self.row = row = tuple(row)
         self.m = len(row)
         self.row_mask = _bit_mask(row, "binary additive row must contain only 0/1 integers")
+        self.grand_value = self.row_mask.bit_count()
 
     def value(self, bundle: int | Iterable[int]) -> int:
         return (_bundle_mask(bundle, self.m) & self.row_mask).bit_count()
@@ -211,6 +216,15 @@ class LinearMatroidGF2(Valuation):
                 raise ValueError("column length does not match row count")
             masks.append(_bit_mask(col, "matroid matrix entries must be 0/1 integers"))
         self.col_masks = tuple(masks)
+        # one elimination pass, stopped once the rank reaches the row count
+        basis: dict[int, tuple[int, int]] = {}
+        for c in masks:
+            if len(basis) == rows:
+                break
+            v = _reduce(basis, c)[0]
+            if v:
+                basis[v.bit_length() - 1] = (v, 0)
+        self.grand_value = len(basis)
 
     def _basis(self, bundle: int) -> tuple[dict[int, tuple[int, int]], int, int]:
         """Basis of the bundle's span built greedily from the highest index,
@@ -352,8 +366,7 @@ class Instance:
 
     def normalisation(self) -> int | None:
         """Common grand-bundle value W, or None if not normalised."""
-        all_goods = range(self.m)
-        totals = {v.value(all_goods) for v in self.valuations}
+        totals = {v.grand_value for v in self.valuations}
         return totals.pop() if len(totals) == 1 else None
 
     def to_json(self) -> dict:

@@ -107,7 +107,7 @@ def _scan(inst: Instance) -> dict[tuple[tuple[int, ...], bool], int]:
     """
     n, m = inst.n, inst.m
     if n == 1:  # one assignment, EQ1 by definition
-        return {((inst.valuations[0].value(range(m)),), True): 0}
+        return {((inst.valuations[0].grand_value,), True): 0}
     width = m.bit_length() + 1  # a value <= m, then the floor's drop bit
     tables = [
         [entry << (k * width) for entry in floor_table(val)]

@@ -18,10 +18,14 @@ The pipeline is:
 
 Bundles, the pool and the search's sources are bitmasks of goods.  The
 search asks about a good only the agents for whom it is not a loop
-(``Instance.takers``, built once per search), and truncation reads each
-bundle's value and the goods to remove from one ``Valuation.coloops``
-call.  Correctness of the search steps is gated end-to-end against the
-exhaustive oracle in the test suite.
+(``Instance.takers``, built once per ``_State``), and never an agent whose
+bundle has reached its ``grand_value``: such a bundle spans every good, so
+it adds none.  Before it builds any arc, the search asks each source, in
+ascending order, whether one of its remaining absorbers adds it; most
+searches end there with a one-good path, the one the breadth-first walk
+would return first.  Truncation reads each bundle's value and the goods to
+remove from one ``Valuation.coloops`` call.  Correctness of the search
+steps is gated end-to-end against the exhaustive oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ class SolverInternalError(RuntimeError):
 class _State:
     """Mutable clean partial allocation: per-agent independent bundles as
     bitmasks of goods, each with its exchange oracle, the pool of
-    unassigned goods as a bitmask, and the agent–good adjacency
-    ``takers`` (``Instance.takers``) that the search walks."""
+    unassigned goods as a bitmask, the agent–good adjacency ``takers``
+    (``Instance.takers``) that the search walks, and the set ``below`` of
+    agents whose bundle is still worth less than their ``grand_value``."""
 
     def __init__(self, inst: Instance, owner: Sequence[int]):
         self.inst = inst
@@ -69,6 +74,10 @@ class _State:
         self.bundles = Allocation(owner, inst.n).masks(inst)
         self.pool = ((1 << inst.m) - 1) ^ sum(self.bundles)
         self.circuits = [v.circuits(b)[1] for v, b in zip(inst.valuations, self.bundles)]
+        self.below = {
+            j for j, (v, b) in enumerate(zip(inst.valuations, self.bundles))
+            if b.bit_count() < v.grand_value
+        }
 
     def values(self) -> list[int]:
         # bundles are kept independent, so value == size
@@ -83,15 +92,33 @@ class _State:
         final good is added to the absorber's bundle, for a net gain of one
         unit of value.  Shortest paths keep the simultaneous swaps valid.
         Arcs run from g to g's fundamental circuit in each other bundle (all
-        of it if g adds value); ties go to the lowest absorber, then good.
-        Only the agents in ``takers[g]`` are asked about g: for the others
-        g is a loop, which adds no value and lies on no circuit.  Goods are
-        visited sources first, ascending, then in the order found.
+        of it if g adds value).  Only the agents in ``takers[g]`` are asked
+        about g: for the others g is a loop, which adds no value and lies on
+        no circuit.  Goods are visited sources first, ascending, then in the
+        order found; the path ends at the first good visited that an
+        absorber can add, taken by the lowest such absorber.
+
+        Callers pass only agents in ``below``: a bundle that has reached
+        its ``grand_value`` spans every good, so it adds none, and with no
+        absorber the answer is None at once.  Sources are visited before
+        any other good, so the search first asks each source's absorbers
+        whether one of them adds it, and returns that one-good path; the
+        arcs are built only when none does.
         """
+        if not absorbers:
+            return None
         owner, takers, circuits, bundles = self.owner, self.takers, self.circuits, self.bundles
-        parent: dict[int, int] = {}
         seen = sources
         sources &= self.shared | self.pool  # skip sources no arc leaves
+        rest = sources
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            g = low.bit_length() - 1
+            for j in takers[g]:
+                if j in absorbers and j != owner[g] and circuits[j](g) is None:
+                    return [g], j
+        parent: dict[int, int] = {}
         queue: deque[int] = deque()
         while True:
             if sources:
@@ -149,6 +176,12 @@ class _State:
             rank, self.circuits[j] = self.inst.valuations[j].circuits(self.bundles[j])
             if rank != self.bundles[j].bit_count():
                 raise SolverInternalError("exchange path broke bundle independence")
+        # the other holders swap one good for one: only the holder of
+        # path[0] loses value, and only the absorber gains it
+        if orig_owner[0] != UNASSIGNED:
+            self.below.add(orig_owner[0])
+        if self.bundles[absorber].bit_count() == self.inst.valuations[absorber].grand_value:
+            self.below.discard(absorber)
 
     def to_allocation(self) -> Allocation:
         return Allocation(self.owner, self.inst.n)
@@ -163,9 +196,8 @@ def max_utilitarian_clean(inst: Instance) -> Allocation:
     brought in, which is the matroid-partition optimality condition.
     """
     state = _State(inst, [UNASSIGNED] * inst.m)
-    everyone = range(inst.n)
     while True:
-        found = state._bfs(state.pool, everyone)
+        found = state._bfs(state.pool, state.below)
         if found is None:
             return state.to_allocation()
         path, absorber = found
@@ -186,6 +218,8 @@ def _balance(state: _State) -> None:
         applied = False
         # targets by value; the sort is stable, so ties stay in agent order
         for i in sorted(range(n), key=values.__getitem__):
+            if i not in state.below:  # at its grand value: i adds no good
+                continue
             # bundles are disjoint, so their sum is their union
             sources = sum(compress(bundles, map((values[i] + 2).__le__, values)))
             if not sources:

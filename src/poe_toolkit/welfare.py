@@ -152,6 +152,9 @@ def max_positive_count(inst: Instance) -> int:
 # ---------------------------------------------------------------------------
 
 
+_ZERO = Fraction(0)  # the mean of a dominated vector, shared by every call
+
+
 def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
     """Generalized p-mean of a nonnegative value vector under the
     positive-subset convention: the mean is taken over ``restrict`` agents
@@ -163,16 +166,16 @@ def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
     Returns an exact Fraction for p = 1 on rational inputs, an exact
     integer/Fraction for the egalitarian limit, and a float otherwise.
     """
-    entries = sorted(v for v in values if v > 0)
     denom = len(values) if restrict is None else restrict
     if denom == 0:
-        return Fraction(0)
+        return _ZERO
+    entries = [v for v in values if v > 0]
     short = len(entries) < denom  # implied zero entries
 
     if p.kind == "neg_inf":
-        if short:
-            return Fraction(0)
-        return min(entries)
+        return _ZERO if short else min(entries)
+    # float sums depend on order: add the positive entries ascending
+    entries.sort()
     if p.kind == "nash":
         if short:
             return 0.0

@@ -253,6 +253,22 @@ def test_doubly_example1(tmp_path):
     assert first_row[:3] == ["1/3", "1/3", "1/3"]
 
 
+def test_doubly_expected_values_match_the_fraction_sums(tmp_path):
+    # eating route (W_c does not divide W): weights with several denominators
+    from poe_toolkit.model import Allocation, Instance
+
+    inst_path = tmp_path / "d.json"
+    gen = ("generate", "doubly", "--n", "10", "--m", "15", "--W", "3", "--Wc", "2", "--seed", "4")
+    assert run(*gen, "--out", str(inst_path)).returncode == 0
+    doc = json.loads(run("doubly", str(inst_path)).stdout)
+    inst = Instance.from_json(json.loads(inst_path.read_text()))
+    weights = list(map(Fraction, doc["weights"]))
+    assert len({w.denominator for w in weights}) > 1
+    values = [Allocation(owner, inst.n).values(inst) for owner in doc["allocations"]]
+    want = [str(sum(w * vals[i] for w, vals in zip(weights, values))) for i in range(inst.n)]
+    assert doc["expected_values"] == want == ["3/2"] * inst.n
+
+
 def test_doubly_flow_route_matrix_csv_refused_before_output(tmp_path):
     # W_c divides W: there is no eating matrix, so nothing may be written
     inst = tmp_path / "flow.json"

@@ -506,6 +506,36 @@ def test_validate_not_normalised():
     assert validate(inst).W is None
 
 
+def test_grand_value_is_the_value_of_all_goods(rng):
+    vals = [
+        BinaryAdditive([1, 0, 1, 1]),
+        BinaryAdditive([0, 0, 0]),
+        BinaryAdditive([]),
+        LinearMatroidGF2(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]),  # full rank
+        LinearMatroidGF2(5, [[1, 0, 1, 0, 0], [0, 1, 0, 0, 1]]),  # rows > m
+        LinearMatroidGF2(3, [[1, 1, 0]] * 4),  # repeated columns
+        LinearMatroidGF2(2, [[0, 0], [1, 0], [0, 0]]),  # zero columns
+        LinearMatroidGF2(2, [[0, 0]] * 3),
+        LinearMatroidGF2(0, [[], []]),  # rows == 0
+        LinearMatroidGF2(0, []),
+    ]
+    expected = [3, 0, 0, 3, 2, 1, 1, 0, 0, 0]
+    for _ in range(20):
+        n, m = rng.randint(1, 3), rng.randint(1, 12)
+        vals.extend(random_binary_additive(rng, n, m).valuations)
+        # k = 0 has no rows, and k > m more rows than columns
+        vals.extend(random_matroid_gf2(rng, n, m, k=rng.randint(0, 6)).valuations)
+        vals.extend(random_matroid_gf2(rng, n, m, W=rng.randint(1, m)).valuations)
+    for i, v in enumerate(vals):
+        assert v.grand_value == v.value(range(v.m)) == v.value((1 << v.m) - 1), v
+        if i < len(expected):
+            assert v.grand_value == expected[i], v
+    # the normalisation constant is the common grand value
+    inst = Instance([vals[3], BinaryAdditive([1, 1, 1, 0])])
+    assert inst.normalisation() == 3 and validate(inst).W == 3
+    assert Instance([vals[3], vals[5]]).normalisation() is None
+
+
 def test_instance_json_round_trip(rng):
     for _ in range(20):
         n, m = rng.randint(1, 4), rng.randint(1, 6)

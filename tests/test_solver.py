@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,6 +21,7 @@ from poe_toolkit.generators import (
     random_matroid_gf2,
 )
 from poe_toolkit.model import (
+    UNASSIGNED,
     Allocation,
     BinaryAdditive,
     Instance,
@@ -30,6 +33,7 @@ from poe_toolkit.model import (
 from poe_toolkit.oracle import enumerate_allocations
 from poe_toolkit.solver import (
     SolverInternalError,
+    _State,
     diagnostics,
     max_utilitarian_clean,
     nash_optimal,
@@ -109,6 +113,71 @@ def test_util_matches_brute_force(rng):
         assert sum(alloc.values(inst)) == brute_force_max_utilitarian(inst)
         for i, b in enumerate(alloc.bundles()):
             assert inst.valuations[i].value(b) == len(b)  # clean
+
+
+def test_search_takes_first_good_then_lowest_absorber():
+    # good 0 can be added only by agent 1, good 1 only by agent 0 (good 0 is
+    # a zero column for agent 0's GF(2) matrix); the search returns the first
+    # source good it can place, with the lowest absorber for that good
+    inst = Instance([LinearMatroidGF2(1, [[0], [1], [1]]), BinaryAdditive([1, 1, 0])])
+    state = _State(inst, [UNASSIGNED] * inst.m)
+    assert state.below == {0, 1}
+    assert state._bfs(state.pool, state.below) == ([0], 1)
+    assert state._bfs(state.pool & ~1, state.below) == ([1], 0)
+    assert state._bfs(state.pool, (0,)) == ([1], 0)
+    state.apply_path([1], 0)
+    # agent 0 is at its grand value; no source is placed directly, so the
+    # search walks the arcs: agent 0 swaps good 1 for good 2, and agent 1
+    # adds good 1
+    assert state.below == {1}
+    assert state._bfs(1 << 2, state.below) == ([2, 1], 1)
+    state.apply_path([2, 1], 1)
+    assert state._bfs(state.pool, state.below) == ([0], 1)
+    state.apply_path([0], 1)
+    assert state.below == set() and state._bfs(state.pool, state.below) is None
+
+
+def tie_break_corpus() -> list[Instance]:
+    """60 seeded instances, in turn additive, full-rank GF(2) (a planted
+    identity), rank-deficient GF(2) (few distinct columns, some with more
+    rows than goods) and GF(2) with zero columns."""
+    rng = random.Random(0x7B1E)
+    out = []
+    for case in range(60):
+        kind = case % 4
+        n, m = rng.randint(2, 8), rng.randint(4, 24)
+        if kind == 0:
+            out.append(random_binary_additive(rng, n, m, W=rng.randint(1, m) if case % 8 else None))
+        elif kind == 1:
+            out.append(random_matroid_gf2(rng, n, m, W=rng.randint(1, min(m, 6))))
+        else:
+            vals = []
+            for _ in range(n):
+                if kind == 2:
+                    rows = rng.choice([rng.randint(1, 6), m + rng.randint(1, 3)])
+                    pool = [[rng.randint(0, 1) for _ in range(rows)] for _ in range(rng.randint(1, 3))]
+                    cols = [rng.choice(pool) for _ in range(m)]
+                else:
+                    rows = rng.randint(2, 5)
+                    cols = [
+                        [rng.randint(0, 1) for _ in range(rows)] if rng.random() < 0.6 else [0] * rows
+                        for _ in range(m)
+                    ]
+                vals.append(LinearMatroidGF2(rows, cols))
+            out.append(Instance(vals))
+    return out
+
+
+def test_tie_break_corpus_owners_pinned():
+    # sha256 of the A* and B owner lists over the corpus, recorded before the
+    # search learnt to ask its sources first: any change of visit order or
+    # tie-break in the exchange search moves it
+    owners = []
+    for inst in tie_break_corpus():
+        a_star = nash_optimal(inst)
+        owners.append([list(a_star.owner), list(truncate(inst, a_star).owner)])
+    digest = hashlib.sha256(json.dumps(owners).encode()).hexdigest()
+    assert digest == "6740ff834ebf910a369339320a42eb233e1ab9f25c4640469bd9e7bd9a6ce1ea"
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,28 @@ def test_p_mean_default_restrict_is_the_plain_mean(values):
             assert math.isclose(float(got), float(want), rel_tol=1e-12), (p, values)
 
 
+@settings(max_examples=300)
+@given(nonnegative_vectors, st.integers(0, 8))
+@example([0, 3, 1], 3)
+@example([2, 2.0, 5], 3)
+@example([0.0, 4], 0)
+def test_neg_inf_keys_keep_values_and_types(values, restrict):
+    # the egalitarian mean of a vector at the capacity is its first smallest
+    # positive entry itself (an int stays an int), and of any other vector
+    # an exact Fraction(0)
+    positives = [v for v in values if v > 0]
+    if restrict and len(positives) >= restrict:
+        low = min(map(float, positives))
+        want = next(v for v in positives if v == low)
+    else:
+        want = Fraction(0)
+    key = welfare_key(values, NEG_INF, restrict)
+    assert key == (len(positives), want)
+    assert type(key[1]) is type(want)
+    if 0 in values or not values:
+        assert type(p_mean(values, NEG_INF)) is Fraction
+
+
 def case_table_key(values, p: PParam, restrict: int):
     """The comparison key written out case by case: short of the capacity
     or not, times Nash, egalitarian or real p."""
