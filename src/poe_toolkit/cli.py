@@ -16,7 +16,7 @@ import operator
 import sys
 from fractions import Fraction
 
-from .bounds import bound_table, poe_lower_bound, poe_upper_bound
+from .bounds import bound_table
 from .doubly import eating_matrix, is_doubly_normalised, randomized_allocation
 from .generators import (
     example1_instance,
@@ -201,13 +201,9 @@ def cmd_sweep(args) -> int:
                 continue
             inst = gen_lower_bound_instance(r, W)
             result = solve(inst, [p])
-            try:
-                lower = poe_lower_bound(p, r)
-            except ValueError:
-                lower = float("nan")
-            upper = poe_upper_bound(p, r)
+            bound = bound_table([p], [r])[0]
             lines.append(
-                f"{p},{r},{s},{W},{_fmt(result.poe[p])},{_fmt(lower)},{_fmt(upper)}"
+                f"{p},{r},{s},{W},{_fmt(result.poe[p])},{_fmt(bound.lower)},{_fmt(bound.upper)}"
             )
     _emit("\n".join(lines) + "\n", args.out)
     return 0

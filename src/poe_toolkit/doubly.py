@@ -34,19 +34,16 @@ from .welfare import augment
 
 
 def is_doubly_normalised(inst: Instance) -> tuple[int, int] | None:
-    """Return (W, W_c) when all row sums equal W and all column sums equal
-    W_c; None otherwise.  Binary additive instances only."""
+    """Return (W, W_c) when every agent values W goods (the normalisation
+    constant) and every good is valued by W_c agents (its ``takers()``);
+    None otherwise.  Binary additive instances only."""
     if not all(isinstance(v, BinaryAdditive) for v in inst.valuations):
         raise ValueError("double normalisation is defined for binary additive instances")
-    row_sums = {sum(v.row) for v in inst.valuations}
-    if len(row_sums) != 1:
+    W = inst.normalisation()
+    if W is None:
         return None
-    col_sums = {
-        sum(v.row[g] for v in inst.valuations) for g in range(inst.m)
-    }
-    if len(col_sums) != 1:
-        return None
-    return (row_sums.pop(), col_sums.pop())
+    col_sums = {len(agents) for agents in inst.takers()}
+    return (W, col_sums.pop()) if len(col_sums) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +237,7 @@ class EatingMatrix:
 
     matrix: DoublyStochasticMatrix
     copies: int  # p + 1, where W = p * W_c + q with 0 < q < W_c
-    n: int
     m: int
-    W: int
-    W_c: int
 
     def to_csv(self) -> str:
         lines = []
@@ -283,14 +277,7 @@ def eating_matrix(inst: Instance) -> EatingMatrix:
             if j == p:
                 row[m:] = [share_dummy] * t
             counts.append(row)
-    return EatingMatrix(
-        matrix=DoublyStochasticMatrix(counts, W * W_c * t),
-        copies=copies,
-        n=n,
-        m=m,
-        W=W,
-        W_c=W_c,
-    )
+    return EatingMatrix(DoublyStochasticMatrix(counts, W * W_c * t), copies=copies, m=m)
 
 
 # ---------------------------------------------------------------------------

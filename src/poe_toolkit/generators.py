@@ -1,5 +1,5 @@
 """Instance families: worst-case constructions, fixed fixtures, and seeded
-random corpora."""
+random samplers."""
 
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ def unnormalised_2agent_instance(k: int) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# Seeded random corpora (for verification gates and tests)
+# Seeded random samplers (for verification corpora and tests)
 # ---------------------------------------------------------------------------
 
 
@@ -205,3 +205,14 @@ def biregular_parameter_choices(n: int, m: int) -> list[tuple[int, int]]:
         if 1 <= W <= m:
             out.append((W, W_c))
     return out
+
+
+def random_biregular(rng: random.Random, max_n: int, max_m: int) -> Instance:
+    """Random biregular instance: draw n in [2, max_n] and m in [2, max_m]
+    until some (W, W_c) is feasible, then the pair and the shuffle seed."""
+    while True:
+        n, m = rng.randint(2, max_n), rng.randint(2, max_m)
+        choices = biregular_parameter_choices(n, m)
+        if choices:
+            W, W_c = rng.choice(choices)
+            return gen_doubly_normalised(n, m, W, W_c, seed=rng.randrange(1 << 30))

@@ -551,10 +551,6 @@ class ValidationReport:
     r: int
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def normalised(self) -> bool:
-        return self.W is not None
-
     def to_json(self) -> dict:
         return {
             "W": self.W if self.W is not None else "not normalised",

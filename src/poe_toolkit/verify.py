@@ -1,8 +1,8 @@
 """Self-contained verification gates: solver output against the exhaustive
-oracle and against the closed-form guarantees, on a seeded corpus plus the
-named fixtures.  Used by the command-line ``verify`` subcommand; the
-acceptance tests run the oracle-optimality and matroid-floor gates at
-larger corpus sizes.
+oracle and against the closed-form guarantees.  Each gate checks whatever
+instances it is given; each has a seeded corpus here, and
+``run_verification`` (the command-line ``verify`` subcommand) pairs them.
+The acceptance tests run all four gates on larger corpora of their own.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from fractions import Fraction
 from .bounds import rank_of_instance
 from .doubly import is_doubly_normalised, randomized_allocation
 from .generators import (
-    biregular_parameter_choices,
     example1_instance,
-    gen_doubly_normalised,
     gen_lower_bound_instance,
     gen_submodular_lb_instance,
     random_binary_additive,
+    random_biregular,
     random_matroid_gf2,
     remark_3x4_instance,
 )
@@ -82,6 +81,36 @@ def oracle_corpus(seed: int, count: int) -> list[Instance]:
     return out
 
 
+def rank_corpus(seed: int, count: int) -> list[Instance]:
+    """Seeded normalised binary additive instances with every good valued
+    (n <= 6, m <= 12)."""
+    rng = random.Random(seed)
+    out: list[Instance] = []
+    for _ in range(count):
+        n, m = rng.randint(2, 6), rng.randint(2, 12)
+        W = rng.randint(max(1, -(-m // n)), m)
+        out.append(random_binary_additive(rng, n, m, W=W, every_good_valued=True))
+    return out
+
+
+def matroid_corpus(seed: int, count: int) -> list[Instance]:
+    """The submodular family at k = 2, 3, 4, then seeded normalised GF(2)
+    instances (n <= 6, m <= 10) up to ``count``."""
+    rng = random.Random(seed)
+    out = [gen_submodular_lb_instance(k) for k in (2, 3, 4)]
+    for _ in range(count - 3):
+        n, m = rng.randint(2, 6), rng.randint(2, 10)
+        out.append(random_matroid_gf2(rng, n, m, W=rng.randint(1, min(5, m))))
+    return out
+
+
+def doubly_corpus(seed: int, count: int) -> list[Instance]:
+    """Example 1, then seeded biregular instances (n <= 10, m <= 12) up to
+    ``count``."""
+    rng = random.Random(seed)
+    return [example1_instance()] + [random_biregular(rng, 10, 12) for _ in range(count - 1)]
+
+
 def fixture_instances() -> list[Instance]:
     return [
         gen_lower_bound_instance(2, 2),
@@ -126,18 +155,10 @@ def gate_optimal_allocations(instances, budget: int) -> GateResult:
     return _run_gate("oracle-optimality", instances, check)
 
 
-def gate_rank_bound(seed: int, count: int) -> GateResult:
+def gate_rank_bound(instances) -> GateResult:
     """Utilitarian price of equity <= instance rank, and the wasted-good
     count of B is at most m(1 - 1/rank), on normalised additive instances
     with every good valued."""
-    rng = random.Random(seed)
-
-    def corpus():
-        for _ in range(count):
-            n = rng.randint(2, 6)
-            m = rng.randint(2, 12)
-            W = rng.randint(max(1, -(-m // n)), m)
-            yield random_binary_additive(rng, n, m, W=W, every_good_valued=True)
 
     def check(inst):
         rank = rank_of_instance(inst)
@@ -149,23 +170,14 @@ def gate_rank_bound(seed: int, count: int) -> GateResult:
         if Fraction(waste) > Fraction(inst.m) * (1 - Fraction(1, rank)):
             yield f"{waste} wasted goods exceed the rank bound"
 
-    return _run_gate("rank-bound", corpus(), check)
+    return _run_gate("rank-bound", instances, check)
 
 
-def gate_matroid_floor(seed: int, count: int) -> GateResult:
+def gate_matroid_floor(instances) -> GateResult:
     """On normalised matroid instances, every positive-value agent in B has
     value >= W/(2n), and the price of equity is at most 2n for p in
     {1, nash, -1}."""
-    rng = random.Random(seed)
     p_check = (UTILITARIAN, NASH, PParam.real(-1))
-
-    def corpus():
-        for k in (2, 3, 4):
-            yield gen_submodular_lb_instance(k)
-        for _ in range(count - 3):
-            n = rng.randint(2, 6)
-            m = rng.randint(2, 10)
-            yield random_matroid_gf2(rng, n, m, W=rng.randint(1, min(5, m)))
 
     def check(inst):
         res = solve(inst, p_check)
@@ -180,29 +192,16 @@ def gate_matroid_floor(seed: int, count: int) -> GateResult:
             if not ok:
                 yield f"PoE {poe} above 2n at p={p}"
 
-    return _run_gate("matroid-floor", corpus(), check)
+    return _run_gate("matroid-floor", instances, check)
 
 
-def gate_doubly(seed: int, count: int) -> GateResult:
+def gate_doubly(instances) -> GateResult:
     """On biregular instances the price of equity is exactly 1 for p = 1
     and Nash, and ``randomized_allocation``'s lottery (flow or eating route)
     is a lottery over complete EQ1 allocations whose positive ``Fraction``
     weights sum to 1, each with ``solve``'s B key for p = 1 and Nash, that
     gives every agent exactly W/W_c in expectation."""
-    rng = random.Random(seed)
     p_check = (UTILITARIAN, NASH)
-
-    def corpus():
-        yield example1_instance()
-        done = 1
-        while done < count:
-            n = rng.randint(2, 10)
-            m = rng.randint(2, 12)
-            choices = biregular_parameter_choices(n, m)
-            if choices:
-                W, W_c = rng.choice(choices)
-                yield gen_doubly_normalised(n, m, W, W_c, seed=rng.randrange(1 << 30))
-                done += 1
 
     def check(inst):
         res = solve(inst, p_check)
@@ -228,7 +227,7 @@ def gate_doubly(seed: int, count: int) -> GateResult:
         if expected != [Fraction(W, W_c)] * inst.n:
             yield "expected values are not W/W_c"
 
-    return _run_gate("doubly-normalised", corpus(), check)
+    return _run_gate("doubly-normalised", instances, check)
 
 
 def gate_self_test(budget: int) -> GateResult:
@@ -274,12 +273,12 @@ def gate_self_test(budget: int) -> GateResult:
 def run_verification(
     budget: int = 10_000_000, seed: int = 20240, self_test: bool = False,
 ) -> VerifyReport:
-    report = VerifyReport()
-    instances = oracle_corpus(seed, 60) + fixture_instances()
-    report.gates.append(gate_optimal_allocations(instances, budget))
-    report.gates.append(gate_rank_bound(seed + 1, 80))
-    report.gates.append(gate_matroid_floor(seed + 2, 40))
-    report.gates.append(gate_doubly(seed + 3, 40))
+    report = VerifyReport([
+        gate_optimal_allocations(oracle_corpus(seed, 60) + fixture_instances(), budget),
+        gate_rank_bound(rank_corpus(seed + 1, 80)),
+        gate_matroid_floor(matroid_corpus(seed + 2, 40)),
+        gate_doubly(doubly_corpus(seed + 3, 40)),
+    ])
     if self_test:
         report.gates.append(gate_self_test(budget))
     return report

@@ -13,31 +13,28 @@ from fractions import Fraction
 
 import pytest
 
-from poe_toolkit.bounds import (
-    lambda_family_poe,
-    poe_lower_bound,
-    poe_upper_bound,
-    rank_of_instance,
-)
+from poe_toolkit.bounds import lambda_family_poe, poe_lower_bound, poe_upper_bound
 from poe_toolkit.doubly import bvn_decompose, eating_matrix, randomized_allocation
 from poe_toolkit.generators import (
-    biregular_parameter_choices,
     example1_instance,
-    gen_doubly_normalised,
     gen_lower_bound_instance,
     gen_submodular_lb_instance,
-    random_binary_additive,
+    random_biregular,
     random_matroid_gf2,
     unnormalised_2agent_instance,
 )
-from poe_toolkit.model import is_eq1, wasted_goods
+from poe_toolkit.model import is_eq1
 from poe_toolkit.oracle import DEFAULT_BUDGET, enumerate_allocations
 from poe_toolkit.solver import max_utilitarian_clean, solve
 from poe_toolkit.verify import (
     fixture_instances,
+    gate_doubly,
     gate_matroid_floor,
     gate_optimal_allocations,
+    gate_rank_bound,
+    matroid_corpus,
     oracle_corpus,
+    rank_corpus,
 )
 from poe_toolkit.welfare import NASH, NEG_INF, PParam, UTILITARIAN, p_mean
 
@@ -63,16 +60,10 @@ def _finish(num: int, label: str, failures: list[str]) -> None:
 
 @pytest.fixture(scope="module")
 def additive_corpus():
-    """200 normalised binary additive instances with every good valued,
-    solved once across the envelope grid (shared by criteria 4 and 5)."""
-    rng = random.Random(0xACCE)
-    corpus = []
-    while len(corpus) < 200:
-        n, m = rng.randint(2, 6), rng.randint(2, 12)
-        W = rng.randint(max(1, -(-m // n)), m)
-        inst = random_binary_additive(rng, n, m, W=W, every_good_valued=True)
-        corpus.append((inst, solve(inst, ENVELOPE_PS)))
-    return corpus
+    """200 instances of the rank gate's corpus (normalised binary additive,
+    every good valued), solved once across the envelope grid (shared by
+    criteria 4 and 5)."""
+    return [(inst, solve(inst, ENVELOPE_PS)) for inst in rank_corpus(0xACCE, 200)]
 
 
 def test_criterion_01_family_exactness():
@@ -134,16 +125,10 @@ def test_criterion_03_oracle_gates():
 
 
 def test_criterion_04_rank_and_waste(additive_corpus):
-    failures = []
-    for idx, (inst, res) in enumerate(additive_corpus):
-        rank = rank_of_instance(inst)
-        if res.poe[UTILITARIAN] > rank:
-            failures.append(f"#{idx}: PoE {res.poe[UTILITARIAN]} > rank {rank}")
-        waste = len(wasted_goods(inst, res.b))
-        if Fraction(waste) > Fraction(inst.m) * (1 - Fraction(1, rank)):
-            failures.append(f"#{idx}: waste {waste} above m(1 - 1/rank)")
+    gate = gate_rank_bound(inst for inst, _ in additive_corpus)
+    failures = [gate.detail] if not gate.passed else []
     _finish(4, "utilitarian PoE <= rank and |wasted(B)| <= m(1 - 1/rank) on "
-               f"{len(additive_corpus)} normalised instances (exact)", failures)
+               f"{gate.cases} normalised instances (exact)", failures)
 
 
 def test_criterion_05_envelope(additive_corpus):
@@ -189,27 +174,12 @@ def test_criterion_06_doubly_normalised():
             break
 
     rng = random.Random(0xD0B1)
-    built = 0
-    while built < 200:
-        n, m = rng.randint(2, 12), rng.randint(2, 12)
-        choices = biregular_parameter_choices(n, m)
-        if not choices:
-            continue
-        W, W_c = rng.choice(choices)
-        bire = gen_doubly_normalised(n, m, W, W_c, seed=rng.randrange(1 << 30))
-        built += 1
-        res = solve(bire, (UTILITARIAN, NASH))
-        if res.poe[UTILITARIAN] != 1 or res.poe[NASH] != 1:
-            failures.append(f"biregular #{built}: PoE != 1")
-            continue
-        lottery = randomized_allocation(bire)
-        expected = Fraction(W, W_c)
-        for i in range(n):
-            if sum(w * a.values(bire)[i] for w, a in lottery) != expected:
-                failures.append(f"biregular #{built}: ex-ante value off for agent {i}")
-                break
+    gate = gate_doubly([random_biregular(rng, 12, 12) for _ in range(200)])
+    if not gate.passed:
+        failures.append(gate.detail)
     _finish(6, "eating matrix exact on the fixture; BvN reconstructs exactly; "
-               "PoE = 1 and ex-ante = W/W_c on 200 biregular instances", failures)
+               f"PoE = 1 and an EQ1 lottery worth W/W_c ex ante on {gate.cases} "
+               "biregular instances", failures)
 
 
 def test_criterion_07_matroid_bounds():
@@ -222,7 +192,7 @@ def test_criterion_07_matroid_bounds():
         res = solve(inst, [UTILITARIAN])
         if sum(res.b.values(inst)) > 3 * k:
             failures.append(f"k={k}: B welfare above 3k")
-    gate = gate_matroid_floor(0x07A7, 103)
+    gate = gate_matroid_floor(matroid_corpus(0x07A7, 103))
     if not gate.passed:
         failures.append(gate.detail)
     _finish(7, "matroid family welfare k+k^2 with B <= 3k; corpus floor W/(2n) "

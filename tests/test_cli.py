@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -228,6 +229,17 @@ def test_sweep_nash_rule():
         assert float(empirical) <= float(upper) + 1e-9
 
 
+def test_sweep_nash_without_lower_bound_prints_nan():
+    # the Nash lower bound is undefined at s = 1, so the r = 2 row reads nan
+    args = ("--W-rule", "fixed", "--W", "2", "--p", "nash", "--r-min", "2", "--r-max", "3")
+    assert run("sweep", *args).stdout == (
+        "# poe-toolkit sweep csv format=1\n"
+        "p,r,s,W,empirical,lower,upper\n"
+        "nash,2,1,2,1.25992104989,nan,1.32109976202\n"
+        "nash,3,2,2,1.41421356237,1.06147569085,1.58892154635\n"
+    )
+
+
 def test_sweep_deterministic():
     args = ("sweep", "--family", "lb", "--p", "-1", "--r-min", "2", "--r-max", "6")
     assert run(*args).stdout == run(*args).stdout
@@ -301,9 +313,10 @@ def test_verify_small_corpus_passes():
 
 
 def test_verify_doubly_gate_passes_at_default_seed():
-    from poe_toolkit.verify import gate_doubly
+    from poe_toolkit import verify
 
-    gate = gate_doubly(20240 + 3, 40)  # as run_verification calls it by default
+    # as run_verification calls it by default
+    gate = verify.gate_doubly(verify.doubly_corpus(20240 + 3, 40))
     assert gate.passed and gate.cases == 40 and gate.detail == ""
 
 
@@ -317,7 +330,7 @@ def test_verify_doubly_gate_catches_a_wrong_weight(monkeypatch):
         return [(w / 2, alloc), *rest]
 
     monkeypatch.setattr(verify, "randomized_allocation", one_weight_halved)
-    gate = verify.gate_doubly(20240 + 3, 40)
+    gate = verify.gate_doubly(verify.doubly_corpus(20240 + 3, 40))
     assert not gate.passed and gate.cases == 40
     assert gate.detail.startswith("case 0: lottery weights")
 
@@ -326,7 +339,7 @@ def test_verify_rank_gate_numbers_cases_from_0(monkeypatch):
     from poe_toolkit import verify
 
     monkeypatch.setattr(verify, "rank_of_instance", lambda inst: Fraction(1, 2))
-    gate = verify.gate_rank_bound(20240 + 1, 80)
+    gate = verify.gate_rank_bound(verify.rank_corpus(20240 + 1, 80))
     assert not gate.passed and gate.cases == 80
     assert gate.detail.startswith("case 0: PoE ")
 
@@ -334,8 +347,13 @@ def test_verify_rank_gate_numbers_cases_from_0(monkeypatch):
 def test_verify_default_corpus_exits_0():
     res = run("verify")
     assert res.returncode == 0
-    lines = [l for l in res.stdout.splitlines() if l.startswith("PASS")]
-    assert len(lines) == 4  # one timed line per gate
+    # one timed line per gate, none with a detail
+    assert re.sub(r" in \d+\.\d\ds$", "", res.stdout, flags=re.M) == (
+        "PASS oracle-optimality: 65 cases\n"
+        "PASS rank-bound: 80 cases\n"
+        "PASS matroid-floor: 40 cases\n"
+        "PASS doubly-normalised: 40 cases\n"
+    )
 
 
 def test_solve_deterministic_bytes(lb_file):

@@ -20,27 +20,15 @@ from poe_toolkit.doubly import (
     solve_flow,
 )
 from poe_toolkit.generators import (
-    biregular_parameter_choices,
     example1_instance,
     gen_doubly_normalised,
     gen_lower_bound_instance,
+    random_biregular,
     remark_3x4_instance,
 )
 from poe_toolkit.model import BinaryAdditive, Instance, is_eq, is_eq1, wasted_goods
 from poe_toolkit.solver import solve
 from poe_toolkit.welfare import NASH, UTILITARIAN, augment
-
-
-def biregular_corpus(rng, count, max_n=10, max_m=12):
-    out = []
-    while len(out) < count:
-        n, m = rng.randint(2, max_n), rng.randint(2, max_m)
-        choices = biregular_parameter_choices(n, m)
-        if not choices:
-            continue
-        W, W_c = rng.choice(choices)
-        out.append(gen_doubly_normalised(n, m, W, W_c, seed=rng.randrange(1 << 30)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +70,8 @@ def test_flow_integral_case_is_eq():
 
 
 def test_flow_on_random_biregular(rng):
-    for inst in biregular_corpus(rng, 100):
+    for _ in range(100):
+        inst = random_biregular(rng, 10, 12)
         alloc = solve_flow(inst)
         assert is_eq1(inst, alloc)
         assert not wasted_goods(inst, alloc)
@@ -149,7 +138,8 @@ def test_eating_example1_counts_and_csv():
 
 def test_eating_doubly_stochastic_exact(rng):
     checked = 0
-    for inst in biregular_corpus(rng, 60):
+    for _ in range(60):
+        inst = random_biregular(rng, 10, 12)
         W, W_c = is_doubly_normalised(inst)
         if W % W_c == 0:
             continue
@@ -205,7 +195,8 @@ def test_bvn_half_half():
 
 
 def test_bvn_reconstruction_and_bounds(rng):
-    for inst in biregular_corpus(rng, 30):
+    for _ in range(30):
+        inst = random_biregular(rng, 10, 12)
         W, W_c = is_doubly_normalised(inst)
         if W % W_c == 0:
             continue
@@ -376,7 +367,8 @@ def test_lottery_integral_case_single_term():
 
 
 def test_lottery_random_biregular(rng):
-    for inst in biregular_corpus(rng, 40, max_n=8, max_m=10):
+    for _ in range(40):
+        inst = random_biregular(rng, 8, 10)
         W, W_c = is_doubly_normalised(inst)
         lottery = randomized_allocation(inst)
         assert sum(w for w, _ in lottery) == 1
@@ -396,7 +388,9 @@ def test_remark_fixture_poe_one():
 def test_flow_key_matches_optimal(rng):
     from poe_toolkit.welfare import max_positive_count, welfare_key
 
-    for inst in biregular_corpus(rng, 30):
+    for _ in range(30):
+
+        inst = random_biregular(rng, 10, 12)
         restrict = max_positive_count(inst)
         flow = solve_flow(inst)
         res = solve(inst, (UTILITARIAN, NASH))
