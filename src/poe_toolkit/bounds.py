@@ -57,6 +57,23 @@ def poe_lower_bound(p: PParam, r: int, clamp: bool = False) -> float:
     return max(out, 1.0) if clamp else out
 
 
+def proof_rule_W(p: PParam, s: int) -> int | None:
+    """The W that the lower-bound proof picks for the family with r = s + 1
+    types; None where ``poe_lower_bound`` is undefined (Nash, s < 2)."""
+    if p.kind == "neg_inf":
+        return 2
+    if p.kind == "nash":
+        if s < 2:
+            return None
+        return max(1, math.ceil(s / math.log(s)))
+    pf = float(p.value)
+    if pf == 1:
+        return s * s
+    if 0 < pf < 1:
+        return max(1, math.ceil(pf * s))
+    return max(1, math.ceil(s ** (1 / (1 - pf))))
+
+
 def poe_upper_bound(p: PParam, r: int, rank: int | None = None) -> float:
     """Worst-case price of equity for instances with ``r`` agent types.
 

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import operator
 import sys
-from fractions import Fraction
 
-from .bounds import bound_table
-from .doubly import eating_matrix, is_doubly_normalised, randomized_allocation
+from .bounds import bound_table, proof_rule_W
+from .doubly import eating_matrix, expected_values, is_doubly_normalised, randomized_allocation
 from .generators import (
     example1_instance,
     gen_doubly_normalised,
@@ -169,22 +166,6 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _proof_rule_W(p: PParam, s: int) -> int | None:
-    """Normalisation constant used by the matching lower-bound argument."""
-    if p.kind == "neg_inf":
-        return 2
-    if p.kind == "nash":
-        if s < 2:
-            return None
-        return max(1, math.ceil(s / math.log(s)))
-    pf = float(p.value)
-    if pf == 1:
-        return s * s
-    if 0 < pf < 1:
-        return max(1, math.ceil(pf * s))
-    return max(1, math.ceil(s ** (1 / (1 - pf))))
-
-
 def cmd_sweep(args) -> int:
     if args.family != "lb":
         raise UsageError("only the 'lb' family is sweepable")
@@ -196,7 +177,7 @@ def cmd_sweep(args) -> int:
     for p in p_list:
         for r in range(args.r_min, args.r_max + 1):
             s = r - 1
-            W = args.W if args.W_rule == "fixed" else _proof_rule_W(p, s)
+            W = args.W if args.W_rule == "fixed" else proof_rule_W(p, s)
             if W is None:
                 continue
             inst = gen_lower_bound_instance(r, W)
@@ -218,18 +199,12 @@ def cmd_doubly(args) -> int:
     if args.matrix_csv and W % W_c == 0:
         raise UsageError("no eating matrix: W divisible by W_c (flow route)")
     lottery = randomized_allocation(inst)
-    # expected values as integer numerators over the weights' common denominator
-    denom = math.lcm(*(w.denominator for w, _ in lottery))
-    nums = [w.numerator * (denom // w.denominator) for w, _ in lottery]
-    per_agent = zip(*(a.values(inst) for _, a in lottery))
     doc = {
         "W": W,
         "W_c": W_c,
         "weights": [str(w) for w, _ in lottery],
         "allocations": [list(a.owner) for _, a in lottery],
-        "expected_values": [
-            str(Fraction(sum(map(operator.mul, nums, column)), denom)) for column in per_agent
-        ],
+        "expected_values": [str(v) for v in expected_values(inst, lottery)],
     }
     _emit_json(doc, args.out)
     if args.matrix_csv:

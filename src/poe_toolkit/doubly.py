@@ -18,6 +18,7 @@ lottery weights); no tolerances anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -376,3 +377,11 @@ def randomized_allocation(inst: Instance) -> list[tuple[Fraction, Allocation]]:
     eating = eating_matrix(inst)
     decomp = bvn_decompose(eating.matrix)
     return [(w, decode_allocation(inst, perm, eating)) for w, perm in decomp.terms]
+
+
+def expected_values(inst: Instance, lottery: list[tuple[Fraction, Allocation]]) -> list[Fraction]:
+    """Each agent's expected value: integer numerators over the weights' common denominator."""
+    denom = math.lcm(*(w.denominator for w, _ in lottery))
+    nums = [w.numerator * (denom // w.denominator) for w, _ in lottery]
+    per_agent = zip(*(a.values(inst) for _, a in lottery))
+    return [Fraction(sum(map(operator.mul, nums, column)), denom) for column in per_agent]

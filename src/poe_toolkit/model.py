@@ -8,8 +8,8 @@ binary submodular by construction, with all marginal gains in {0, 1}.
 Inside the package a bundle is a bitmask of goods (bit g set when the bundle
 holds good g).  Besides its value, each valuation answers four questions on
 such masks: which goods are worth one on their own (``nonloops()``; the
-others are loops), a basis of a bundle (the rest of the bundle is what
-cleaning removes), the exchange oracle of the solver's search
+others are loops), a basis of a bundle (the rest of the bundle is its
+wasted goods), the exchange oracle of the solver's search
 (``circuits``), and the floor primitive (``coloops``: the bundle's value
 with the mask of goods whose removal lowers it).  A bundle's *floor*, its
 value after dropping the good whose removal lowers it most, is that value
@@ -84,7 +84,7 @@ class Valuation:
     def basis(self, bundle: int) -> int:
         """A basis of ``bundle`` built greedily from the highest index.  Its
         size is the bundle's value; the bundle goods outside it are the ones
-        ``make_clean`` removes."""
+        ``wasted_goods`` reports."""
         raise NotImplementedError
 
     def circuits(self, bundle: int) -> tuple[int, Callable[[int], int | None]]:
@@ -518,9 +518,9 @@ def wasted_goods(inst: Instance, alloc: Allocation) -> frozenset[int]:
     """Goods whose removal leaves their owner's value unchanged.
 
     Scans assigned goods in ascending index; a good reported wasted is
-    dropped from the working bundle before later goods are tested, so the
-    result is exactly the set ``make_clean`` removes.  An allocation is
-    clean iff the result is empty.  The goods that scan keeps form the
+    dropped from the working bundle before later goods are tested, so moving
+    every reported good to the pool keeps each owner's value.  An allocation
+    is clean iff the result is empty.  The goods that scan keeps form the
     basis of each bundle built greedily from the highest index, so the
     result is every bundle minus that basis.
     """
@@ -528,16 +528,6 @@ def wasted_goods(inst: Instance, alloc: Allocation) -> frozenset[int]:
     for v, b in zip(inst.valuations, alloc.masks(inst)):
         wasted |= b ^ v.basis(b)
     return frozenset(goods_of(wasted))
-
-
-def make_clean(inst: Instance, alloc: Allocation) -> Allocation:
-    """Move wasted goods to the unassigned pool; per-agent values are
-    preserved, and for matroid valuations the cleaned bundles satisfy
-    ``|bundle| == value(bundle)``."""
-    owner = list(alloc.owner)
-    for g in sorted(wasted_goods(inst, alloc)):
-        owner[g] = UNASSIGNED
-    return Allocation(owner, alloc.n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Allocation, Instance, floor_table
-from .welfare import PParam, max_positive_count, poe_ratio, welfare_key
+from .welfare import PParam, poe_ratio, welfare_key
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -168,7 +168,6 @@ def enumerate_allocations(
     """
     p_list = list(p_list)
     count = _check_budget(inst, budget)
-    restrict = max_positive_count(inst)
 
     # sorted value vector -> lowest index, over all and over EQ1 assignments
     all_vecs: dict[tuple[int, ...], int] = {}
@@ -179,6 +178,8 @@ def enumerate_allocations(
             all_vecs[svals] = idx
         if eq1 and idx < eq1_vecs.get(svals, count):
             eq1_vecs[svals] = idx
+    # the positive capacity: the most agents that one assignment gives value
+    restrict = max(len(vec) - vec.count(0) for vec in all_vecs)
 
     best_key: dict[PParam, tuple] = {}
     best_alloc: dict[PParam, Allocation] = {}

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .bounds import rank_of_instance
-from .doubly import is_doubly_normalised, randomized_allocation
+from .doubly import expected_values, is_doubly_normalised, randomized_allocation
 from .generators import (
     example1_instance,
     gen_lower_bound_instance,
@@ -25,9 +25,9 @@ from .generators import (
     remark_3x4_instance,
 )
 from .model import Allocation, Instance, is_eq1, wasted_goods
-from .oracle import enumerate_allocations
-from .solver import solve
-from .welfare import NASH, NEG_INF, PParam, UTILITARIAN, welfare_key, welfare_report
+from .oracle import BudgetExceededError, OracleResult, enumerate_allocations
+from .solver import SolveResult, solve
+from .welfare import NASH, NEG_INF, PParam, UTILITARIAN, welfare_report
 
 GATE_P_LIST = (UTILITARIAN, PParam.real(Fraction(1, 2)), NASH, PParam.real(-1), NEG_INF)
 EXACT_P = (UTILITARIAN, NASH, NEG_INF)
@@ -123,11 +123,19 @@ def fixture_instances() -> list[Instance]:
 
 def _run_gate(name: str, instances, check) -> GateResult:
     """Run ``check`` (instance -> failure messages) on each instance of an
-    iterable corpus, timing the whole gate; each failure in the detail
-    names its 0-based case index."""
+    iterable corpus, timing the whole gate.  Each failure in the detail names
+    its 0-based case index; a case that raises fails with the exception
+    named, and only an oracle budget refusal propagates."""
     start = time.perf_counter()
     instances = list(instances)
-    failures = [f"case {idx}: {msg}" for idx, inst in enumerate(instances) for msg in check(inst)]
+    failures = []
+    for idx, inst in enumerate(instances):
+        try:
+            failures += [f"case {idx}: {msg}" for msg in check(inst)]
+        except BudgetExceededError:
+            raise
+        except Exception as exc:
+            failures.append(f"case {idx}: raised {type(exc).__name__}: {exc}")
     return GateResult(
         name=name,
         passed=not failures,
@@ -137,20 +145,29 @@ def _run_gate(name: str, instances, check) -> GateResult:
     )
 
 
+def _optimality_failures(inst: Instance, res: SolveResult, orc: OracleResult):
+    """Yield how ``solve``'s result ``res`` falls short of the oracle's
+    ``orc``, both over ``GATE_P_LIST``: A* and B must attain the oracle keys
+    for every p, sorted A* must be the leximin vector, and B must be EQ1."""
+    for p in GATE_P_LIST:
+        if not _keys_match(res.report_a_star.keys[p], orc.best_key[p], p):
+            yield f"optimal key mismatch at p={p}"
+        if not _keys_match(res.report_b.keys[p], orc.best_eq1_key[p], p):
+            yield f"EQ1 key mismatch at p={p}"
+    if tuple(sorted(res.a_star.values(inst))) != orc.leximin:
+        yield "optimum is not leximin"
+    if not is_eq1(inst, res.b):
+        yield "B is not EQ1"
+
+
 def gate_optimal_allocations(instances, budget: int) -> GateResult:
-    """Solver A* and B attain the oracle-optimal keys for every p, and the
-    sorted A* vector is the oracle leximin vector."""
+    """Solver A* and B attain the oracle-optimal keys for every p, the
+    sorted A* vector is the oracle leximin vector, and B is EQ1."""
 
     def check(inst):
         res = solve(inst, GATE_P_LIST)
         orc = enumerate_allocations(inst, GATE_P_LIST, budget=budget)
-        for p in GATE_P_LIST:
-            if not _keys_match(res.report_a_star.keys[p], orc.best_key[p], p):
-                yield f"optimal key mismatch at p={p}"
-            if not _keys_match(res.report_b.keys[p], orc.best_eq1_key[p], p):
-                yield f"EQ1 key mismatch at p={p}"
-        if tuple(sorted(res.a_star.values(inst))) != orc.leximin:
-            yield "optimum is not leximin"
+        return _optimality_failures(inst, res, orc)
 
     return _run_gate("oracle-optimality", instances, check)
 
@@ -212,8 +229,7 @@ def gate_doubly(instances) -> GateResult:
         weights = [w for w, _ in lottery]
         if not all(type(w) is Fraction and w > 0 for w in weights) or sum(weights) != 1:
             yield "lottery weights are not positive Fractions summing to 1"
-        expected = [Fraction(0)] * inst.n
-        for w, alloc in lottery:
+        for _, alloc in lottery:
             if not alloc.is_complete or not is_eq1(inst, alloc):
                 yield "lottery allocation is not complete and EQ1"
                 return
@@ -221,10 +237,8 @@ def gate_doubly(instances) -> GateResult:
             if any(rep.keys[p] != res.report_b.keys[p] for p in p_check):
                 yield "lottery allocation key differs from B's"
                 return
-            for i, v in enumerate(rep.values):
-                expected[i] += w * v
         W, W_c = is_doubly_normalised(inst)
-        if expected != [Fraction(W, W_c)] * inst.n:
+        if expected_values(inst, lottery) != [Fraction(W, W_c)] * inst.n:
             yield "expected values are not W/W_c"
 
     return _run_gate("doubly-normalised", instances, check)
@@ -232,41 +246,34 @@ def gate_doubly(instances) -> GateResult:
 
 def gate_self_test(budget: int) -> GateResult:
     """Swap two goods of the truncated allocation so it stops being EQ1,
-    then run the EQ1-optimality check on the corrupted allocation.
+    then run the oracle gate's check on the result with that B.
 
     The gate is expected to FAIL: a failing result here means the check
     works; a passing one means the corruption went undetected."""
     start = time.perf_counter()
     inst = gen_lower_bound_instance(2, 2)
-    res = solve(inst, [UTILITARIAN])
-    orc = enumerate_allocations(inst, [UTILITARIAN], budget=budget)
-    owner = list(res.b.owner)
-    corrupted = None
-    for g in range(inst.m):
-        for h in range(inst.m):
-            if g != h and owner[g] != owner[h]:
-                trial = list(owner)
-                trial[h] = trial[g]
-                cand = Allocation(trial, inst.n)
-                if not is_eq1(inst, cand):
-                    corrupted = cand
-                    break
-        if corrupted:
-            break
+    res = solve(inst, GATE_P_LIST)
+    orc = enumerate_allocations(inst, GATE_P_LIST, budget=budget)
+    owner = res.b.owner
+    trials = (  # good h handed to good g's owner
+        Allocation([owner[g] if k == h else a for k, a in enumerate(owner)], inst.n)
+        for g in range(inst.m)
+        for h in range(inst.m)
+        if owner[g] != owner[h]
+    )
+    corrupted = next((cand for cand in trials if not is_eq1(inst, cand)), None)
     if corrupted is None:
         raise RuntimeError("self-test harness could not corrupt the allocation")
-    key = welfare_key(corrupted.values(inst), UTILITARIAN, orc.restrict)
-    still_valid = is_eq1(inst, corrupted) and _keys_match(
-        key, orc.best_eq1_key[UTILITARIAN], UTILITARIAN
-    )
+    report_b = welfare_report(inst, corrupted, GATE_P_LIST, restrict=res.report_b.restrict)
+    bad = replace(res, b=corrupted, report_b=report_b)
+    detected = any(_optimality_failures(inst, bad, orc))
     return GateResult(
         name="self-test(corrupted-B)",
-        passed=still_valid,
+        passed=not detected,
         cases=1,
         seconds=time.perf_counter() - start,
-        detail="injected corruption detected (expected failure)"
-        if not still_valid
-        else "injected corruption went undetected",
+        detail="injected corruption "
+        + ("detected (expected failure)" if detected else "went undetected"),
     )
 
 

@@ -13,7 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from poe_toolkit.bounds import lambda_family_poe, poe_lower_bound, poe_upper_bound
+from poe_toolkit.bounds import (
+    lambda_family_poe,
+    poe_lower_bound,
+    poe_upper_bound,
+    proof_rule_W,
+)
 from poe_toolkit.doubly import bvn_decompose, eating_matrix, randomized_allocation
 from poe_toolkit.generators import (
     example1_instance,
@@ -78,16 +83,14 @@ def test_criterion_01_family_exactness():
             if res.poe[UTILITARIAN] != lambda_family_poe(UTILITARIAN, W, r):
                 failures.append(f"(r={r}, W={W}): formula mismatch")
     inst = gen_lower_bound_instance(2, 2)
-    res = solve(inst, [UTILITARIAN])
     orc = enumerate_allocations(inst, [UTILITARIAN])
     if orc.enumeration_count != 256:
         failures.append("oracle did not enumerate 256 assignments")
-    if orc.best_key[UTILITARIAN] != res.report_a_star.keys[UTILITARIAN]:
-        failures.append("numerator optimum unconfirmed")
-    if orc.best_eq1_key[UTILITARIAN] != res.report_b.keys[UTILITARIAN]:
-        failures.append("denominator optimum unconfirmed")
     if orc.poe[UTILITARIAN] != Fraction(4, 3):
         failures.append("oracle PoE != 4/3")
+    gate = gate_optimal_allocations([inst], DEFAULT_BUDGET)
+    if not gate.passed:
+        failures.append(f"A* and B unconfirmed: {gate.detail}")
     _finish(1, "lower-bound family PoE is exactly (W+sW)/(W+s); (2,2) oracle-confirmed",
             failures)
 
@@ -95,19 +98,17 @@ def test_criterion_01_family_exactness():
 def test_criterion_02_w_rules():
     failures = []
     for s in (2, 3, 4):
-        res = solve(gen_lower_bound_instance(s + 1, s * s), [UTILITARIAN])
+        res = solve(gen_lower_bound_instance(s + 1, proof_rule_W(UTILITARIAN, s)), [UTILITARIAN])
         if res.poe[UTILITARIAN] != s:
             failures.append(f"p=1 s={s}: PoE {res.poe[UTILITARIAN]} != {s}")
     for s in (4, 8, 16):
-        W = math.ceil(s / math.log(s))
-        res = solve(gen_lower_bound_instance(s + 1, W), [NASH])
+        res = solve(gen_lower_bound_instance(s + 1, proof_rule_W(NASH, s)), [NASH])
         target = s / (math.e * math.log(s))
         if float(res.poe[NASH]) < target:
             failures.append(f"p=0 s={s}: PoE {res.poe[NASH]} < {target}")
     p = PParam.real(-1)
     for s in (4, 9, 16):
-        W = math.ceil(math.sqrt(s))
-        res = solve(gen_lower_bound_instance(s + 1, W), [p])
+        res = solve(gen_lower_bound_instance(s + 1, proof_rule_W(p, s)), [p])
         target = 0.5 * math.sqrt(s) - 0.05
         if float(res.poe[p]) < target:
             failures.append(f"p=-1 s={s}: PoE {res.poe[p]} < {target}")

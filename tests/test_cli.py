@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from poe_toolkit.solver import SolverInternalError
+
 CLI = [sys.executable, "-m", "poe_toolkit.cli"]
 
 
@@ -364,7 +366,41 @@ def test_solve_deterministic_bytes(lb_file):
 def test_verify_self_test_exits_2():
     res = run("verify", "--self-test")
     assert res.returncode == 2
-    assert "self-test" in res.stdout
+    assert re.sub(r" in \d+\.\d\ds", "", res.stdout.splitlines()[-1]) == (
+        "FAIL self-test(corrupted-B): 1 cases (injected corruption detected (expected failure))"
+    )
+
+
+def test_verify_self_test_runs_the_oracle_gates_check(monkeypatch):
+    from poe_toolkit import verify
+
+    # with the oracle gate's check emptied, the corrupted B must go unseen
+    monkeypatch.setattr(verify, "_optimality_failures", lambda inst, res, orc: iter(()))
+    gate = verify.gate_self_test(10**6)
+    assert gate.passed and gate.detail == "injected corruption went undetected"
+
+
+@pytest.mark.parametrize("error", [SolverInternalError, ValueError])
+def test_verify_case_that_raises_fails_its_gate(monkeypatch, capsys, error):
+    from poe_toolkit import cli, verify
+
+    honest, calls = verify.solve, []
+
+    def solve_raising_on_case_2(inst, p_list):
+        calls.append(inst)
+        if len(calls) == 3:  # the oracle gate solves each case once, in order
+            raise error("injected")
+        return honest(inst, p_list)
+
+    monkeypatch.setattr(verify, "solve", solve_raising_on_case_2)
+    assert cli.main(["verify"]) == 2
+    out = re.sub(r" in \d+\.\d\ds", "", capsys.readouterr().out)
+    assert out == (
+        f"FAIL oracle-optimality: 65 cases (case 2: raised {error.__name__}: injected)\n"
+        "PASS rank-bound: 80 cases\n"
+        "PASS matroid-floor: 40 cases\n"
+        "PASS doubly-normalised: 40 cases\n"
+    )
 
 
 def test_verify_budget_refusal():

@@ -28,6 +28,7 @@ from poe_toolkit.generators import (
 )
 from poe_toolkit.model import BinaryAdditive, Instance, is_eq, is_eq1, wasted_goods
 from poe_toolkit.solver import solve
+from poe_toolkit.verify import gate_doubly
 from poe_toolkit.welfare import NASH, UTILITARIAN, augment
 
 
@@ -367,17 +368,12 @@ def test_lottery_integral_case_single_term():
 
 
 def test_lottery_random_biregular(rng):
-    for _ in range(40):
-        inst = random_biregular(rng, 8, 10)
-        W, W_c = is_doubly_normalised(inst)
-        lottery = randomized_allocation(inst)
-        assert sum(w for w, _ in lottery) == 1
-        for i in range(inst.n):
-            assert sum(w * a.values(inst)[i] for w, a in lottery) == Fraction(W, W_c)
-        for _, alloc in lottery:
-            assert is_eq1(inst, alloc)
-            # real goods are never wasted; only zero-value pool is absent here
-            assert sum(alloc.values(inst)) == inst.m
+    instances = [random_biregular(rng, 8, 10) for _ in range(40)]
+    gate = gate_doubly(instances)
+    assert gate.passed and gate.cases == 40, gate.detail
+    for inst in instances:
+        # real goods are never wasted; only zero-value pool is absent here
+        assert all(sum(alloc.values(inst)) == inst.m for _, alloc in randomized_allocation(inst))
 
 
 def test_remark_fixture_poe_one():

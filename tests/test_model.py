@@ -1,4 +1,4 @@
-"""Data model: valuations, predicates, cleaning, validation."""
+"""Data model: valuations, predicates, wasted goods, validation."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from poe_toolkit.generators import (
     random_matroid_gf2,
 )
 from poe_toolkit.model import (
+    UNASSIGNED,
     Allocation,
     BinaryAdditive,
     Instance,
@@ -23,7 +24,6 @@ from poe_toolkit.model import (
     is_ef1,
     is_eq,
     is_eq1,
-    make_clean,
     validate,
     wasted_goods,
 )
@@ -36,6 +36,13 @@ E2 = [0, 1]
 
 def random_allocation(rng: random.Random, inst: Instance) -> Allocation:
     return Allocation([rng.randrange(inst.n) for _ in range(inst.m)], inst.n)
+
+
+def make_clean(inst: Instance, alloc: Allocation) -> Allocation:
+    """Reference cleaning: ``alloc`` with its wasted goods moved to the pool."""
+    wasted = wasted_goods(inst, alloc)
+    owner = [UNASSIGNED if g in wasted else a for g, a in enumerate(alloc.owner)]
+    return Allocation(owner, alloc.n)
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +458,18 @@ def test_make_clean_moves_zero_good_to_pool():
 
 
 def test_make_clean_preserves_values(rng):
+    # a random allocation and the solver's A*, each cleaned
     for _ in range(200):
         n, m = rng.randint(1, 4), rng.randint(1, 7)
         if rng.random() < 0.5:
             inst = random_binary_additive(rng, n, m)
         else:
             inst = random_matroid_gf2(rng, n, m)
-        alloc = random_allocation(rng, inst)
-        cleaned = make_clean(inst, alloc)
-        assert cleaned.values(inst) == alloc.values(inst)
-        for i, b in enumerate(cleaned.bundles()):
-            assert inst.valuations[i].value(b) == len(b)
+        for alloc in (random_allocation(rng, inst), solve(inst, [UTILITARIAN]).a_star):
+            cleaned = make_clean(inst, alloc)
+            assert cleaned.values(inst) == alloc.values(inst)
+            for i, b in enumerate(cleaned.bundles()):
+                assert inst.valuations[i].value(b) == len(b)
 
 
 # ---------------------------------------------------------------------------

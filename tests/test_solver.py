@@ -27,7 +27,6 @@ from poe_toolkit.model import (
     Instance,
     LinearMatroidGF2,
     is_eq1,
-    make_clean,
     wasted_goods,
 )
 from poe_toolkit.oracle import enumerate_allocations
@@ -40,7 +39,15 @@ from poe_toolkit.solver import (
     solve,
     truncate,
 )
-from poe_toolkit.verify import EXACT_P, FLOAT_TOL, GATE_P_LIST, oracle_corpus
+from poe_toolkit.verify import (
+    EXACT_P,
+    FLOAT_TOL,
+    GATE_P_LIST,
+    gate_matroid_floor,
+    gate_optimal_allocations,
+    gate_rank_bound,
+    oracle_corpus,
+)
 from poe_toolkit.welfare import (
     NASH,
     NEG_INF,
@@ -49,9 +56,6 @@ from poe_toolkit.welfare import (
     max_positive_count,
     welfare_key,
 )
-
-GATE_PS = (UTILITARIAN, PParam.real(Fraction(1, 2)), NASH, PParam.real(-1), NEG_INF)
-EXACT_PS = (UTILITARIAN, NASH, NEG_INF)
 
 
 def brute_force_max_utilitarian(inst: Instance) -> int:
@@ -273,9 +277,9 @@ def test_solve_family_poe_exact():
 def test_solve_r1_value_vectors_match(rng):
     for _ in range(30):
         inst = random_matroid_gf2(rng, rng.randint(2, 4), rng.randint(1, 6), identical=True)
-        res = solve(inst, GATE_PS)
+        res = solve(inst, GATE_P_LIST)
         assert sorted(res.b.values(inst)) == sorted(res.a_star.values(inst))
-        for p in GATE_PS:
+        for p in GATE_P_LIST:
             assert res.poe[p] == 1
 
 
@@ -297,20 +301,12 @@ def test_zero_capacity_poe_is_one():
 
 
 def test_oracle_gates_on_random_corpus(rng):
-    for inst in small_corpus(rng, 60):
-        res = solve(inst, GATE_PS)
-        orc = enumerate_allocations(inst, GATE_PS, budget=10**6)
-        for p in GATE_PS:
-            got_a, want_a = res.report_a_star.keys[p], orc.best_key[p]
-            got_b, want_b = res.report_b.keys[p], orc.best_eq1_key[p]
-            if p in EXACT_PS:
-                assert got_a == want_a
-                assert got_b == want_b
-            else:
-                assert got_a[0] == want_a[0]
-                assert float(got_a[1]) == pytest.approx(float(want_a[1]), rel=1e-9)
-                assert got_b[0] == want_b[0]
-                assert float(got_b[1]) == pytest.approx(float(want_b[1]), rel=1e-9)
+    # A* and B attain the oracle keys at every GATE_P_LIST p, sorted A* is
+    # the leximin vector and B is EQ1; A* is complete
+    corpus = small_corpus(rng, 60)
+    gate = gate_optimal_allocations(corpus, 10**6)
+    assert gate.passed and gate.cases == 60, gate.detail
+    assert all(nash_optimal(inst).is_complete for inst in corpus)
 
 
 def test_leximin_when_near_equal(rng):
@@ -322,9 +318,12 @@ def test_leximin_when_near_equal(rng):
 
 
 def test_a_star_clean_completable(rng):
+    # moving A*'s wasted goods to the pool keeps every value
     for inst in small_corpus(rng, 30):
         a_star = nash_optimal(inst)
-        cleaned = make_clean(inst, a_star)
+        wasted = wasted_goods(inst, a_star)
+        owner = [UNASSIGNED if g in wasted else a for g, a in enumerate(a_star.owner)]
+        cleaned = Allocation(owner, a_star.n)
         assert cleaned.values(inst) == a_star.values(inst)
 
 
@@ -414,30 +413,22 @@ def test_poe_invariant_under_relabelling(seed, data):
 
 
 def test_waste_bound_on_truncated_allocation(rng):
-    from poe_toolkit.bounds import rank_of_instance
-
+    instances = []
     for _ in range(60):
         n, m = rng.randint(2, 5), rng.randint(2, 10)
         W = rng.randint(max(1, -(-m // n)), m)
-        inst = random_binary_additive(rng, n, m, W=W, every_good_valued=True)
-        res = solve(inst, [UTILITARIAN])
-        rank = rank_of_instance(inst)
-        assert res.poe[UTILITARIAN] <= rank
-        waste = len(wasted_goods(inst, res.b))
-        assert Fraction(waste) <= Fraction(m) * (1 - Fraction(1, rank))
+        instances.append(random_binary_additive(rng, n, m, W=W, every_good_valued=True))
+    gate = gate_rank_bound(instances)
+    assert gate.passed and gate.cases == 60, gate.detail
 
 
 def test_matroid_floor(rng):
+    instances = []
     for _ in range(40):
         n, m = rng.randint(2, 5), rng.randint(2, 8)
-        inst = random_matroid_gf2(rng, n, m, W=rng.randint(1, min(4, m)))
-        W = inst.normalisation()
-        res = solve(inst, [UTILITARIAN, NASH, PParam.real(-1)])
-        for v in res.b.values(inst):
-            if v > 0:
-                assert v >= Fraction(W, 2 * n)
-        for p, poe in res.poe.items():
-            assert float(poe) <= 2 * n + 1e-9
+        instances.append(random_matroid_gf2(rng, n, m, W=rng.randint(1, min(4, m))))
+    gate = gate_matroid_floor(instances)
+    assert gate.passed and gate.cases == 40, gate.detail
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +465,16 @@ def test_diagnostics_retained_types_cover_normalisation(rng):
 
 
 def test_diagnostics_goods_per_type_match_clean_goods(rng):
-    # reference: count the goods a clean view of A* keeps, owner by owner
+    # reference: count the assigned goods that are not wasted, owner by owner
     for _ in range(60):
         n, m = rng.randint(1, 6), rng.randint(0, 10)
         inst = random_binary_additive(rng, n, m, W=rng.randint(0, m))
         for alloc in (nash_optimal(inst), Allocation([rng.randrange(n) for _ in range(m)], n)):
             d = diagnostics(inst, alloc)
             goods = [0] * inst.r
-            for a in make_clean(inst, alloc).owner:
-                if a >= 0:
+            wasted = wasted_goods(inst, alloc)
+            for g, a in enumerate(alloc.owner):
+                if a >= 0 and g not in wasted:
                     goods[inst.type_index[a]] += 1
             assert d.goods_per_type == [goods[t] for t in d.type_order]
 
