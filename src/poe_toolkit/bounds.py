@@ -4,8 +4,7 @@ All bounds are functions of the number of agent types ``r`` (with
 ``s = r - 1``).  Lower bounds are witnessed by the disjoint-groups instance
 family (see ``generators``); upper bounds hold for every binary additive
 normalised instance.  Formulas can dip below 1 for tiny ``s``; they are
-reported raw, with an optional clamp since the price of equity is >= 1 by
-definition.
+reported raw, although the price of equity is >= 1 by definition.
 """
 
 from __future__ import annotations
@@ -17,8 +16,10 @@ from fractions import Fraction
 from .model import BinaryAdditive, Instance
 from .welfare import PParam
 
+LAMBERT_W_TOL = 1e-12  # Newton step size at which lambert_w stops
 
-def lambert_w(x: float, tol: float = 1e-12) -> float:
+
+def lambert_w(x: float) -> float:
     """Principal branch of the Lambert W function (inverse of w * e^w) for
     x >= 0, by Newton iteration from ln(1 + x)."""
     if x < 0:
@@ -30,31 +31,28 @@ def lambert_w(x: float, tol: float = 1e-12) -> float:
         ew = math.exp(w)
         delta = (w * ew - x) / (ew * (w + 1))
         w -= delta
-        if abs(delta) <= tol:
+        if abs(delta) <= LAMBERT_W_TOL:
             return w
     raise ArithmeticError("Lambert W iteration did not converge")
 
 
-def poe_lower_bound(p: PParam, r: int, clamp: bool = False) -> float:
+def poe_lower_bound(p: PParam, r: int) -> float:
     """Largest price of equity certified by the lower-bound family."""
     if r < 2:
         raise ValueError("lower bound requires at least two agent types")
     s = r - 1
     if p.kind == "neg_inf":
-        out = 1.0
-    elif p.kind == "nash":
+        return 1.0
+    if p.kind == "nash":
         if s < 2:
             raise ValueError("Nash lower bound needs s >= 2 (ln s must be positive)")
-        out = s / (math.e * math.log(s))
-    else:
-        pf = float(p.value)
-        if pf == 1:
-            out = float(s)
-        elif 0 < pf < 1:
-            out = pf * s / math.e
-        else:
-            out = 2 ** (1 / pf) * s ** (1 / (1 - pf))
-    return max(out, 1.0) if clamp else out
+        return s / (math.e * math.log(s))
+    pf = float(p.value)
+    if pf == 1:
+        return float(s)
+    if 0 < pf < 1:
+        return pf * s / math.e
+    return 2 ** (1 / pf) * s ** (1 / (1 - pf))
 
 
 def proof_rule_W(p: PParam, s: int) -> int | None:

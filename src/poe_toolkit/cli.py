@@ -32,7 +32,7 @@ from .model import (
     validate,
     wasted_goods,
 )
-from .oracle import BudgetExceededError
+from .oracle import DEFAULT_BUDGET, BudgetExceededError
 from .solver import solve
 from .welfare import NASH, PParam, UTILITARIAN
 
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_doubly)
 
     v = sub.add_parser("verify", help="run the oracle and closed-form gates")
-    v.add_argument("--budget", type=int, default=10_000_000)
+    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     v.add_argument("--seed", type=int, default=20240)
     v.add_argument("--self-test", action="store_true", dest="self_test")
     v.set_defaults(func=cmd_verify)

@@ -20,11 +20,10 @@ Bundles, the pool and the search's sources are bitmasks of goods.  The
 search asks about a good only the agents for whom it is not a loop
 (``Instance.takers``, built once per ``_State``), and never an agent whose
 bundle has reached its ``grand_value``: such a bundle spans every good, so
-it adds none.  Before it builds any arc, the search asks each source, in
-ascending order, whether one of its remaining absorbers adds it; most
-searches end there with a one-good path, the one the breadth-first walk
-would return first.  Truncation reads each bundle's value and the goods to
-remove from one ``Valuation.coloops`` call.  Correctness of the search
+it adds none.  The breadth-first walk tests each good for an absorber when
+it first reaches it, the sources first, so most searches end with a
+one-good path before any arc is built.  Truncation reads each bundle's
+value and the goods to remove from one ``Valuation.coloops`` call.  Correctness of the search
 steps is gated end-to-end against the exhaustive oracle in the test suite.
 """
 
@@ -94,61 +93,48 @@ class _State:
         Arcs run from g to g's fundamental circuit in each other bundle (all
         of it if g adds value).  Only the agents in ``takers[g]`` are asked
         about g: for the others g is a loop, which adds no value and lies on
-        no circuit.  Goods are visited sources first, ascending, then in the
-        order found; the path ends at the first good visited that an
-        absorber can add, taken by the lowest such absorber.
+        no circuit.  Goods are reached sources first, ascending, then in the
+        order arcs find them.  Each good is tested when it is first reached
+        and its arcs are built when it leaves the queue, so the path ends at
+        the first good reached that an absorber can add, taken by the lowest
+        such absorber.
 
         Callers pass only agents in ``below``: a bundle that has reached
         its ``grand_value`` spans every good, so it adds none, and with no
-        absorber the answer is None at once.  Sources are visited before
-        any other good, so the search first asks each source's absorbers
-        whether one of them adds it, and returns that one-good path; the
-        arcs are built only when none does.
+        absorber the answer is None at once.
         """
         if not absorbers:
             return None
         owner, takers, circuits, bundles = self.owner, self.takers, self.circuits, self.bundles
         seen = sources
-        sources &= self.shared | self.pool  # skip sources no arc leaves
-        rest = sources
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            g = low.bit_length() - 1
-            for j in takers[g]:
-                if j in absorbers and j != owner[g] and circuits[j](g) is None:
-                    return [g], j
-        parent: dict[int, int] = {}
+        reached = sources & (self.shared | self.pool)  # skip sources no arc leaves
+        parent: dict[int, int | None] = {}
         queue: deque[int] = deque()
+        g = None  # the sources have no parent
         while True:
-            if sources:
-                low = sources & -sources
-                sources ^= low
-                g = low.bit_length() - 1
-            elif queue:
-                g = queue.popleft()
-            else:
-                return None
-            arcs = 0
-            for j in takers[g]:
-                if j == owner[g]:
-                    continue
-                swaps = circuits[j](g)
-                if swaps is None:
-                    if j in absorbers:
-                        path = [g]
-                        while path[-1] in parent:
-                            path.append(parent[path[-1]])
+            while reached:  # lowest bit first, without listing every source
+                low = reached & -reached
+                reached ^= low
+                h = low.bit_length() - 1
+                parent[h] = g
+                for j in takers[h]:
+                    if j in absorbers and j != owner[h] and circuits[j](h) is None:
+                        path = [h]
+                        while (h := parent[h]) is not None:
+                            path.append(h)
                         path.reverse()
                         return path, j
-                    swaps = bundles[j]
-                arcs |= swaps
-            arcs &= ~seen
-            if arcs:
-                seen |= arcs
-                for h in goods_of(arcs):
-                    parent[h] = g
-                    queue.append(h)
+                queue.append(h)
+            if not queue:
+                return None
+            g = queue.popleft()
+            arcs = 0
+            for j in takers[g]:
+                if j != owner[g]:
+                    swaps = circuits[j](g)
+                    arcs |= bundles[j] if swaps is None else swaps
+            reached = arcs & ~seen
+            seen |= reached
 
     def apply_path(self, path: list[int], absorber: int) -> None:
         """Shift ownership along a path and absorb its last good.

@@ -25,7 +25,7 @@ from .generators import (
     remark_3x4_instance,
 )
 from .model import Allocation, Instance, is_eq1, wasted_goods
-from .oracle import BudgetExceededError, OracleResult, enumerate_allocations
+from .oracle import DEFAULT_BUDGET, BudgetExceededError, OracleResult, enumerate_allocations
 from .solver import SolveResult, solve
 from .welfare import NASH, NEG_INF, PParam, UTILITARIAN, welfare_report
 
@@ -278,7 +278,7 @@ def gate_self_test(budget: int) -> GateResult:
 
 
 def run_verification(
-    budget: int = 10_000_000, seed: int = 20240, self_test: bool = False,
+    budget: int = DEFAULT_BUDGET, seed: int = 20240, self_test: bool = False,
 ) -> VerifyReport:
     report = VerifyReport([
         gate_optimal_allocations(oracle_corpus(seed, 60) + fixture_instances(), budget),

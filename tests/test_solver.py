@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from poe_toolkit.model import (
     BinaryAdditive,
     Instance,
     LinearMatroidGF2,
+    goods_of,
     is_eq1,
     wasted_goods,
 )
@@ -141,6 +143,60 @@ def test_search_takes_first_good_then_lowest_absorber():
     assert state.below == set() and state._bfs(state.pool, state.below) is None
 
 
+def reference_bfs(inst: Instance, owner, sources: int, absorbers):
+    """Textbook breadth-first exchange search: every agent but the owner is
+    asked about each good, lowest first, and a good is tested for an
+    absorber when it leaves the queue."""
+    bundles = Allocation(owner, inst.n).masks(inst)
+    oracles = [v.circuits(b)[1] for v, b in zip(inst.valuations, bundles)]
+    parent = {g: None for g in goods_of(sources)}
+    queue = deque(parent)
+    while queue:
+        g = queue.popleft()
+        arcs = 0
+        for j in range(inst.n):
+            if j == owner[g]:
+                continue
+            swaps = oracles[j](g)
+            if swaps is None:
+                if j in absorbers:
+                    path = [g]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return path[::-1], j
+                swaps = bundles[j]
+            arcs |= swaps
+        for h in goods_of(arcs):
+            if h not in parent:
+                parent[h] = g
+                queue.append(h)
+    return None
+
+
+def test_search_matches_reference_bfs():
+    # seeded clean states: a random complete allocation with its wasted goods
+    # moved to the pool; every single-good source with one random absorber,
+    # and the pool with every absorber still below its grand value
+    rng = random.Random(0xBF5)
+    lengths = Counter()
+    for _ in range(1500):
+        n, m = rng.randint(2, 5), rng.randint(3, 12)
+        make = random_binary_additive if rng.random() < 0.3 else random_matroid_gf2
+        inst = make(rng, n, m)
+        owner = [rng.randrange(n) for _ in range(m)]
+        for g in wasted_goods(inst, Allocation(owner, n)):
+            owner[g] = UNASSIGNED
+        state = _State(inst, owner)
+        queries = [(1 << g, {rng.randrange(n)} & state.below) for g in range(m)]
+        queries.append((state.pool, state.below))
+        for sources, absorbers in queries:
+            found = state._bfs(sources, absorbers)
+            assert found == reference_bfs(inst, owner, sources, absorbers)
+            if found:
+                lengths[min(len(found[0]), 3)] += 1
+    assert lengths[3] >= 100, lengths
+
+
 def tie_break_corpus() -> list[Instance]:
     """60 seeded instances, in turn additive, full-rank GF(2) (a planted
     identity), rank-deficient GF(2) (few distinct columns, some with more
@@ -173,9 +229,8 @@ def tie_break_corpus() -> list[Instance]:
 
 
 def test_tie_break_corpus_owners_pinned():
-    # sha256 of the A* and B owner lists over the corpus, recorded before the
-    # search learnt to ask its sources first: any change of visit order or
-    # tie-break in the exchange search moves it
+    # sha256 of the A* and B owner lists over the corpus: any change of
+    # visit order or tie-break in the exchange search moves it
     owners = []
     for inst in tie_break_corpus():
         a_star = nash_optimal(inst)
