@@ -72,12 +72,8 @@ def proof_rule_W(p: PParam, s: int) -> int | None:
     return max(1, math.ceil(s ** (1 / (1 - pf))))
 
 
-def poe_upper_bound(p: PParam, r: int, rank: int | None = None) -> float:
-    """Worst-case price of equity for instances with ``r`` agent types.
-
-    For the utilitarian case an instance rank may be supplied, which
-    tightens the bound to ``min(r, rank)``.
-    """
+def poe_upper_bound(p: PParam, r: int) -> float:
+    """Worst-case price of equity for instances with ``r`` agent types."""
     if r < 2:
         raise ValueError("upper bound requires at least two agent types")
     s = r - 1
@@ -91,10 +87,7 @@ def poe_upper_bound(p: PParam, r: int, rank: int | None = None) -> float:
         return math.exp(lambert_w(s / math.e))
     pf = float(p.value)
     if pf == 1:
-        out = 1.0 + s
-        if rank is not None:
-            out = min(out, float(rank))
-        return out
+        return 1.0 + s
     if 0 < pf < 1:
         return 1.0 + 2 * s
     if pf <= -1:

@@ -35,13 +35,13 @@ from .welfare import augment
 
 
 def is_doubly_normalised(inst: Instance) -> tuple[int, int] | None:
-    """Return (W, W_c) when every agent values W goods (the normalisation
-    constant) and every good is valued by W_c agents (its ``takers()``);
-    None otherwise.  Binary additive instances only."""
+    """Return (W, W_c) when every agent values W >= 1 goods (the
+    normalisation constant) and every good is valued by W_c agents (its
+    ``takers()``); None otherwise.  Binary additive instances only."""
     if not all(isinstance(v, BinaryAdditive) for v in inst.valuations):
         raise ValueError("double normalisation is defined for binary additive instances")
     W = inst.normalisation()
-    if W is None:
+    if not W:  # not normalised, or nobody values anything
         return None
     col_sums = {len(agents) for agents in inst.takers()}
     return (W, col_sums.pop()) if len(col_sums) == 1 else None

@@ -3,14 +3,14 @@
 The pipeline is:
 
 1. ``max_utilitarian_clean`` — matroid-partition style augmentation on the
-   good-exchange digraph, yielding a clean partial allocation of maximum
-   total value.
-2. ``nash_optimal`` — value-balancing transfer paths (move one unit of
-   value from an agent that is ahead by two or more to one behind) until no
-   transfer applies, then complete the allocation by handing the leftover
-   pool (zero marginal value for everyone) to a minimum-value agent.  The
-   result simultaneously maximizes the p-mean welfare for every p <= 1
-   under the positive-subset convention.
+   good-exchange digraph, returning the exchange state of a clean partial
+   allocation of maximum total value.
+2. ``nash_optimal`` — on that same state, value-balancing transfer paths
+   (move one unit of value from an agent ahead by two or more to one
+   behind) until no transfer applies, then complete the allocation by
+   handing the leftover pool (zero marginal value for everyone) to a
+   minimum-value agent.  The result simultaneously maximizes the p-mean
+   welfare for every p <= 1 under the positive-subset convention.
 3. ``truncate`` — reduce every bundle worth more than one unit above the
    minimum down to that level, handing the removed goods to a minimum-value
    agent for whom they are worthless; the result is EQ1 and optimal among
@@ -18,7 +18,7 @@ The pipeline is:
 
 Bundles, the pool and the search's sources are bitmasks of goods.  The
 search asks about a good only the agents for whom it is not a loop
-(``Instance.takers``, built once per ``_State``), and never an agent whose
+(``Instance.takers``, built once per solve), and never an agent whose
 bundle has reached its ``grand_value``: such a bundle spans every good, so
 it adds none.  The breadth-first walk tests each good for an absorber when
 it first reaches it, the sources first, so most searches end with a
@@ -173,8 +173,8 @@ class _State:
         return Allocation(self.owner, self.inst.n)
 
 
-def max_utilitarian_clean(inst: Instance) -> Allocation:
-    """Clean partial allocation maximizing the total value.
+def max_utilitarian_clean(inst: Instance) -> _State:
+    """Exchange state of a clean partial allocation maximizing total value.
 
     Repeatedly augments from the unassigned pool: a shortest exchange path
     moves one pool good into the allocation (possibly cascading swaps) and
@@ -185,9 +185,8 @@ def max_utilitarian_clean(inst: Instance) -> Allocation:
     while True:
         found = state._bfs(state.pool, state.below)
         if found is None:
-            return state.to_allocation()
-        path, absorber = found
-        state.apply_path(path, absorber)
+            return state
+        state.apply_path(*found)
 
 
 def _balance(state: _State) -> None:
@@ -235,10 +234,10 @@ def nash_optimal(inst: Instance) -> Allocation:
     convention, hence the p-mean welfare for every p <= 1.
 
     Built as a clean utilitarian-optimal allocation, balanced by transfer
-    paths, with the leftover pool (zero marginal value for every agent once
-    no augmenting path remains) handed to the lowest-index minimum-value
-    agent."""
-    state = _State(inst, max_utilitarian_clean(inst).owner)
+    paths on the same exchange state, with the leftover pool (zero marginal
+    value for every agent once no augmenting path remains) handed to the
+    lowest-index minimum-value agent."""
+    state = max_utilitarian_clean(inst)
     _balance(state)
 
     sink = _min_value_agent(state.values())

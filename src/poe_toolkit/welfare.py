@@ -38,11 +38,20 @@ class PParam:
 
     @staticmethod
     def real(p) -> "PParam":
+        """Exact p <= 1; 0 is Nash.  Other p must be a nonzero float with a
+        finite reciprocal, since the p-mean evaluates ``x ** p`` and
+        ``y ** (1 / p)`` in floats."""
         p = Fraction(p)
         if p > 1:
             raise ValueError("p-mean welfare is only defined here for p <= 1")
         if p == 0:
             return NASH
+        try:
+            finite = math.isfinite(1.0 / float(p))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError("p and 1/p must both be finite nonzero floats")
         return PParam("real", p)
 
     @staticmethod
@@ -266,16 +275,14 @@ def num_to_json(v):
 
 
 def welfare_report(
-    inst: Instance, alloc: Allocation, p_list: Iterable[PParam],
-    restrict: int | None = None,
+    inst: Instance, alloc: Allocation, p_list: Iterable[PParam], restrict: int,
 ) -> WelfareReport:
-    """Per-agent values plus the comparison key and p-mean for each p.  The
+    """Per-agent values plus the comparison key and p-mean for each p, over
+    the positive capacity ``restrict`` (``max_positive_count(inst)``).  The
     keys are ``welfare_key``'s; a p-mean is read from its key's welfare,
     except Nash's, whose key holds the product instead."""
     if not alloc.is_complete:
         raise ValueError("welfare report requires a complete allocation")
-    if restrict is None:
-        restrict = max_positive_count(inst)
     values = alloc.values(inst)
     keys = {p: welfare_key(values, p, restrict) for p in p_list}
     return WelfareReport(

@@ -187,7 +187,7 @@ def test_criterion_07_matroid_bounds():
     failures = []
     for k in (2, 3, 4):
         inst = gen_submodular_lb_instance(k)
-        best = max_utilitarian_clean(inst)
+        best = max_utilitarian_clean(inst).to_allocation()
         if sum(best.values(inst)) != k + k * k:
             failures.append(f"k={k}: optimal welfare != k + k^2")
         res = solve(inst, [UTILITARIAN])

@@ -87,11 +87,6 @@ def test_upper_bound_values():
     assert poe_upper_bound(NEG_INF, 12) == 1.0
 
 
-def test_upper_bound_rank_refinement():
-    assert poe_upper_bound(UTILITARIAN, 5, rank=3) == 3
-    assert poe_upper_bound(UTILITARIAN, 5, rank=9) == 5
-
-
 def test_upper_bound_nash_small_s_uses_exact_supremum():
     for s in range(1, 8):
         expected = math.exp(lambert_w(s / math.e))

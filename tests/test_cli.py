@@ -211,6 +211,17 @@ def test_bounds_extra_p():
     assert any(l.startswith("1/2,") for l in res.stdout.splitlines())
 
 
+@pytest.mark.parametrize("p", ["1e-400", "-1e400", "1e-320", "-1e-320"])
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+def test_p_beyond_float_range_rejected(lb_file, command, p):
+    args = [command, str(lb_file)] if command == "solve" else [command, "--r-max", "3"]
+    res = run(*args, f"--p={p}")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: bad p value:")
+    assert "Traceback" not in res.stderr
+
+
 def test_sweep_p1_exact():
     res = run("sweep", "--family", "lb", "--p", "1", "--r-min", "3", "--r-max", "5")
     lines = [l for l in res.stdout.strip().splitlines() if l.startswith("1,")]
@@ -300,6 +311,13 @@ def test_doubly_rejects_non_normalised(tmp_path):
     inst = tmp_path / "r.json"
     run("generate", "remark_3x4", "--out", str(inst))
     assert run("doubly", str(inst)).returncode == 1
+    # nobody values anything: W = 0 is not a normalisation constant
+    zero = tmp_path / "zero.json"
+    row = {"kind": "additive", "row": [0, 0]}
+    zero.write_text(json.dumps({"valuations": [row, row]}))
+    res = run("doubly", str(zero))
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "error: instance is not doubly normalised\n"
 
 
 # ---------------------------------------------------------------------------

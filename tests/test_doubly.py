@@ -50,6 +50,11 @@ def test_detect_single_agent():
     assert is_doubly_normalised(inst) == (3, 1)
 
 
+def test_detect_nobody_values_anything_is_not():
+    # W = 0: every row and column sums to 0, but there is no W_c to divide by
+    assert is_doubly_normalised(Instance([BinaryAdditive([0, 0])] * 2)) is None
+
+
 # ---------------------------------------------------------------------------
 # flow route
 # ---------------------------------------------------------------------------

@@ -102,20 +102,20 @@ def small_corpus(rng, count):
 def test_util_family_total():
     for r, W in ((2, 2), (3, 4), (4, 3)):
         inst = gen_lower_bound_instance(r, W)
-        alloc = max_utilitarian_clean(inst)
+        alloc = max_utilitarian_clean(inst).to_allocation()
         assert sum(alloc.values(inst)) == r * W
 
 
 def test_util_matroid_family_total():
     for k in (1, 2, 3, 4):
         inst = gen_submodular_lb_instance(k)
-        alloc = max_utilitarian_clean(inst)
+        alloc = max_utilitarian_clean(inst).to_allocation()
         assert sum(alloc.values(inst)) == k + k * k
 
 
 def test_util_matches_brute_force(rng):
     for inst in small_corpus(rng, 40):
-        alloc = max_utilitarian_clean(inst)
+        alloc = max_utilitarian_clean(inst).to_allocation()
         assert sum(alloc.values(inst)) == brute_force_max_utilitarian(inst)
         for i, b in enumerate(alloc.bundles()):
             assert inst.valuations[i].value(b) == len(b)  # clean
@@ -263,6 +263,24 @@ def test_nash_matches_oracle_key(rng):
         restrict = max_positive_count(inst)
         orc = enumerate_allocations(inst, [NASH], budget=10**6)
         assert welfare_key(alloc.values(inst), NASH, restrict) == orc.best_key[NASH]
+
+
+def test_one_state_per_solve(monkeypatch):
+    # augmentation hands its exchange state to balancing, so a solve builds
+    # the adjacency and every bundle's exchange oracle from scratch once
+    builds = []
+    init = _State.__init__
+
+    def counted_init(self, inst, owner):
+        builds.append(inst)
+        init(self, inst, owner)
+
+    monkeypatch.setattr(_State, "__init__", counted_init)
+    for inst in (gen_lower_bound_instance(3, 2), random_matroid_gf2(random.Random(5), 4, 10)):
+        for run in (nash_optimal, lambda inst: solve(inst, GATE_P_LIST)):
+            builds.clear()
+            run(inst)
+            assert builds == [inst]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ def test_parse_tokens():
     assert PParam.parse("-inf") == NEG_INF
     assert PParam.parse("0") == NASH  # the p = 0 mean is the Nash limit
     assert PParam.parse("-0.5").value == Fraction(-1, 2)
+    assert PParam.parse("1e-300").value == Fraction(1, 10**300)  # 1/p is still finite
+    assert PParam.parse("-1e300").value == -10**300
 
 
 def test_parse_round_trip():
@@ -56,6 +58,13 @@ def test_parse_round_trip():
 def test_p_above_one_rejected():
     with pytest.raises(ValueError):
         PParam.real(2)
+
+
+@pytest.mark.parametrize("p", ["1e-400", "-1e400", "1e-320", "-1e-320"])
+def test_p_beyond_float_range_rejected(p):
+    # float(p) is 0, overflows, or has an infinite reciprocal
+    with pytest.raises(ValueError, match="finite nonzero floats"):
+        PParam.real(Fraction(p))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +302,8 @@ def test_report_reads_keys_and_means_from_the_rule(n, m, data):
     rows = data.draw(st.lists(bits, min_size=n, max_size=n))
     owner = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     inst = Instance([BinaryAdditive(row) for row in rows])
-    rep = welfare_report(inst, Allocation(owner, n), P_WIDE)
     restrict = max_positive_count(inst)
+    rep = welfare_report(inst, Allocation(owner, n), P_WIDE, restrict)
     assert rep.restrict == restrict and list(rep.keys) == list(rep.pmean) == list(P_WIDE)
     for p in P_WIDE:
         assert rep.keys[p] == welfare_key(rep.values, p, restrict)
@@ -309,7 +318,7 @@ def test_report_reads_keys_and_means_from_the_rule(n, m, data):
 def test_report_identical_balanced():
     inst = Instance([BinaryAdditive([1, 1, 1, 1])] * 2)
     alloc = Allocation([0, 0, 1, 1], 2)
-    rep = welfare_report(inst, alloc, P_GRID)
+    rep = welfare_report(inst, alloc, P_GRID, max_positive_count(inst))
     for p in P_GRID:
         assert float(rep.pmean[p]) == pytest.approx(2.0)
 
@@ -317,7 +326,7 @@ def test_report_identical_balanced():
 def test_report_example1_flow_welfare():
     inst = example1_instance()
     alloc = solve_flow(inst)
-    rep = welfare_report(inst, alloc, [UTILITARIAN])
+    rep = welfare_report(inst, alloc, [UTILITARIAN], max_positive_count(inst))
     assert sum(rep.values) == 6  # utilitarian welfare equals the good count
 
 
@@ -325,7 +334,7 @@ def test_report_values_match_direct_calls(rng):
     for _ in range(25):
         inst = random_binary_additive(rng, rng.randint(2, 4), rng.randint(1, 6))
         alloc = Allocation([rng.randrange(inst.n) for _ in range(inst.m)], inst.n)
-        rep = welfare_report(inst, alloc, [UTILITARIAN])
+        rep = welfare_report(inst, alloc, [UTILITARIAN], max_positive_count(inst))
         assert rep.values == tuple(
             v.value(b) for v, b in zip(inst.valuations, alloc.masks(inst))
         )
