@@ -223,9 +223,6 @@ class DoublyStochasticMatrix:
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.counts)
 
-    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
-        return Fraction(self.counts[rc[0]][rc[1]], self.scale)
-
 
 @dataclass
 class EatingMatrix:

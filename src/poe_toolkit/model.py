@@ -9,8 +9,9 @@ Inside the package a bundle is a bitmask of goods (bit g set when the bundle
 holds good g).  Besides its value, each valuation answers four questions on
 such masks: which goods are worth one on their own (``nonloops()``; the
 others are loops), a basis of a bundle (the rest of the bundle is its
-wasted goods), the exchange oracle of the solver's search
-(``circuits``), and the floor primitive (``coloops``: the bundle's value
+wasted goods), the exchange oracle of the solver's search (``exchange``,
+which follows goods entering and leaving the bundle in place instead of
+being rebuilt), and the floor primitive (``coloops``: the bundle's value
 with the mask of goods whose removal lowers it).  A bundle's *floor*, its
 value after dropping the good whose removal lowers it most, is that value
 less one exactly when the mask is nonzero; EQ1, EF1 and truncation read it
@@ -24,15 +25,16 @@ construction: ``Instance.normalisation`` reads it, and the exchange search
 skips an agent whose bundle has reached it, since that bundle spans every
 good.  ``_reduce`` is the one GF(2) elimination behind all of them.
 
-Everything here is immutable after construction and safe to share between
-concurrent workers.
+Everything here but an exchange oracle is immutable after construction and
+safe to share between concurrent workers; each ``exchange`` call returns a
+new oracle, owned by its caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +89,8 @@ class Valuation:
         ``wasted_goods`` reports."""
         raise NotImplementedError
 
-    def circuits(self, bundle: int) -> tuple[int, Callable[[int], int | None]]:
-        """The bundle's value and its exchange oracle, which maps a good g
-        outside the bundle to None if g raises the value, else (for an
-        independent bundle) to the mask of goods h with ``bundle - h + g``
-        independent: g's fundamental circuit without g."""
+    def exchange(self, bundle: int) -> "Exchange":
+        """The bundle's exchange oracle, built from scratch."""
         raise NotImplementedError
 
     def coloops(self, bundle: int) -> tuple[int, int]:
@@ -115,8 +114,7 @@ class Valuation:
         """
         B = self.basis((1 << self.m) - 1)
         rest = self.nonloops() & ~B
-        circuit = self.circuits(B)[1]
-        return B, rest, tuple(map(circuit, goods_of(rest)))
+        return B, rest, tuple(map(self.exchange(B).circuit, goods_of(rest)))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -179,10 +177,8 @@ class BinaryAdditive(Valuation):
     def basis(self, bundle: int) -> int:
         return bundle & self.row_mask
 
-    def circuits(self, bundle: int) -> tuple[int, Callable[[int], int | None]]:
-        # a valued good always adds one; an unvalued one replaces nothing
-        row_mask = self.row_mask
-        return (bundle & row_mask).bit_count(), lambda g: None if (row_mask >> g) & 1 else 0
+    def exchange(self, bundle: int) -> "Exchange":
+        return _RowExchange(self.row_mask)
 
     def coloops(self, bundle: int) -> tuple[int, int]:
         valued = bundle & self.row_mask
@@ -255,14 +251,8 @@ class LinearMatroidGF2(Valuation):
     def basis(self, bundle: int) -> int:
         return bundle ^ self._basis(bundle)[1]
 
-    def circuits(self, bundle: int) -> tuple[int, Callable[[int], int | None]]:
-        basis, col_masks = self._basis(bundle)[0], self.col_masks
-
-        def circuit(g: int) -> int | None:
-            v, goods = _reduce(basis, col_masks[g])
-            return None if v else goods
-
-        return len(basis), circuit
+    def exchange(self, bundle: int) -> "Exchange":
+        return _GF2Exchange(self._basis(bundle)[0], self.col_masks)
 
     def coloops(self, bundle: int) -> tuple[int, int]:
         # a basis good outside every fundamental circuit is in every basis
@@ -275,6 +265,84 @@ class LinearMatroidGF2(Valuation):
 
     def __repr__(self) -> str:
         return f"LinearMatroidGF2(rows={self.rows}, m={self.m})"
+
+
+class Exchange:
+    """Exchange oracle of a bundle, kept up to date in place while the
+    bundle stays independent.
+
+    ``circuit(g)`` maps a good g outside the bundle to None if g raises the
+    value, else (for an independent bundle) to the mask of goods h with
+    ``bundle - h + g`` independent: g's fundamental circuit without g.
+    ``add(g)`` follows the bundle gaining g and returns False, leaving the
+    oracle as it was, when g does not raise the value; ``remove(g)`` follows
+    it losing g.
+    """
+
+    __slots__ = ()
+
+    def circuit(self, g: int) -> int | None:
+        raise NotImplementedError
+
+    def add(self, g: int) -> bool:
+        raise NotImplementedError
+
+    def remove(self, g: int) -> None:
+        raise NotImplementedError
+
+
+class _RowExchange(Exchange):
+    """A valued good always adds one and an unvalued one replaces nothing,
+    so the row alone answers, whatever the bundle."""
+
+    __slots__ = ("row_mask",)
+
+    def __init__(self, row_mask: int):
+        self.row_mask = row_mask
+
+    def circuit(self, g: int) -> int | None:
+        return None if (self.row_mask >> g) & 1 else 0
+
+    def add(self, g: int) -> bool:
+        return (self.row_mask >> g) & 1 == 1
+
+    def remove(self, g: int) -> None:
+        pass
+
+
+class _GF2Exchange(Exchange):
+    """A basis of the bundle's span keyed by leading bit, each vector with
+    the bundle goods whose columns sum to it, as ``_basis`` builds it.
+
+    In an independent bundle every good's fundamental circuit is unique, so
+    any such basis of the span gives the same ``circuit`` answers; the
+    updates keep a basis of the span, not the greedy one."""
+
+    __slots__ = ("basis", "col_masks")
+
+    def __init__(self, basis: dict[int, tuple[int, int]], col_masks: tuple[int, ...]):
+        self.basis = basis
+        self.col_masks = col_masks
+
+    def circuit(self, g: int) -> int | None:
+        v, goods = _reduce(self.basis, self.col_masks[g])
+        return None if v else goods
+
+    def add(self, g: int) -> bool:
+        v, goods = _reduce(self.basis, self.col_masks[g])
+        if v:
+            self.basis[v.bit_length() - 1] = (v, goods | (1 << g))
+        return v != 0
+
+    def remove(self, g: int) -> None:
+        # pivot on the lowest-led vector whose goods hold g: adding it to the
+        # others that hold g clears g from them and keeps their leading bits
+        basis = self.basis
+        holders = sorted(lead for lead, (_, goods) in basis.items() if (goods >> g) & 1)
+        pivot, pivot_goods = basis.pop(holders[0])
+        for lead in holders[1:]:
+            v, goods = basis[lead]
+            basis[lead] = (v ^ pivot, goods ^ pivot_goods)
 
 
 def floor_table(val: Valuation) -> list[int]:
@@ -423,13 +491,6 @@ class Allocation:
     @property
     def is_complete(self) -> bool:
         return UNASSIGNED not in self.owner
-
-    def bundles(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.n)]
-        for g, a in enumerate(self.owner):
-            if a != UNASSIGNED:
-                sets[a].add(g)
-        return tuple(frozenset(s) for s in sets)
 
     def masks(self, inst: Instance) -> list[int]:
         """Per-agent bundles as bitmasks of goods."""

@@ -208,18 +208,3 @@ def enumerate_allocations(
         enumeration_count=count,
         restrict=restrict,
     )
-
-
-def is_pareto_optimal(
-    inst: Instance, alloc: Allocation, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """True iff no enumerated allocation weakly improves every agent and
-    strictly improves at least one."""
-    _check_budget(inst, budget)
-    if not alloc.is_complete:
-        raise ValueError("Pareto check requires a complete allocation")
-    base = alloc.values(inst)
-    for values in {values for values, _ in _scan(inst)}:
-        if all(v >= b for v, b in zip(values, base)) and values != base:
-            return False
-    return True

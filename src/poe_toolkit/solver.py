@@ -22,9 +22,12 @@ search asks about a good only the agents for whom it is not a loop
 bundle has reached its ``grand_value``: such a bundle spans every good, so
 it adds none.  The breadth-first walk tests each good for an absorber when
 it first reaches it, the sources first, so most searches end with a
-one-good path before any arc is built.  Truncation reads each bundle's
-value and the goods to remove from one ``Valuation.coloops`` call.  Correctness of the search
-steps is gated end-to-end against the exhaustive oracle in the test suite.
+one-good path before any arc is built.  Each bundle's exchange oracle is
+built once per solve and updated in place along every applied path, and
+balancing walks each failed source set at most once per pass.  Truncation
+reads each bundle's value and the goods to remove from one
+``Valuation.coloops`` call.  Correctness of the search steps is gated
+end-to-end against the exhaustive oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class SolverInternalError(RuntimeError):
 
 class _State:
     """Mutable clean partial allocation: per-agent independent bundles as
-    bitmasks of goods, each with its exchange oracle, the pool of
+    bitmasks of goods, each with its exchange oracle (built here, then
+    updated in place by ``apply_path``), the pool of
     unassigned goods as a bitmask, the agent–good adjacency ``takers``
     (``Instance.takers``) that the search walks, and the set ``below`` of
     agents whose bundle is still worth less than their ``grand_value``."""
@@ -72,7 +76,7 @@ class _State:
         self.shared = sum(1 << g for g, agents in enumerate(takers) if len(agents) > 1)
         self.bundles = Allocation(owner, inst.n).masks(inst)
         self.pool = ((1 << inst.m) - 1) ^ sum(self.bundles)
-        self.circuits = [v.circuits(b)[1] for v, b in zip(inst.valuations, self.bundles)]
+        self.exchanges = [v.exchange(b) for v, b in zip(inst.valuations, self.bundles)]
         self.below = {
             j for j, (v, b) in enumerate(zip(inst.valuations, self.bundles))
             if b.bit_count() < v.grand_value
@@ -82,11 +86,12 @@ class _State:
         # bundles are kept independent, so value == size
         return [b.bit_count() for b in self.bundles]
 
-    def _bfs(self, sources: int, absorbers: Container[int]) -> tuple[list[int], int] | None:
+    def _bfs(self, sources: int, absorbers: Container[int]) -> tuple[list[int], int] | int:
         """Shortest path from any source good (a bitmask) to a good some
         absorber can add.
 
-        Returns (path of goods, absorbing agent) or None.  Along the path,
+        Returns (path of goods, absorbing agent), or the mask of goods the
+        walk reached when no absorber can add any of them.  Along the path,
         each good's owner releases it and takes the preceding good; the
         final good is added to the absorber's bundle, for a net gain of one
         unit of value.  Shortest paths keep the simultaneous swaps valid.
@@ -99,13 +104,14 @@ class _State:
         the first good reached that an absorber can add, taken by the lowest
         such absorber.
 
-        Callers pass only agents in ``below``: a bundle that has reached
-        its ``grand_value`` spans every good, so it adds none, and with no
-        absorber the answer is None at once.
+        The walk does not depend on the absorbers, which only decide where
+        it stops.  Callers pass only agents in ``below``: a bundle that has
+        reached its ``grand_value`` spans every good, so it adds none, and
+        with no absorber the search does not walk and returns the sources.
         """
         if not absorbers:
-            return None
-        owner, takers, circuits, bundles = self.owner, self.takers, self.circuits, self.bundles
+            return sources
+        owner, takers, exchanges, bundles = self.owner, self.takers, self.exchanges, self.bundles
         seen = sources
         reached = sources & (self.shared | self.pool)  # skip sources no arc leaves
         parent: dict[int, int | None] = {}
@@ -118,7 +124,7 @@ class _State:
                 h = low.bit_length() - 1
                 parent[h] = g
                 for j in takers[h]:
-                    if j in absorbers and j != owner[h] and circuits[j](h) is None:
+                    if j in absorbers and j != owner[h] and exchanges[j].circuit(h) is None:
                         path = [h]
                         while (h := parent[h]) is not None:
                             path.append(h)
@@ -126,12 +132,12 @@ class _State:
                         return path, j
                 queue.append(h)
             if not queue:
-                return None
+                return seen
             g = queue.popleft()
             arcs = 0
             for j in takers[g]:
                 if j != owner[g]:
-                    swaps = circuits[j](g)
+                    swaps = exchanges[j].circuit(g)
                     arcs |= bundles[j] if swaps is None else swaps
             reached = arcs & ~seen
             seen |= reached
@@ -143,30 +149,30 @@ class _State:
         ``path[t]`` (t >= 1) takes ``path[t-1]`` in exchange, and the
         absorber adds ``path[-1]``.  The holder of ``path[0]`` (the pool,
         or the donating agent in a transfer) receives nothing.
+
+        The touched exchange oracles are updated in place, every removal
+        before any addition: each bundle then passes through subsets of its
+        old and its new self only, so it stays independent unless the new
+        bundle is dependent, and then one of its additions is refused.
         """
-        orig_owner = [self.owner[g] for g in path]
+        owner, bundles, exchanges = self.owner, self.bundles, self.exchanges
+        orig_owner = [owner[g] for g in path]
         for g, j in zip(path, orig_owner):
             if j == UNASSIGNED:
                 self.pool ^= 1 << g
             else:
-                self.bundles[j] ^= 1 << g
-                self.owner[g] = UNASSIGNED
-        for t in range(1, len(path)):
-            j = orig_owner[t]
-            self.bundles[j] |= 1 << path[t - 1]
-            self.owner[path[t - 1]] = j
-        self.bundles[absorber] |= 1 << path[-1]
-        self.owner[path[-1]] = absorber
-        # a bundle the path did not touch is unchanged since it last passed
-        for j in {absorber, *orig_owner} - {UNASSIGNED}:
-            rank, self.circuits[j] = self.inst.valuations[j].circuits(self.bundles[j])
-            if rank != self.bundles[j].bit_count():
+                bundles[j] ^= 1 << g
+                exchanges[j].remove(g)
+        for g, j in zip(path, orig_owner[1:] + [absorber]):
+            if not exchanges[j].add(g):
                 raise SolverInternalError("exchange path broke bundle independence")
+            bundles[j] |= 1 << g
+            owner[g] = j
         # the other holders swap one good for one: only the holder of
         # path[0] loses value, and only the absorber gains it
         if orig_owner[0] != UNASSIGNED:
             self.below.add(orig_owner[0])
-        if self.bundles[absorber].bit_count() == self.inst.valuations[absorber].grand_value:
+        if bundles[absorber].bit_count() == self.inst.valuations[absorber].grand_value:
             self.below.discard(absorber)
 
     def to_allocation(self) -> Allocation:
@@ -184,7 +190,7 @@ def max_utilitarian_clean(inst: Instance) -> _State:
     state = _State(inst, [UNASSIGNED] * inst.m)
     while True:
         found = state._bfs(state.pool, state.below)
-        if found is None:
+        if isinstance(found, int):
             return state
         state.apply_path(*found)
 
@@ -196,11 +202,18 @@ def _balance(state: _State) -> None:
     the target's by at least two, cascades swaps, and ends with the target
     absorbing one good: the source agent's value drops by one, the target's
     rises by one, everyone else is unchanged.
+
+    Within a pass nothing changes until a path is applied, and the walk from
+    a source set does not depend on the target.  So a failed walk is kept
+    for the pass, and a later target with the same sources fails too unless
+    it can add a good that walk reached; only then is the search run again,
+    and it finds the path the walk would.
     """
     n, bundles = state.inst.n, state.bundles
     while True:
         values = state.values()
         applied = False
+        failed: dict[int, int] = {}  # sources -> goods their failed walk reached
         # targets by value; the sort is stable, so ties stay in agent order
         for i in sorted(range(n), key=values.__getitem__):
             if i not in state.below:  # at its grand value: i adds no good
@@ -209,8 +222,15 @@ def _balance(state: _State) -> None:
             sources = sum(compress(bundles, map((values[i] + 2).__le__, values)))
             if not sources:
                 continue
+            reached = failed.get(sources)
+            if reached is not None:
+                circuit = state.exchanges[i].circuit
+                new = reached & state.inst.valuations[i].nonloops() & ~bundles[i]
+                if all(circuit(g) is not None for g in goods_of(new)):
+                    continue
             found = state._bfs(sources, (i,))
-            if found is None:
+            if isinstance(found, int):
+                failed[sources] = found
                 continue
             path, absorber = found
             donor = state.owner[path[0]]
@@ -243,7 +263,8 @@ def nash_optimal(inst: Instance) -> Allocation:
     sink = _min_value_agent(state.values())
     pool = goods_of(state.pool)
     # one oracle serves the whole pool: a good in the sink's span leaves it unchanged
-    if any(state.circuits[sink](g) is None for g in pool):
+    circuit = state.exchanges[sink].circuit
+    if any(circuit(g) is None for g in pool):
         raise SolverInternalError(
             "pool good with positive marginal value: augmentation incomplete"
         )
@@ -275,7 +296,7 @@ def truncate(inst: Instance, a_star: Allocation) -> Allocation:
     l = min(values)
     i_l = _min_value_agent(values)
     # removed goods come from other agents, so the sink's bundle stays fixed
-    sink_circuits = inst.valuations[i_l].circuits(masks[i_l])[1]
+    sink_circuit = inst.valuations[i_l].exchange(masks[i_l]).circuit
     owner = list(a_star.owner)
     for i, value in enumerate(values):
         excess = value - l - 1
@@ -283,7 +304,7 @@ def truncate(inst: Instance, a_star: Allocation) -> Allocation:
             continue
         removed = goods_of(coloops[i])[:excess]
         for g in removed:
-            if sink_circuits(g) is None:
+            if sink_circuit(g) is None:
                 raise SolverInternalError(
                     "removed good has positive marginal value for the minimum-value "
                     "agent; input allocation was not Nash-optimal"

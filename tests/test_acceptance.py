@@ -167,7 +167,7 @@ def test_criterion_06_doubly_normalised():
     for w, perm in dec.terms:
         for r, c in enumerate(perm):
             recon[r][c] += w
-    if any(recon[r][c] != eat.matrix[r, c] for r in range(dim) for c in range(dim)):
+    if recon != [list(row) for row in eat.matrix.entries]:
         failures.append("reconstruction not exact")
     for w, alloc in randomized_allocation(inst):
         if not is_eq1(inst, alloc) or sum(alloc.values(inst)) != 6:

@@ -20,6 +20,7 @@ from poe_toolkit.model import (
     Instance,
     LinearMatroidGF2,
     floor_table,
+    goods_of,
     is_ef,
     is_ef1,
     is_eq,
@@ -82,18 +83,17 @@ def test_value_of_bitmask_bundle():
 
 def test_marginal_additive():
     # a valued good adds one; an unvalued good adds nothing and swaps for nothing
-    rank, circuit = BinaryAdditive([1, 0]).circuits(0)
-    assert rank == 0
+    circuit = BinaryAdditive([1, 0]).exchange(0).circuit
     assert circuit(0) is None
     assert circuit(1) == 0
 
 
 def test_marginal_matroid_dependent_vs_independent():
     dup = LinearMatroidGF2(2, [E1, E1])
-    assert dup.circuits(0b01)[1](1) == 0b01  # parallel to good 0: swaps with it
+    assert dup.exchange(0b01).circuit(1) == 0b01  # parallel to good 0: swaps with it
     ind = LinearMatroidGF2(2, [E1, E2])
-    assert ind.circuits(0b01)[1](1) is None
-    assert dup.circuits(0b11)[0] == 1 and ind.circuits(0b11)[0] == 2
+    assert ind.exchange(0b01).circuit(1) is None
+    assert dup.value(0b11) == 1 and ind.value(0b11) == 2
 
 
 @st.composite
@@ -115,8 +115,7 @@ def test_circuits_agree_with_value(val, data):
     for g in data.draw(st.lists(st.integers(0, m - 1), unique=True)):
         if val.value(indep + [g]) == len(indep) + 1:
             indep.append(g)
-    rank, circuit = val.circuits(sum(1 << g for g in indep))
-    assert rank == len(indep)
+    circuit = val.exchange(sum(1 << g for g in indep)).circuit
     for g in set(range(m)) - set(indep):
         if val.value(indep + [g]) == len(indep) + 1:
             assert circuit(g) is None
@@ -127,10 +126,35 @@ def test_circuits_agree_with_value(val, data):
     # any bundle, dependent or not: None exactly when g raises the value
     bundle = data.draw(st.integers(0, (1 << m) - 1))
     goods = [g for g in range(m) if (bundle >> g) & 1]
-    rank, circuit = val.circuits(bundle)
-    assert rank == val.value(goods)
+    circuit = val.exchange(bundle).circuit
     for g in set(range(m)) - set(goods):
         assert (circuit(g) is None) == (val.value(goods + [g]) == val.value(goods) + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuations(), st.data())
+def test_exchange_updates_match_rebuild(val, data):
+    # from a random independent bundle, each drawn good leaves the bundle if
+    # it is in it and is offered to it otherwise; the updated oracle answers
+    # for every good as one rebuilt from scratch, and an offer is refused
+    # exactly when the good does not raise the value
+    m = val.m
+    bundle = 0
+    for g in data.draw(st.lists(st.integers(0, m - 1), unique=True)):
+        if val.value(bundle | 1 << g) > val.value(bundle):
+            bundle |= 1 << g
+    exchange = val.exchange(bundle)
+    for g in data.draw(st.lists(st.integers(0, m - 1), max_size=24)):
+        if (bundle >> g) & 1:
+            exchange.remove(g)
+            bundle ^= 1 << g
+        else:
+            rises = val.value(bundle | 1 << g) > val.value(bundle)
+            assert exchange.add(g) == rises
+            if rises:
+                bundle |= 1 << g
+        rebuilt = val.exchange(bundle)
+        assert [exchange.circuit(h) for h in range(m)] == [rebuilt.circuit(h) for h in range(m)]
 
 
 # Reference copies of the per-good loops that coloops() and basis() replaced.
@@ -145,8 +169,13 @@ def reference_reduced_value(val, bundle: frozenset) -> int:
     return best
 
 
+def goods_sets(inst, alloc) -> list[frozenset[int]]:
+    """Per-agent bundles as sets of goods."""
+    return [frozenset(goods_of(b)) for b in alloc.masks(inst)]
+
+
 def reference_is_eq1(inst, alloc) -> bool:
-    bundles = alloc.bundles()
+    bundles = goods_sets(inst, alloc)
     vmin = min(v.value(b) for v, b in zip(inst.valuations, bundles))
     return inst.n <= 1 or all(
         not b or reference_reduced_value(v, b) <= vmin for v, b in zip(inst.valuations, bundles)
@@ -154,7 +183,7 @@ def reference_is_eq1(inst, alloc) -> bool:
 
 
 def reference_is_ef1(inst, alloc) -> bool:
-    bundles = alloc.bundles()
+    bundles = goods_sets(inst, alloc)
     for i, val in enumerate(inst.valuations):
         vi = val.value(bundles[i])
         for k, b in enumerate(bundles):
@@ -165,7 +194,7 @@ def reference_is_ef1(inst, alloc) -> bool:
 
 def reference_wasted_goods(inst, alloc) -> frozenset:
     removed = set()
-    work = [set(b) for b in alloc.bundles()]
+    work = [set(b) for b in goods_sets(inst, alloc)]
     for g in range(alloc.m):
         i = alloc.owner[g]
         if i == -1:
@@ -468,8 +497,8 @@ def test_make_clean_preserves_values(rng):
         for alloc in (random_allocation(rng, inst), solve(inst, [UTILITARIAN]).a_star):
             cleaned = make_clean(inst, alloc)
             assert cleaned.values(inst) == alloc.values(inst)
-            for i, b in enumerate(cleaned.bundles()):
-                assert inst.valuations[i].value(b) == len(b)
+            for v, b in zip(inst.valuations, cleaned.masks(inst)):
+                assert v.value(b) == b.bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from poe_toolkit.oracle import enumerate_allocations
 from poe_toolkit.solver import (
     SolverInternalError,
     _State,
+    _balance,
     diagnostics,
     max_utilitarian_clean,
     nash_optimal,
@@ -117,8 +118,8 @@ def test_util_matches_brute_force(rng):
     for inst in small_corpus(rng, 40):
         alloc = max_utilitarian_clean(inst).to_allocation()
         assert sum(alloc.values(inst)) == brute_force_max_utilitarian(inst)
-        for i, b in enumerate(alloc.bundles()):
-            assert inst.valuations[i].value(b) == len(b)  # clean
+        for v, b in zip(inst.valuations, alloc.masks(inst)):
+            assert v.value(b) == b.bit_count()  # clean
 
 
 def test_search_takes_first_good_then_lowest_absorber():
@@ -140,15 +141,28 @@ def test_search_takes_first_good_then_lowest_absorber():
     state.apply_path([2, 1], 1)
     assert state._bfs(state.pool, state.below) == ([0], 1)
     state.apply_path([0], 1)
-    assert state.below == set() and state._bfs(state.pool, state.below) is None
+    # no absorber left: the search does not walk and returns its sources
+    assert state.below == set() and state._bfs(state.pool, state.below) == state.pool
+
+
+def test_dependent_addition_raises():
+    # goods 1 and 2 are parallel for agent 0, and agent 1 does not value
+    # good 2: a path that makes either bundle dependent is refused
+    inst = Instance([LinearMatroidGF2(1, [[0], [1], [1]]), BinaryAdditive([1, 1, 0])])
+    for owner, path, absorber in (([UNASSIGNED, 0, UNASSIGNED], [2], 0),
+                                  ([1, UNASSIGNED, UNASSIGNED], [2, 0], 0)):
+        state = _State(inst, owner)
+        with pytest.raises(SolverInternalError, match="independence"):
+            state.apply_path(path, absorber)
 
 
 def reference_bfs(inst: Instance, owner, sources: int, absorbers):
     """Textbook breadth-first exchange search: every agent but the owner is
     asked about each good, lowest first, and a good is tested for an
-    absorber when it leaves the queue."""
+    absorber when it leaves the queue.  Without a path it returns the mask
+    of goods it reached."""
     bundles = Allocation(owner, inst.n).masks(inst)
-    oracles = [v.circuits(b)[1] for v, b in zip(inst.valuations, bundles)]
+    oracles = [v.exchange(b).circuit for v, b in zip(inst.valuations, bundles)]
     parent = {g: None for g in goods_of(sources)}
     queue = deque(parent)
     while queue:
@@ -170,7 +184,7 @@ def reference_bfs(inst: Instance, owner, sources: int, absorbers):
             if h not in parent:
                 parent[h] = g
                 queue.append(h)
-    return None
+    return sum(1 << g for g in parent)
 
 
 def test_search_matches_reference_bfs():
@@ -191,8 +205,10 @@ def test_search_matches_reference_bfs():
         queries.append((state.pool, state.below))
         for sources, absorbers in queries:
             found = state._bfs(sources, absorbers)
-            assert found == reference_bfs(inst, owner, sources, absorbers)
-            if found:
+            # with no absorber the search does not walk
+            want = reference_bfs(inst, owner, sources, absorbers) if absorbers else sources
+            assert found == want
+            if not isinstance(found, int):
                 lengths[min(len(found[0]), 3)] += 1
     assert lengths[3] >= 100, lengths
 
@@ -281,6 +297,63 @@ def test_one_state_per_solve(monkeypatch):
             builds.clear()
             run(inst)
             assert builds == [inst]
+
+
+def test_exchange_oracles_updated_in_place(monkeypatch):
+    # once the state is built, augmentation and balancing update the touched
+    # bundles' GF(2) bases in place and never build one from scratch
+    builds, applied = [], []
+    init, basis, apply_path = _State.__init__, LinearMatroidGF2._basis, _State.apply_path
+
+    def init_then_count(self, inst, owner):
+        init(self, inst, owner)
+        builds.clear()
+
+    def counted_basis(self, bundle):
+        builds.append(bundle)
+        return basis(self, bundle)
+
+    def counted_apply(self, path, absorber):
+        applied.append(path)
+        apply_path(self, path, absorber)
+
+    monkeypatch.setattr(_State, "__init__", init_then_count)
+    monkeypatch.setattr(LinearMatroidGF2, "_basis", counted_basis)
+    monkeypatch.setattr(_State, "apply_path", counted_apply)
+    for inst in (gen_submodular_lb_instance(6), random_matroid_gf2(random.Random(5), 6, 24, k=6)):
+        applied.clear()
+        state = max_utilitarian_clean(inst)
+        augmented = len(applied)
+        _balance(state)
+        assert 0 < augmented < len(applied)  # both phases apply paths
+        assert builds == []
+
+
+def test_balancing_walks_each_source_set_once_per_pass(monkeypatch):
+    # in the last balancing pass of submodular_lb k=8 the eight value-1
+    # agents share one source set, the goods of the eight value-8 agents;
+    # every search there fails, and only the first of them walks
+    inst = gen_submodular_lb_instance(8)
+    state = max_utilitarian_clean(inst)
+    searches = []
+    bfs = _State._bfs
+
+    def recorded_bfs(self, sources, absorbers):
+        found = bfs(self, sources, absorbers)
+        searches.append((sources, not isinstance(found, tuple)))
+        return found
+
+    monkeypatch.setattr(_State, "_bfs", recorded_bfs)
+    _balance(state)
+    values = state.values()
+    assert sorted(values) == [1] * 8 + [8] * 8
+    last_pass = searches[max(t for t, (_, failed) in enumerate(searches) if not failed) + 1:]
+    targets = [i for i, v in enumerate(values) if v == 1]
+    assert all(failed for _, failed in last_pass)
+    assert [sources for sources, _ in last_pass] == [
+        sum(b for b, v in zip(state.bundles, values) if v == 8)
+    ]
+    assert targets and all(i in state.below for i in targets) and len(targets) == 8
 
 
 # ---------------------------------------------------------------------------
