@@ -3,8 +3,8 @@ verification.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 oracle
 budget refusal.  Output is byte-identical for identical inputs, seeds, and
-flags; rationals are printed as "a/b" in JSON and as 12-significant-digit
-decimals in CSV.
+flags, on every supported Python, 3.10+; rationals are printed as "a/b" in
+JSON and as 12-significant-digit decimals in CSV.
 """
 
 from __future__ import annotations
@@ -62,9 +62,12 @@ def _parse_p_list(tokens, default) -> list[PParam]:
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
@@ -72,14 +75,18 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
-def _load_instance(path: str) -> Instance:
+def _load(path: str, what: str, parse):
+    """``parse`` of the JSON document in ``path``; a file that cannot be
+    read or parsed is a usage error naming it."""
     try:
         with open(path) as fh:
-            return Instance.from_json(json.load(fh))
+            return parse(json.load(fh))
     except FileNotFoundError as exc:
-        raise UsageError(f"instance file not found: {path}") from exc
+        raise UsageError(f"{what} file not found: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path}: {exc.strerror}") from exc
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad instance file {path}: {exc}") from exc
+        raise UsageError(f"bad {what} file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +118,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, "instance", Instance.from_json)
     p_list = _parse_p_list(args.p, (UTILITARIAN, NASH))
     result = solve(inst, p_list)
     if args.format == "csv":
@@ -129,17 +136,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, "instance", Instance.from_json)
     report = validate(inst)
     doc = {"instance": report.to_json()}
     if args.allocation:
-        try:
-            with open(args.allocation) as fh:
-                alloc = Allocation.from_json(json.load(fh), inst.n, inst.m)
-        except FileNotFoundError as exc:
-            raise UsageError(f"allocation file not found: {args.allocation}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad allocation file: {exc}") from exc
+        alloc = _load(args.allocation, "allocation",
+                      lambda obj: Allocation.from_json(obj, inst.n, inst.m))
         doc["allocation"] = {
             "complete": alloc.is_complete,
             "values": list(alloc.values(inst)),
@@ -191,7 +193,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_doubly(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, "instance", Instance.from_json)
     dn = is_doubly_normalised(inst)
     if dn is None:
         raise UsageError("instance is not doubly normalised")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .model import Allocation, BinaryAdditive, Instance
+from .model import Allocation, BinaryAdditive, Instance, goods_of
 from .welfare import augment
 
 
@@ -153,10 +153,9 @@ def solve_flow(inst: Instance) -> Allocation:
     net = _MaxFlow(n + m + 2)
     agent_edges = [net.add_edge(s, i, lo) for i in range(n)]
     pair_edges: dict[int, tuple[int, int]] = {}
-    for i in range(n):
-        for g in range(m):
-            if inst.valuations[i].row[g] == 1:
-                pair_edges[net.add_edge(i, n + g, 1)] = (i, g)
+    for i, v in enumerate(inst.valuations):
+        for g in goods_of(v.nonloops):
+            pair_edges[net.add_edge(i, n + g, 1)] = (i, g)
     for g in range(m):
         net.add_edge(n + g, t, 1)
     if net.max_flow(s, t) != n * lo:
@@ -265,8 +264,8 @@ def eating_matrix(inst: Instance) -> EatingMatrix:
     t = dim - m
     share_early, share_last, share_dummy = W_c * t, q * t, W * (W_c - q)
     counts = []
-    for i in range(n):
-        liked = [g for g in range(m) if inst.valuations[i].row[g] == 1]
+    for v in inst.valuations:
+        liked = goods_of(v.nonloops)
         for j in range(copies):
             row = [0] * dim
             share = share_early if j < p else share_last

@@ -6,24 +6,26 @@ binary additive (a 0/1 row over the goods) and GF(2) linear-matroid rank
 binary submodular by construction, with all marginal gains in {0, 1}.
 
 Inside the package a bundle is a bitmask of goods (bit g set when the bundle
-holds good g).  Besides its value, each valuation answers four questions on
-such masks: which goods are worth one on their own (``nonloops()``; the
-others are loops), a basis of a bundle (the rest of the bundle is its
-wasted goods), the exchange oracle of the solver's search (``exchange``,
-which follows goods entering and leaving the bundle in place instead of
-being rebuilt), and the floor primitive (``coloops``: the bundle's value
-with the mask of goods whose removal lowers it).  A bundle's *floor*, its
-value after dropping the good whose removal lowers it most, is that value
-less one exactly when the mask is nonzero; EQ1, EF1 and truncation read it
-from ``coloops``, and the oracle from ``floor_table``, which packs the same
-pair for every bundle.  ``Instance.takers`` turns the ``nonloops()`` masks
-into the agent–good adjacency that the exchange search walks, and agent
-types (``canonical_key``) are read from the same queries: the greedy basis
-of all goods and its fundamental circuits.  Every valuation also carries
-``grand_value``, r(E), the value of all goods, computed once at
-construction: ``Instance.normalisation`` reads it, and the exchange search
+holds good g).  Every valuation carries two facts computed once at
+construction: ``grand_value``, r(E), the value of all goods, and
+``nonloops``, the mask of goods worth one on their own (the others are
+loops).  ``Instance.normalisation`` reads the first, and the exchange search
 skips an agent whose bundle has reached it, since that bundle spans every
-good.  ``_reduce`` is the one GF(2) elimination behind all of them.
+good.  The second is the agent–good graph: the positive capacity,
+validation and the doubly normalised routes read it, and
+``Instance.takers`` turns it into the adjacency the exchange search walks.
+Besides its value, each valuation answers three questions on bundle masks:
+a basis of a bundle (the rest of the bundle is its wasted goods), the
+exchange oracle of the solver's search (``exchange``, which follows goods
+entering and leaving the bundle in place instead of being rebuilt), and
+the floor primitive (``coloops``: the bundle's value with the mask of goods
+whose removal lowers it).  A bundle's *floor*, its value after dropping the
+good whose removal lowers it most, is that value less one exactly when the
+mask is nonzero; EQ1, EF1 and truncation read it from ``coloops``, and the
+oracle from ``floor_table``, which packs the same pair for every bundle.
+Agent types (``canonical_key``) are read from the same queries: the greedy
+basis of all goods and its fundamental circuits.  ``_reduce`` is the one
+GF(2) elimination behind all of them.
 
 Everything here but an exchange oracle is immutable after construction and
 safe to share between concurrent workers; each ``exchange`` call returns a
@@ -75,12 +77,9 @@ class Valuation:
     m: int
     kind: str
     grand_value: int  # r(E): the value of all goods, set at construction
+    nonloops: int  # the goods worth one on their own (the others are loops), likewise
 
     def value(self, bundle: int | Iterable[int]) -> int:
-        raise NotImplementedError
-
-    def nonloops(self) -> int:
-        """The goods worth one on their own; every other good is a loop."""
         raise NotImplementedError
 
     def basis(self, bundle: int) -> int:
@@ -108,12 +107,12 @@ class Valuation:
         The greedy basis, the loops and the fundamental circuits depend only
         on the rank function, and together they fix it: a binary matroid is
         represented over GF(2) by the fundamental-circuit incidence matrix of
-        any of its bases.  An additive row keys to ``(row_mask, 0, ())``,
+        any of its bases.  An additive row keys to ``(nonloops, 0, ())``,
         the key of the free matroid on its valued goods, so keys are
         comparable across variants.
         """
         B = self.basis((1 << self.m) - 1)
-        rest = self.nonloops() & ~B
+        rest = self.nonloops & ~B
         return B, rest, tuple(map(self.exchange(B).circuit, goods_of(rest)))
 
     def to_json(self) -> dict:
@@ -165,23 +164,20 @@ class BinaryAdditive(Valuation):
     def __init__(self, row: Sequence[int]):
         self.row = row = tuple(row)
         self.m = len(row)
-        self.row_mask = _bit_mask(row, "binary additive row must contain only 0/1 integers")
-        self.grand_value = self.row_mask.bit_count()
+        self.nonloops = _bit_mask(row, "binary additive row must contain only 0/1 integers")
+        self.grand_value = self.nonloops.bit_count()
 
     def value(self, bundle: int | Iterable[int]) -> int:
-        return (_bundle_mask(bundle, self.m) & self.row_mask).bit_count()
-
-    def nonloops(self) -> int:
-        return self.row_mask
+        return (_bundle_mask(bundle, self.m) & self.nonloops).bit_count()
 
     def basis(self, bundle: int) -> int:
-        return bundle & self.row_mask
+        return bundle & self.nonloops
 
     def exchange(self, bundle: int) -> "Exchange":
-        return _RowExchange(self.row_mask)
+        return _RowExchange(self.nonloops)
 
     def coloops(self, bundle: int) -> tuple[int, int]:
-        valued = bundle & self.row_mask
+        valued = bundle & self.nonloops
         return valued.bit_count(), valued
 
     def to_json(self) -> dict:
@@ -212,6 +208,8 @@ class LinearMatroidGF2(Valuation):
                 raise ValueError("column length does not match row count")
             masks.append(_bit_mask(col, "matroid matrix entries must be 0/1 integers"))
         self.col_masks = tuple(masks)
+        # one 0/1 byte per column, highest good first, read as binary in C
+        self.nonloops = int(bytes(map(bool, masks[::-1])).translate(_DIGITS) or b"0", 2)
         # one elimination pass, stopped once the rank reaches the row count
         basis: dict[int, tuple[int, int]] = {}
         for c in masks:
@@ -243,10 +241,6 @@ class LinearMatroidGF2(Valuation):
 
     def value(self, bundle: int | Iterable[int]) -> int:
         return len(self._basis(_bundle_mask(bundle, self.m))[0])
-
-    def nonloops(self) -> int:
-        # one 0/1 byte per column, highest good first, read as binary in C
-        return int(bytes(map(bool, self.col_masks[::-1])).translate(_DIGITS) or b"0", 2)
 
     def basis(self, bundle: int) -> int:
         return bundle ^ self._basis(bundle)[1]
@@ -295,16 +289,16 @@ class _RowExchange(Exchange):
     """A valued good always adds one and an unvalued one replaces nothing,
     so the row alone answers, whatever the bundle."""
 
-    __slots__ = ("row_mask",)
+    __slots__ = ("nonloops",)
 
-    def __init__(self, row_mask: int):
-        self.row_mask = row_mask
+    def __init__(self, nonloops: int):
+        self.nonloops = nonloops
 
     def circuit(self, g: int) -> int | None:
-        return None if (self.row_mask >> g) & 1 else 0
+        return None if (self.nonloops >> g) & 1 else 0
 
     def add(self, g: int) -> bool:
-        return (self.row_mask >> g) & 1 == 1
+        return (self.nonloops >> g) & 1 == 1
 
     def remove(self, g: int) -> None:
         pass
@@ -351,8 +345,8 @@ def floor_table(val: Valuation) -> list[int]:
     less its low bit."""
     m = val.m
     if isinstance(val, BinaryAdditive):
-        row_mask = val.row_mask
-        return [((v := (s & row_mask).bit_count()) << 1) | (v > 0) for s in range(1 << m)]
+        nonloops = val.nonloops
+        return [((v := (s & nonloops).bit_count()) << 1) | (v > 0) for s in range(1 << m)]
     # LinearMatroidGF2: depth-first include/exclude with an incremental basis;
     # ``covered`` holds the goods left out of the basis with their fundamental
     # circuits, and the bundle goods outside it are its coloops (as in _basis)
@@ -424,11 +418,11 @@ class Instance:
 
     def takers(self) -> list[list[int]]:
         """Good -> the agents for whom it is worth one on its own, ascending:
-        the agent–good adjacency, read from the valuations' ``nonloops()``."""
+        the agent–good adjacency, read from the valuations' ``nonloops``."""
         out: list[list[int]] = [[] for _ in range(self.m)]
         for j, v in enumerate(self.valuations):
             # the 0/1 bytes of j's row pick the goods' lists in C
-            for agents in compress(out, bin(v.nonloops())[:1:-1].encode().translate(_BITS)):
+            for agents in compress(out, bin(v.nonloops)[:1:-1].encode().translate(_BITS)):
                 agents.append(j)
         return out
 
@@ -617,8 +611,9 @@ def validate(inst: Instance) -> ValidationReport:
     goods.  Binary submodularity needs no check: the valuation constructors
     accept only 0/1 rows and 0/1 GF(2) matrices, whose value functions are
     matroid rank functions."""
-    report = ValidationReport(W=inst.normalisation(), r=inst.r)
-    for g, agents in enumerate(inst.takers()):
-        if not agents:
-            report.warnings.append(f"good {g} valued by no agent")
-    return report
+    valued = 0
+    for v in inst.valuations:
+        valued |= v.nonloops
+    unvalued = goods_of(((1 << inst.m) - 1) ^ valued)
+    return ValidationReport(W=inst.normalisation(), r=inst.r,
+                            warnings=[f"good {g} valued by no agent" for g in unvalued])

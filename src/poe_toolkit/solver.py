@@ -225,7 +225,7 @@ def _balance(state: _State) -> None:
             reached = failed.get(sources)
             if reached is not None:
                 circuit = state.exchanges[i].circuit
-                new = reached & state.inst.valuations[i].nonloops() & ~bundles[i]
+                new = reached & state.inst.valuations[i].nonloops & ~bundles[i]
                 if all(circuit(g) is not None for g in goods_of(new)):
                     continue
             found = state._bfs(sources, (i,))

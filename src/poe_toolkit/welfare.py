@@ -15,8 +15,11 @@ the egalitarian limit.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .model import Allocation, Instance, goods_of
@@ -124,18 +127,18 @@ def max_positive_count(inst: Instance) -> int:
 
     Equals the size of a maximum matching in the agent-good bipartite graph
     with an edge whenever the agent values the good on its own (under unit
-    marginals, one singleton-valued good is exactly what positivity takes):
-    the agent–good adjacency of ``Instance.takers``, read by agent.
+    marginals, one singleton-valued good is exactly what positivity takes),
+    read from the agents' ``nonloops`` masks.
 
-    The matching starts greedily on the ``nonloops()`` bitmasks: in agent
-    order, each agent takes its lowest valued good still free.  Kuhn's
-    search (``augment``) then runs once from each agent left unmatched that
-    values some good, over goods lists built only in that case.  A row with
-    no augmenting path keeps none after later augmentations, so one search
-    from every initially free row ends at a maximum matching whatever
-    matching it starts from; only its size is returned.
+    The matching starts greedily on those masks: in agent order, each agent
+    takes its lowest valued good still free.  Kuhn's search (``augment``)
+    then runs once from each agent left unmatched that values some good,
+    over goods lists built only in that case.  A row with no augmenting path
+    keeps none after later augmentations, so one search from every initially
+    free row ends at a maximum matching whatever matching it starts from;
+    only its size is returned.
     """
-    rows = [v.nonloops() for v in inst.valuations]
+    rows = [v.nonloops for v in inst.valuations]
     row_match = [-1] * inst.n
     col_match = [-1] * inst.m
     free = (1 << inst.m) - 1
@@ -174,6 +177,10 @@ def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
 
     Returns an exact Fraction for p = 1 on rational inputs, an exact
     integer/Fraction for the egalitarian limit, and a float otherwise.
+    Float terms are added left to right, as ``sum`` did before Python 3.12
+    made float sums compensated, so the bytes do not depend on the Python
+    version.  Raises ``ValueError`` for p < 0 when the mean of the powers
+    falls below the normal float range, where it has lost its precision.
     """
     denom = len(values) if restrict is None else restrict
     if denom == 0:
@@ -188,7 +195,7 @@ def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
     if p.kind == "nash":
         if short:
             return 0.0
-        return math.exp(sum(math.log(v) for v in entries) / denom)
+        return math.exp(reduce(operator.add, map(math.log, entries), 0.0) / denom)
     assert p.value is not None
     if p.value == 1:
         total = sum(entries)
@@ -198,7 +205,9 @@ def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
     pf = float(p.value)
     if pf < 0 and short:
         return 0.0
-    acc = sum(float(v) ** pf for v in entries)
+    acc = reduce(operator.add, (float(v) ** pf for v in entries), 0.0)
+    if pf < 0 and acc / denom < sys.float_info.min:
+        raise ValueError(f"p = {p} is too negative: the mean of x^p underflows the float range")
     if acc == 0.0:
         return 0.0
     return (acc / denom) ** (1.0 / pf)

@@ -174,6 +174,7 @@ def test_check_rejects_non_integer_owner(tmp_path):
     assert res.returncode == 1
     assert res.stdout == ""
     assert "owner entries must be integer" in res.stderr
+    assert str(alloc) in res.stderr
 
 
 def test_check_unknown_flag_rejected(lb_file):
@@ -220,6 +221,19 @@ def test_p_beyond_float_range_rejected(lb_file, command, p):
     assert res.stdout == ""
     assert res.stderr.startswith("error: bad p value:")
     assert "Traceback" not in res.stderr
+
+
+def test_very_negative_p_is_a_usage_error(tmp_path):
+    # A* is (3, 6) and B is (3, 4); 3^p / 2 is below the normal floats from p = -645
+    inst = tmp_path / "neg.json"
+    inst.write_text(json.dumps({"valuations": _additive([1] * 3 + [0] * 6, [1] * 9)}))
+    for p in ("-678", "-1000"):
+        res = run("solve", str(inst), f"--p={p}")
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith(f"error: p = {p} ")
+        assert "Traceback" not in res.stderr
+    res = run("solve", str(inst), "--p=-600", "--format", "csv")
+    assert res.stdout.splitlines()[-1] == "-600,1,3.00346773856,3.00346773856"
 
 
 def test_sweep_p1_exact():
@@ -318,6 +332,37 @@ def test_doubly_rejects_non_normalised(tmp_path):
     res = run("doubly", str(zero))
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr == "error: instance is not doubly normalised\n"
+
+
+# ---------------------------------------------------------------------------
+# files that cannot be read or written
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("solve_directory", "error: cannot read instance file"),
+        ("allocation_directory", "error: cannot read allocation file"),
+        ("generate_out", "error: cannot write"),
+        ("matrix_csv", "error: cannot write"),
+    ],
+)
+def test_path_that_cannot_be_read_or_written(tmp_path, lb_file, case, message):
+    e1 = tmp_path / "e1.json"
+    assert run("generate", "example1", "--out", str(e1)).returncode == 0
+    missing = str(tmp_path / "missing" / "out")
+    args = {
+        "solve_directory": ("solve", str(tmp_path)),
+        "allocation_directory": ("check", str(lb_file), "--allocation", str(tmp_path)),
+        "generate_out": ("generate", "example1", "--out", missing),
+        "matrix_csv": ("doubly", str(e1), "--matrix-csv", missing),
+    }[case]
+    res = run(*args)
+    assert res.returncode == 1
+    assert res.stderr.startswith(message)
+    assert str(tmp_path) in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 # ---------------------------------------------------------------------------

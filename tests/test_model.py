@@ -238,7 +238,9 @@ def test_floor_matches_definitions(case):
             assert val.coloops(bundle) == (full, sum(1 << g for g in coloops))
             assert val.basis(bundle) & ~bundle == 0
             assert val.basis(bundle).bit_count() == val.value(goods)
-        assert val.nonloops() == sum(1 << g for g in range(inst.m) if val.value([g]))
+        # an int set at construction, on both valuation kinds
+        assert type(val.nonloops) is int
+        assert val.nonloops == sum(1 << g for g in range(inst.m) if val.value([g]))
     assert inst.takers() == [
         [j for j, val in enumerate(inst.valuations) if val.value([g])] for g in range(inst.m)
     ]
@@ -536,6 +538,11 @@ def test_validate_unvalued_good_warning():
     report = validate(inst)
     assert any("valued by no agent" in w for w in report.warnings)
     assert report.W == 1
+
+
+def test_validate_unvalued_goods_ascending():
+    inst = Instance([BinaryAdditive([0, 1, 0, 0]), LinearMatroidGF2(1, [[0], [0], [1], [0]])])
+    assert validate(inst).warnings == ["good 0 valued by no agent", "good 3 valued by no agent"]
 
 
 def test_validate_not_normalised():

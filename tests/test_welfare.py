@@ -160,6 +160,21 @@ def test_p_mean_egalitarian():
     assert p_mean((3, 1, 2), NEG_INF, 3) == 1
 
 
+def test_p_mean_float_sums_run_left_to_right():
+    # Python 3.12 made float sum() compensated, which moves the last bits
+    # here; the mean adds its terms left to right on every version
+    assert p_mean((1, 2, 3, 5, 8), NASH, 5) == 2.992555739477689
+    assert p_mean((1, 2, 3, 4, 5, 6, 7), PParam.real(Fraction(1, 2)), 7) == 3.7070405058601428
+
+
+@pytest.mark.parametrize("p", [-678, -1000])
+def test_p_mean_underflow_raises(p):
+    # 3^p / 2 is below the normal float range: the mean has lost precision
+    with pytest.raises(ValueError, match=f"p = {p} "):
+        p_mean((3, 4), PParam.real(p), 2)
+    assert p_mean((3, 0), PParam.real(p), 2) == 0.0  # dominated: no powers taken
+
+
 def test_p_mean_family_optimum_matches_family_formula():
     # optimal vector of the (r, W) family: W ones and s copies of W
     for p in (PParam.real(-1), PParam.real(Fraction(-1, 2)), PParam.real(-10)):
