@@ -208,9 +208,14 @@ def cmd_doubly(args) -> int:
         "allocations": [list(a.owner) for _, a in lottery],
         "expected_values": [str(v) for v in expected_values(inst, lottery)],
     }
+    csv = eating_matrix(inst).to_csv() if args.matrix_csv else None
+    # the CSV file is written first, so a path that cannot be written is
+    # refused before the document is out; on stdout the document comes first
+    if csv is not None and args.matrix_csv != "-":
+        _emit(csv, args.matrix_csv)
     _emit_json(doc, args.out)
-    if args.matrix_csv:
-        _emit(eating_matrix(inst).to_csv(), args.matrix_csv)
+    if csv is not None and args.matrix_csv == "-":
+        _emit(csv, "-")
     return 0
 
 

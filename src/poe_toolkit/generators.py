@@ -1,5 +1,15 @@
 """Instance families: worst-case constructions, fixed fixtures, and seeded
-random samplers."""
+random samplers.
+
+The samplers keep one stream contract: the same seed gives the same
+``getrandbits`` draws, so the same instances and the same generator state
+afterwards, as one ``randint(0, 1)`` call per 0/1 entry and four
+``randrange`` calls per biregular swap.  On CPython 3.10 to 3.13,
+``randint(0, 1)`` is ``getrandbits(2)``, drawn again while it is 2 or more,
+and ``randrange(n)`` is ``getrandbits(n.bit_length())``, drawn again while
+it is n or more; ``_bits`` and the swap loop of ``gen_doubly_normalised``
+take those draws directly, without three Python frames per draw.
+"""
 
 from __future__ import annotations
 
@@ -59,10 +69,22 @@ def gen_doubly_normalised(n: int, m: int, W: int, W_c: int, seed: int) -> Instan
     for i in range(n):
         for t in range(W):
             matrix[i][(i * W + t) % m] = 1
-    rng = random.Random(seed)
+    # four randrange draws per attempt, inlined (see the module docstring)
+    draw = random.Random(seed).getrandbits
+    kn, km = n.bit_length(), m.bit_length()
     for _ in range(10 * n * m):
-        i, j = rng.randrange(n), rng.randrange(n)
-        g, h = rng.randrange(m), rng.randrange(m)
+        i = draw(kn)
+        while i >= n:
+            i = draw(kn)
+        j = draw(kn)
+        while j >= n:
+            j = draw(kn)
+        g = draw(km)
+        while g >= m:
+            g = draw(km)
+        h = draw(km)
+        while h >= m:
+            h = draw(km)
         if i == j or g == h:
             continue
         if matrix[i][g] and matrix[j][h] and not matrix[i][h] and not matrix[j][g]:
@@ -146,12 +168,39 @@ def random_binary_additive(
             h = rng.choice(rich)
             matrix[i][h], matrix[i][g] = 0, 1
     else:
-        matrix = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+        matrix = _bit_lists(rng, n, m)
         if every_good_valued:
             for g in range(m):
                 if not any(row[g] for row in matrix):
                     matrix[rng.randrange(n)][g] = 1
     return Instance([BinaryAdditive(row) for row in matrix])
+
+
+# getrandbits(2) keeps the top two bits of one 32-bit word: a top byte below
+# 0x40 is a 0, below 0x80 a 1, and the rest are drawn again
+_TOP2 = bytes(t >> 6 for t in range(256))
+_REDRAW = bytes(range(0x80, 0x100))
+
+
+def _bits(rng: random.Random, count: int) -> list[int]:
+    """``[rng.randint(0, 1) for _ in range(count)]``, with the same draws.
+
+    ``getrandbits(32 * k)`` is k words drawn in turn, the first in the
+    lowest 32 bits, so word w's top byte is byte 4w + 3 of its little-endian
+    bytes.  Each round takes one word per bit still missing, so it never
+    draws a word the loop would not have drawn, and keeps the accepted ones."""
+    out = b""
+    while len(out) < count:
+        need = count - len(out)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        out += words[3::4].translate(_TOP2, _REDRAW)
+    return list(out)
+
+
+def _bit_lists(rng: random.Random, count: int, length: int) -> list[list[int]]:
+    """``count`` lists of ``length`` random 0/1 entries, drawn list by list."""
+    bits = _bits(rng, count * length)
+    return [bits[t * length : (t + 1) * length] for t in range(count)]
 
 
 def _row_with_weight(rng: random.Random, m: int, W: int) -> list[int]:
@@ -181,12 +230,12 @@ def random_matroid_gf2(
             if not 1 <= W <= m:
                 raise ValueError("W must lie in [1, m]")
             rows = W
-            cols = [[seed_rng.randint(0, 1) for _ in range(rows)] for _ in range(m)]
+            cols = _bit_lists(seed_rng, m, rows)
             for j, g in enumerate(seed_rng.sample(range(m), W)):
                 cols[g] = [1 if t == j else 0 for t in range(rows)]
         else:
             rows = k if k is not None else seed_rng.randint(1, max(1, min(4, m)))
-            cols = [[seed_rng.randint(0, 1) for _ in range(rows)] for _ in range(m)]
+            cols = _bit_lists(seed_rng, m, rows)
         return LinearMatroidGF2(rows, cols)
 
     if identical:

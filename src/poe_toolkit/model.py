@@ -35,7 +35,7 @@ new oracle, owned by its caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 
@@ -192,6 +192,12 @@ class LinearMatroidGF2(Valuation):
 
     ``cols[g]`` is the length-``k`` 0/1 column of good ``g``; the value of a
     bundle is the GF(2) rank of its columns.
+
+    The constructor checks and packs all columns in one pass: one length
+    test over the columns, one flat list of the entries with a type test,
+    its ``bytes`` with a 0/1 test, one translate to ASCII digits of the
+    whole matrix read backwards, and one ``int(..., 2)`` per column slice
+    of it (entry t of a column is bit t of its mask).
     """
 
     kind = "matroid_gf2"
@@ -200,16 +206,24 @@ class LinearMatroidGF2(Valuation):
         if type(rows) is not int or rows < 0:
             raise ValueError("row count must be a non-negative integer")
         self.rows = rows
-        self.m = len(cols)
-        masks = []
-        for col in cols:
-            col = tuple(col)
-            if len(col) != rows:
-                raise ValueError("column length does not match row count")
-            masks.append(_bit_mask(col, "matroid matrix entries must be 0/1 integers"))
-        self.col_masks = tuple(masks)
+        self.m = m = len(cols)
+        if not set(map(len, cols)) <= {rows}:
+            raise ValueError("column length does not match row count")
+        entries = list(chain.from_iterable(cols))
+        try:
+            if not set(map(type, entries)) <= {int}:
+                raise ValueError
+            packed = bytes(entries)  # ValueError outside 0..255
+            if packed.translate(None, b"\x00\x01"):
+                raise ValueError
+        except ValueError:
+            raise ValueError("matroid matrix entries must be 0/1 integers") from None
+        # backwards, the last column comes first with its highest row first
+        digits = packed[::-1].translate(_DIGITS)
+        backwards = [int(digits[s : s + rows], 2) for s in range(0, m * rows, rows)] if rows else [0] * m
+        self.col_masks = masks = tuple(reversed(backwards))
         # one 0/1 byte per column, highest good first, read as binary in C
-        self.nonloops = int(bytes(map(bool, masks[::-1])).translate(_DIGITS) or b"0", 2)
+        self.nonloops = int(bytes(map(bool, backwards)).translate(_DIGITS) or b"0", 2)
         # one elimination pass, stopped once the rank reaches the row count
         basis: dict[int, tuple[int, int]] = {}
         for c in masks:

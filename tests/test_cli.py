@@ -360,6 +360,7 @@ def test_path_that_cannot_be_read_or_written(tmp_path, lb_file, case, message):
     }[case]
     res = run(*args)
     assert res.returncode == 1
+    assert res.stdout == ""  # refused before anything is printed
     assert res.stderr.startswith(message)
     assert str(tmp_path) in res.stderr
     assert "Traceback" not in res.stderr

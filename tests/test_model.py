@@ -19,6 +19,7 @@ from poe_toolkit.model import (
     BinaryAdditive,
     Instance,
     LinearMatroidGF2,
+    _bit_mask,
     floor_table,
     goods_of,
     is_ef,
@@ -79,6 +80,40 @@ def test_value_of_bitmask_bundle():
     assert add.value(0b1011) == add.value({0, 1, 3}) == 3
     assert mat.value(0b111) == mat.value({0, 1, 2}) == 2
     assert add.value(0) == mat.value(0) == 0
+
+
+ENTRIES = "matroid matrix entries must be 0/1 integers"
+LENGTH = "column length does not match row count"
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, 2, -1, 256, 2**70, "1", None, [1]])
+def test_matroid_rejects_entry(entry):
+    for cols in ([[entry, 0]], [[1, 0], [0, entry]]):
+        with pytest.raises(ValueError) as exc:
+            LinearMatroidGF2(2, cols)
+        assert str(exc.value) == ENTRIES
+
+
+@pytest.mark.parametrize("cols", [[[1]], [[1, 0], [1]], [[1, 0, 1]], [[0, 1], [1, 0, 0]], [[]]])
+def test_matroid_rejects_column_length(cols):
+    with pytest.raises(ValueError) as exc:
+        LinearMatroidGF2(2, cols)
+    assert str(exc.value) == LENGTH
+
+
+def test_matroid_empty_shapes_build():
+    for rows, cols in ((0, []), (0, [[], [], []]), (3, [])):
+        v = LinearMatroidGF2(rows, cols)
+        assert (v.rows, v.m, v.col_masks, v.nonloops, v.grand_value) == (rows, len(cols), (0,) * len(cols), 0, 0)
+
+
+def test_matroid_column_masks_match_per_column_pack(rng):
+    for _ in range(200):
+        rows, m = rng.randint(1, 70), rng.randint(1, 12)
+        cols = [[rng.randint(0, 1) for _ in range(rows)] for _ in range(m)]
+        v = LinearMatroidGF2(rows, cols)
+        assert v.col_masks == tuple(_bit_mask(tuple(col), ENTRIES) for col in cols)
+        assert v.to_json()["cols"] == cols
 
 
 def test_marginal_additive():
