@@ -16,18 +16,23 @@ The pipeline is:
    agent for whom they are worthless; the result is EQ1 and optimal among
    EQ1 allocations for every p.
 
-Bundles, the pool and the search's sources are bitmasks of goods.  The
-search asks about a good only the agents for whom it is not a loop
-(``Instance.takers``, built once per solve), and never an agent whose
-bundle has reached its ``grand_value``: such a bundle spans every good, so
-it adds none.  The breadth-first walk tests each good for an absorber when
-it first reaches it, the sources first, so most searches end with a
-one-good path before any arc is built.  Each bundle's exchange oracle is
-built once per solve and updated in place along every applied path, and
-balancing walks each failed source set at most once per pass.  Truncation
-reads each bundle's value and the goods to remove from one
-``Valuation.coloops`` call.  Correctness of the search steps is gated
-end-to-end against the exhaustive oracle in the test suite.
+Bundles, the pool and the search's sources are bitmasks of goods.
+Augmentation makes every one-good path in one ascending sweep over the
+pool, the same paths in the same order as the searches would (no span
+shrinks while augmenting; see ``max_utilitarian_clean``), and runs the
+exchange search only for the longer paths left.  The search asks about a
+good only the agents for whom it is not a loop (``Instance.takers``, built
+once per solve), and never an agent whose bundle has reached its
+``grand_value``: such a bundle spans every good, so it adds none.  The
+breadth-first walk tests each good for an absorber when it first reaches
+it, the sources first, so a search with a one-good path ends before any
+arc is built.  Each bundle's exchange oracle is built once per solve and
+updated in place along every applied path.  Balancing walks each failed
+source set at most once per pass, and ends a pass at the first target no
+agent is two ahead of.  Truncation reads each bundle's value and the
+goods to remove from one ``Valuation.coloops`` call.  Correctness of the
+search steps is gated end-to-end against the exhaustive oracle in the
+test suite.
 """
 
 from __future__ import annotations
@@ -186,8 +191,27 @@ def max_utilitarian_clean(inst: Instance) -> _State:
     moves one pool good into the allocation (possibly cascading swaps) and
     raises the total value by exactly one.  Stops when no pool good can be
     brought in, which is the matroid-partition optimality condition.
+
+    One ascending sweep over the pool first makes every one-good path: each
+    good goes to the first of its takers still below its grand value that
+    it adds to.  Augmenting never shrinks a span (the absorber's grows, the
+    others swap within a circuit) and ``below`` only loses agents, so a
+    good passed without a taker never gains one.  Each search would return
+    the lowest pool good with an absorber and that absorber, so the sweep
+    makes the searches' one-good paths in their order, and the search runs
+    only for the longer paths left.
     """
     state = _State(inst, [UNASSIGNED] * inst.m)
+    owner, bundles, exchanges, below = state.owner, state.bundles, state.exchanges, state.below
+    for g in goods_of(state.pool):
+        for j in state.takers[g]:
+            if j in below and exchanges[j].add(g):
+                bundles[j] |= 1 << g
+                owner[g] = j
+                state.pool ^= 1 << g
+                if bundles[j].bit_count() == inst.valuations[j].grand_value:
+                    below.discard(j)
+                break
     while True:
         found = state._bfs(state.pool, state.below)
         if isinstance(found, int):
@@ -212,16 +236,17 @@ def _balance(state: _State) -> None:
     n, bundles = state.inst.n, state.bundles
     while True:
         values = state.values()
+        top = max(values)
         applied = False
         failed: dict[int, int] = {}  # sources -> goods their failed walk reached
         # targets by value; the sort is stable, so ties stay in agent order
         for i in sorted(range(n), key=values.__getitem__):
+            if values[i] + 2 > top:  # no agent is two ahead of i or any later target
+                break
             if i not in state.below:  # at its grand value: i adds no good
                 continue
             # bundles are disjoint, so their sum is their union
             sources = sum(compress(bundles, map((values[i] + 2).__le__, values)))
-            if not sources:
-                continue
             reached = failed.get(sources)
             if reached is not None:
                 circuit = state.exchanges[i].circuit

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
@@ -38,6 +38,18 @@ class PParam:
 
     kind: str  # "real" | "nash" | "neg_inf"
     value: Fraction | None = None
+    # the generated hash would rehash the Fraction on every dict access
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.value)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # unpickling rebuilds the hash: a str's hash differs between processes
+        return PParam, (self.kind, self.value)
 
     @staticmethod
     def real(p) -> "PParam":

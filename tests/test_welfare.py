@@ -55,6 +55,17 @@ def test_parse_round_trip():
         assert PParam.parse(str(p)) == p
 
 
+def test_equal_params_share_dict_entries():
+    # the hash is computed once, from the same fields equality compares
+    half = (PParam.real(Fraction(1, 2)), PParam.parse("1/2"), PParam.parse("0.5"))
+    assert len(set(half)) == 1
+    for p in half:
+        assert p == half[0] and hash(p) == hash(half[0])
+        assert {half[0]: "x"}[p] == "x" and {p: "y"}[half[0]] == "y"
+    assert repr(half[0]) == "PParam(1/2)"
+    assert len({NASH, PParam.parse("nash"), PParam.real(0), NEG_INF, PParam.parse("egal")}) == 2
+
+
 def test_p_above_one_rejected():
     with pytest.raises(ValueError):
         PParam.real(2)
