@@ -186,18 +186,15 @@ class DoublyStochasticMatrix:
     counts: tuple[tuple[int, ...], ...]
     scale: int
 
-    def __init__(self, entries: Sequence[Sequence[int | Fraction]], scale: int = 1):
-        """Entry (r, c) is ``entries[r][c] / scale``.  Integer entries are kept
-        as numerators; rational ones are first brought over the lcm of their
-        denominators."""
+    def __init__(self, entries: Sequence[Sequence[int]], scale: int):
+        """Entry (r, c) is ``entries[r][c] / scale``, with integer numerators."""
         if type(scale) is not int or scale <= 0:
             raise ValueError("scale must be a positive integer")
         rows = [list(row) for row in entries]
+        if not rows:
+            raise ValueError("matrix must have at least one row")
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            rows = [[Fraction(x) for x in row] for row in rows]
-            den = math.lcm(*(x.denominator for row in rows for x in row))
-            rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-            scale *= den
+            raise ValueError("entries must be integer numerators")
         dim = len(rows)
         if any(len(row) != dim for row in rows):
             raise ValueError("matrix must be square")
@@ -292,9 +289,6 @@ class BvnDecomposition:
     """
 
     terms: list[tuple[Fraction, tuple[int, ...]]]
-
-    def weights(self) -> list[Fraction]:
-        return [w for w, _ in self.terms]
 
 
 def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:

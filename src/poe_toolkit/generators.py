@@ -217,31 +217,27 @@ def random_matroid_gf2(
     *,
     k: int | None = None,
     W: int | None = None,
-    identical: bool = False,
 ) -> Instance:
     """Random GF(2) linear-matroid instance.
 
     With ``W`` given, each agent's matrix has W rows and contains a planted
     identity among its columns, so the grand bundle has rank exactly W
-    (normalised).  With ``identical``, all agents share one valuation."""
+    (normalised)."""
 
-    def one(seed_rng: random.Random) -> LinearMatroidGF2:
+    def one() -> LinearMatroidGF2:
         if W is not None:
             if not 1 <= W <= m:
                 raise ValueError("W must lie in [1, m]")
             rows = W
-            cols = _bit_lists(seed_rng, m, rows)
-            for j, g in enumerate(seed_rng.sample(range(m), W)):
+            cols = _bit_lists(rng, m, rows)
+            for j, g in enumerate(rng.sample(range(m), W)):
                 cols[g] = [1 if t == j else 0 for t in range(rows)]
         else:
-            rows = k if k is not None else seed_rng.randint(1, max(1, min(4, m)))
-            cols = _bit_lists(seed_rng, m, rows)
+            rows = k if k is not None else rng.randint(1, max(1, min(4, m)))
+            cols = _bit_lists(rng, m, rows)
         return LinearMatroidGF2(rows, cols)
 
-    if identical:
-        v = one(rng)
-        return Instance([v] * n)
-    return Instance([one(rng) for _ in range(n)])
+    return Instance([one() for _ in range(n)])
 
 
 def biregular_parameter_choices(n: int, m: int) -> list[tuple[int, int]]:

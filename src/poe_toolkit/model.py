@@ -14,15 +14,17 @@ skips an agent whose bundle has reached it, since that bundle spans every
 good.  The second is the agent–good graph: the positive capacity,
 validation and the doubly normalised routes read it, and
 ``Instance.takers`` turns it into the adjacency the exchange search walks.
-Besides its value, each valuation answers three questions on bundle masks:
-a basis of a bundle (the rest of the bundle is its wasted goods), the
-exchange oracle of the solver's search (``exchange``, which follows goods
-entering and leaving the bundle in place instead of being rebuilt), and
-the floor primitive (``coloops``: the bundle's value with the mask of goods
-whose removal lowers it).  A bundle's *floor*, its value after dropping the
-good whose removal lowers it most, is that value less one exactly when the
-mask is nonzero; EQ1, EF1 and truncation read it from ``coloops``, and the
-oracle from ``floor_table``, which packs the same pair for every bundle.
+Each valuation answers three questions on bundle masks: a basis of a
+bundle (the rest of the bundle is its wasted goods), the exchange oracle of
+the solver's search (``exchange``, which follows goods entering and leaving
+the bundle in place instead of being rebuilt), and the floor primitive
+(``coloops``: the bundle's value with the mask of goods whose removal lowers
+it); ``value``, on the base class, is the first half of ``coloops``.  A
+bundle's *floor*, its value after dropping the good whose removal lowers it
+most, is that value less one exactly when the mask is nonzero; EQ1, EF1 and
+truncation read it from ``coloops``, and the oracle from ``floor_table``,
+which packs the same pair for every bundle.  Both kinds check and pack their
+0/1 input with one helper, ``_digits``.
 Agent types (``canonical_key``) are read from the same queries: the greedy
 basis of all goods and its fundamental circuits.  ``_reduce`` is the one
 GF(2) elimination behind all of them.
@@ -71,16 +73,18 @@ def _reduce(basis: dict[int, tuple[int, int]], v: int) -> tuple[int, int]:
 
 
 class Valuation:
-    """Rank-oracle interface.  ``value`` takes a bitmask of goods or any
-    iterable of goods; the other methods take a bundle as a bitmask."""
+    """Rank-oracle interface; every method takes a bundle as a bitmask."""
 
     m: int
     kind: str
     grand_value: int  # r(E): the value of all goods, set at construction
     nonloops: int  # the goods worth one on their own (the others are loops), likewise
 
-    def value(self, bundle: int | Iterable[int]) -> int:
-        raise NotImplementedError
+    def value(self, bundle: int) -> int:
+        """The bundle's value, read from ``coloops``."""
+        if bundle < 0 or bundle >> self.m:
+            raise ValueError(f"bundle mask {bundle:#x} has goods out of range")
+        return self.coloops(bundle)[0]
 
     def basis(self, bundle: int) -> int:
         """A basis of ``bundle`` built greedily from the highest index.  Its
@@ -134,26 +138,21 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> 0/1 bytes
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # and back
 
 
-def _bit_mask(entries: tuple, message: str) -> int:
-    """The bitmask of a 0/1 sequence (bit g set when entry g is 1), checked
-    in C-level passes; bools and floats are not entries.  The type test runs
-    first, so unhashable entries raise ``ValueError(message)`` too."""
-    if not (set(map(type, entries)) <= {int} and set(entries) <= {0, 1}):
-        raise ValueError(message)
-    return int(bytes(entries[::-1]).translate(_DIGITS) or b"0", 2)
-
-
-def _bundle_mask(bundle: int | Iterable[int], m: int) -> int:
-    if type(bundle) is int:
-        if bundle < 0 or bundle >> m:
-            raise ValueError(f"bundle mask {bundle:#x} has goods out of range")
-        return bundle
-    mask = 0
-    for g in bundle:
-        if not 0 <= g < m:
-            raise ValueError(f"good index {g} out of range")
-        mask |= 1 << g
-    return mask
+def _digits(entries: Sequence[int], message: str) -> bytes:
+    """The ASCII binary digits of a 0/1 sequence read backwards (entry g is
+    digit g from the right), checked in C-level passes: a type test (bools
+    and floats are not entries), ``bytes`` (entries outside 0..255) and a
+    0/1 test.  The type test runs first, so unhashable entries raise
+    ``ValueError(message)`` too."""
+    try:
+        if not set(map(type, entries)) <= {int}:
+            raise ValueError
+        packed = bytes(entries)  # ValueError outside 0..255
+        if packed.translate(None, b"\x00\x01"):
+            raise ValueError
+    except ValueError:
+        raise ValueError(message) from None
+    return packed[::-1].translate(_DIGITS)
 
 
 class BinaryAdditive(Valuation):
@@ -164,11 +163,9 @@ class BinaryAdditive(Valuation):
     def __init__(self, row: Sequence[int]):
         self.row = row = tuple(row)
         self.m = len(row)
-        self.nonloops = _bit_mask(row, "binary additive row must contain only 0/1 integers")
+        digits = _digits(row, "binary additive row must contain only 0/1 integers")
+        self.nonloops = int(digits or b"0", 2)
         self.grand_value = self.nonloops.bit_count()
-
-    def value(self, bundle: int | Iterable[int]) -> int:
-        return (_bundle_mask(bundle, self.m) & self.nonloops).bit_count()
 
     def basis(self, bundle: int) -> int:
         return bundle & self.nonloops
@@ -194,10 +191,10 @@ class LinearMatroidGF2(Valuation):
     bundle is the GF(2) rank of its columns.
 
     The constructor checks and packs all columns in one pass: one length
-    test over the columns, one flat list of the entries with a type test,
-    its ``bytes`` with a 0/1 test, one translate to ASCII digits of the
-    whole matrix read backwards, and one ``int(..., 2)`` per column slice
-    of it (entry t of a column is bit t of its mask).
+    test over the columns, ``_digits`` of one flat list of the entries (the
+    whole matrix read backwards as ASCII digits, as an additive row is
+    read), and one ``int(..., 2)`` per column slice of it (entry t of a
+    column is bit t of its mask).
     """
 
     kind = "matroid_gf2"
@@ -210,16 +207,8 @@ class LinearMatroidGF2(Valuation):
         if not set(map(len, cols)) <= {rows}:
             raise ValueError("column length does not match row count")
         entries = list(chain.from_iterable(cols))
-        try:
-            if not set(map(type, entries)) <= {int}:
-                raise ValueError
-            packed = bytes(entries)  # ValueError outside 0..255
-            if packed.translate(None, b"\x00\x01"):
-                raise ValueError
-        except ValueError:
-            raise ValueError("matroid matrix entries must be 0/1 integers") from None
         # backwards, the last column comes first with its highest row first
-        digits = packed[::-1].translate(_DIGITS)
+        digits = _digits(entries, "matroid matrix entries must be 0/1 integers")
         backwards = [int(digits[s : s + rows], 2) for s in range(0, m * rows, rows)] if rows else [0] * m
         self.col_masks = masks = tuple(reversed(backwards))
         # one 0/1 byte per column, highest good first, read as binary in C
@@ -252,9 +241,6 @@ class LinearMatroidGF2(Valuation):
                 skipped |= 1 << g
                 swappable |= goods
         return basis, skipped, swappable
-
-    def value(self, bundle: int | Iterable[int]) -> int:
-        return len(self._basis(_bundle_mask(bundle, self.m))[0])
 
     def basis(self, bundle: int) -> int:
         return bundle ^ self._basis(bundle)[1]

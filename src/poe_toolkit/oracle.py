@@ -13,7 +13,8 @@ removal lowers it most) come from one ``model.floor_table`` per agent, the
 ``coloops`` pair of every bundle built in one pass, and an assignment is EQ1
 exactly when its largest floor is at most its smallest value, the rule of
 ``model.is_eq1``.  Each assignment is one table-lookup key and one dict
-update; sorting and the welfare keys run once per distinct value vector.
+update; sorting runs once per distinct key, and the welfare keys once per
+distinct sorted value vector.
 """
 
 from __future__ import annotations
@@ -93,21 +94,23 @@ def _prefixes(tables: list[list[int]], weight: list[int], full: int):
         subs[k] = (subs[k] - 1) & rests[k]
 
 
-def _scan(inst: Instance) -> dict[tuple[tuple[int, ...], bool], int]:
-    """Every distinct outcome (value vector, EQ1 or not) of the n^m complete
-    assignments, mapped to the lowest lexicographic index that attains it
-    (good 0 is the most significant digit).
+def _scan(inst: Instance) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """Two tables over the n^m complete assignments, of all of them and of
+    the EQ1 ones: each sorted value vector that some assignment attains,
+    mapped to the lowest lexicographic index that attains it (good 0 is the
+    most significant digit).
 
-    Agent k's table holds, for each bundle, its value and whether its floor
-    is one lower (``floor_table``), shifted into agent k's own bit field, so
-    an assignment's key is the OR of its agents' entries.  The assignment is
-    EQ1 exactly when its largest floor is at most its smallest value.  The
-    first n-2 agents take submasks in turn (``_prefixes``); the last two
-    split what is left, and each split costs one dict update.
+    Agent k's lookup table holds, for each bundle, its value and whether its
+    floor is one lower (``floor_table``), shifted into agent k's own bit
+    field, so an assignment's key is the OR of its agents' entries.  The
+    assignment is EQ1 exactly when its largest floor is at most its smallest
+    value.  The first n-2 agents take submasks in turn (``_prefixes``); the
+    last two split what is left, and each split costs one dict update.
     """
     n, m = inst.n, inst.m
     if n == 1:  # one assignment, EQ1 by definition
-        return {((inst.valuations[0].grand_value,), True): 0}
+        table = {(inst.valuations[0].grand_value,): 0}
+        return table, table
     width = m.bit_length() + 1  # a value <= m, then the floor's drop bit
     tables = [
         [entry << (k * width) for entry in floor_table(val)]
@@ -136,7 +139,8 @@ def _scan(inst: Instance) -> dict[tuple[tuple[int, ...], bool], int]:
             sub = (sub - 1) & left
 
     field = (1 << width) - 1
-    outcomes: dict[tuple[tuple[int, ...], bool], int] = {}
+    all_vecs: dict[tuple[int, ...], int] = {}
+    eq1_vecs: dict[tuple[int, ...], int] = {}
     for key, i in found.items():
         values, top_floor = [], 0
         for _ in range(n):
@@ -144,10 +148,12 @@ def _scan(inst: Instance) -> dict[tuple[tuple[int, ...], bool], int]:
             values.append(v)
             top_floor = max(top_floor, v - drop)
             key >>= width
-        outcome = (tuple(values), top_floor <= min(values))
-        if i < outcomes.get(outcome, end):
-            outcomes[outcome] = i
-    return outcomes
+        vec = tuple(sorted(values))
+        if i < all_vecs.get(vec, end):
+            all_vecs[vec] = i
+        if top_floor <= vec[0] and i < eq1_vecs.get(vec, end):
+            eq1_vecs[vec] = i
+    return all_vecs, eq1_vecs
 
 
 def _alloc_from_index(inst: Instance, idx: int) -> Allocation:
@@ -169,15 +175,7 @@ def enumerate_allocations(
     p_list = list(p_list)
     count = _check_budget(inst, budget)
 
-    # sorted value vector -> lowest index, over all and over EQ1 assignments
-    all_vecs: dict[tuple[int, ...], int] = {}
-    eq1_vecs: dict[tuple[int, ...], int] = {}
-    for (values, eq1), idx in _scan(inst).items():
-        svals = tuple(sorted(values))
-        if idx < all_vecs.get(svals, count):
-            all_vecs[svals] = idx
-        if eq1 and idx < eq1_vecs.get(svals, count):
-            eq1_vecs[svals] = idx
+    all_vecs, eq1_vecs = _scan(inst)
     # the positive capacity: the most agents that one assignment gives value
     restrict = max(len(vec) - vec.count(0) for vec in all_vecs)
 

@@ -179,13 +179,12 @@ def max_positive_count(inst: Instance) -> int:
 _ZERO = Fraction(0)  # the mean of a dominated vector, shared by every call
 
 
-def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
+def p_mean(values: Sequence, p: PParam, restrict: int):
     """Generalized p-mean of a nonnegative value vector under the
     positive-subset convention: the mean is taken over ``restrict`` agents
-    (the instance's positive capacity; all ``len(values)`` entries when not
-    given) that include every positive entry.  A vector with fewer positive
-    entries is *dominated* and evaluates with the implied zeros, which makes
-    it 0 for p <= 0.
+    (the instance's positive capacity) that include every positive entry.
+    A vector with fewer positive entries is *dominated* and evaluates with
+    the implied zeros, which makes it 0 for p <= 0.
 
     Returns an exact Fraction for p = 1 on rational inputs, an exact
     integer/Fraction for the egalitarian limit, and a float otherwise.
@@ -194,11 +193,10 @@ def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
     version.  Raises ``ValueError`` for p < 0 when the mean of the powers
     falls below the normal float range, where it has lost its precision.
     """
-    denom = len(values) if restrict is None else restrict
-    if denom == 0:
+    if restrict == 0:
         return _ZERO
     entries = [v for v in values if v > 0]
-    short = len(entries) < denom  # implied zero entries
+    short = len(entries) < restrict  # implied zero entries
 
     if p.kind == "neg_inf":
         return _ZERO if short else min(entries)
@@ -207,22 +205,20 @@ def p_mean(values: Sequence, p: PParam, restrict: int | None = None):
     if p.kind == "nash":
         if short:
             return 0.0
-        return math.exp(reduce(operator.add, map(math.log, entries), 0.0) / denom)
+        return math.exp(reduce(operator.add, map(math.log, entries), 0.0) / restrict)
     assert p.value is not None
     if p.value == 1:
         total = sum(entries)
         if isinstance(total, float):
-            return total / denom
-        return Fraction(total, denom)
+            return total / restrict
+        return Fraction(total, restrict)
     pf = float(p.value)
     if pf < 0 and short:
         return 0.0
     acc = reduce(operator.add, (float(v) ** pf for v in entries), 0.0)
-    if pf < 0 and acc / denom < sys.float_info.min:
+    if pf < 0 and acc / restrict < sys.float_info.min:
         raise ValueError(f"p = {p} is too negative: the mean of x^p underflows the float range")
-    if acc == 0.0:
-        return 0.0
-    return (acc / denom) ** (1.0 / pf)
+    return (acc / restrict) ** (1.0 / pf)
 
 
 def welfare_key(values: Sequence[int], p: PParam, restrict: int):

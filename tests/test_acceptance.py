@@ -28,7 +28,7 @@ from poe_toolkit.generators import (
     random_matroid_gf2,
     unnormalised_2agent_instance,
 )
-from poe_toolkit.model import is_eq1
+from poe_toolkit.model import Instance, is_eq1
 from poe_toolkit.oracle import DEFAULT_BUDGET, enumerate_allocations
 from poe_toolkit.solver import max_utilitarian_clean, solve
 from poe_toolkit.verify import (
@@ -160,7 +160,7 @@ def test_criterion_06_doubly_normalised():
     if nonzero != {Fraction(1, 3), Fraction(1, 6), Fraction(1, 4)}:
         failures.append(f"eating entries {sorted(nonzero)}")
     dec = bvn_decompose(eat.matrix)
-    if sum(dec.weights()) != 1:
+    if sum(w for w, _ in dec.terms) != 1:
         failures.append("weights do not sum to 1")
     dim = eat.matrix.dim
     recon = [[Fraction(0)] * dim for _ in range(dim)]
@@ -205,7 +205,8 @@ def test_criterion_08_identical_matroids():
     p_check = (UTILITARIAN, NASH, PParam.real(-1), NEG_INF)
     failures = []
     for idx in range(100):
-        inst = random_matroid_gf2(rng, rng.randint(2, 5), rng.randint(1, 8), identical=True)
+        n, m = rng.randint(2, 5), rng.randint(1, 8)
+        inst = Instance(random_matroid_gf2(rng, 1, m).valuations * n)
         res = solve(inst, p_check)
         for p in p_check:
             if res.poe[p] != 1:
@@ -227,8 +228,8 @@ def test_criterion_09_welfare_math():
         t = rng.random()
         mix = [t * a + (1 - t) * b for a, b in zip(x, y)]
         for p in ps:
-            lhs = float(p_mean(mix, p))
-            rhs = t * float(p_mean(x, p)) + (1 - t) * float(p_mean(y, p))
+            lhs = float(p_mean(mix, p, n))
+            rhs = t * float(p_mean(x, p, n)) + (1 - t) * float(p_mean(y, p, n))
             if lhs < rhs - TOL:
                 failures.append(f"concavity trial {trial} p={p}")
 
@@ -240,7 +241,7 @@ def test_criterion_09_welfare_math():
         avg = sum(x[i] for i in subset) / size
         y = [avg if i in subset else v for i, v in enumerate(x)]
         for p in ps:
-            if float(p_mean(y, p)) < float(p_mean(x, p)) - TOL:
+            if float(p_mean(y, p, n)) < float(p_mean(x, p, n)) - TOL:
                 failures.append(f"averaging trial {trial} p={p}")
 
     for trial in range(1000):  # power-mean inequality directions

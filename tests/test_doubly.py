@@ -189,14 +189,14 @@ def test_eating_rejects_integral_ratio():
 
 
 def test_bvn_identity():
-    y = DoublyStochasticMatrix([[1, 0], [0, 1]])
+    y = DoublyStochasticMatrix([[1, 0], [0, 1]], 1)
     dec = bvn_decompose(y)
     assert dec.terms == [(Fraction(1), (0, 1))]
 
 
 def test_bvn_half_half():
     h = Fraction(1, 2)
-    dec = bvn_decompose(DoublyStochasticMatrix([[h, h], [h, h]]))
+    dec = bvn_decompose(DoublyStochasticMatrix([[1, 1], [1, 1]], 2))
     assert sorted(w for w, _ in dec.terms) == [h, h]
     assert {perm for _, perm in dec.terms} == {(0, 1), (1, 0)}
 
@@ -210,8 +210,9 @@ def test_bvn_reconstruction_and_bounds(rng):
         eat = eating_matrix(inst)
         dec = bvn_decompose(eat.matrix)
         dim, entries = eat.matrix.dim, eat.matrix.entries
-        assert sum(dec.weights()) == 1
-        assert all(w > 0 for w in dec.weights())
+        weights = [w for w, _ in dec.terms]
+        assert sum(weights) == 1
+        assert all(w > 0 for w in weights)
         assert len(dec.terms) <= dim * dim - 2 * dim + 2
         recon = [[Fraction(0)] * dim for _ in range(dim)]
         for w, perm in dec.terms:
@@ -241,39 +242,45 @@ def test_bvn_example1_term_list():
 
 def test_bvn_rejects_non_stochastic():
     with pytest.raises(ValueError):
-        DoublyStochasticMatrix([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 2), Fraction(3, 4)]])
+        DoublyStochasticMatrix([[2, 1], [2, 3]], 4)
 
 
 def _circulant(first_row):
     dim = len(first_row)
-    return [[Fraction(first_row[(c - r) % dim]) for c in range(dim)] for r in range(dim)]
+    return [[first_row[(c - r) % dim] for c in range(dim)] for r in range(dim)]
 
 
-MIXED = ["1/2", "1/3", "1/7", "1/42"]  # sums to 1 over lcm 42
+MIXED = [21, 14, 6, 1]  # 1/2, 1/3, 1/7 and 1/42: sums to 1 over 42
 
 
 def test_matrix_counts_over_lcm():
-    y = DoublyStochasticMatrix(_circulant(MIXED))
+    y = DoublyStochasticMatrix(_circulant(MIXED), 42)
     assert y.scale == 42
     assert y.counts[0] == (21, 14, 6, 1) and y.counts[1] == (1, 21, 14, 6)
     assert y.entries[2][0] == Fraction(1, 7)
-    assert DoublyStochasticMatrix([[2, 4], [4, 2]], scale=6) == DoublyStochasticMatrix(
-        [[Fraction(1, 3), Fraction(2, 3)], [Fraction(2, 3), Fraction(1, 3)]])
+    # counts over a multiple of the least common denominator are reduced
+    assert DoublyStochasticMatrix(_circulant([2 * x for x in MIXED]), 84) == y
+    assert DoublyStochasticMatrix([[2, 4], [4, 2]], 6) == DoublyStochasticMatrix([[1, 2], [2, 1]], 3)
 
 
 def _off_by_one_lcm():
     rows = _circulant(MIXED)
-    rows[0][3] += Fraction(1, 42)
+    rows[0][3] += 1
     return rows
 
 
 @pytest.mark.parametrize("entries, scale, message", [
-    (_off_by_one_lcm(), 1, "row"),
-    ([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3)]], 1, "column"),
-    (_circulant(["4/3", "-1/2", "1/6"]), 1, "non-negative"),
-    ([[Fraction(1, 3), Fraction(2, 3), 0], [Fraction(2, 3), Fraction(1, 3), 0]], 1, "square"),
+    (_off_by_one_lcm(), 42, "row"),
+    ([[3, 3], [2, 4]], 6, "column"),
+    (_circulant([8, -3, 1]), 6, "non-negative"),
+    ([[1, 2, 0], [2, 1, 0]], 3, "square"),
     ([[1]], 0, "scale"),
-], ids=["row_off_by_one_lcm", "column_sums", "negative_entry", "non_square", "zero_scale"])
+    ([], 1, "at least one row"),
+    ([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]], 1, "integer"),
+    ([[0.5, 0.5], [0.5, 0.5]], 1, "integer"),
+    ([[True]], 1, "integer"),
+], ids=["row_off_by_one_lcm", "column_sums", "negative_entry", "non_square", "zero_scale",
+        "empty", "fraction_entries", "float_entries", "bool_entry"])
 def test_matrix_rejects(entries, scale, message):
     with pytest.raises(ValueError, match=message):
         DoublyStochasticMatrix(entries, scale)
@@ -325,14 +332,15 @@ def convex_combinations(draw):
 @settings(max_examples=200, deadline=None)
 @given(convex_combinations())
 def test_bvn_integer_counts(entries):
-    y = DoublyStochasticMatrix(entries)
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    y = DoublyStochasticMatrix([[int(x * scale) for x in row] for row in entries], scale)
     dim = y.dim
-    assert y.scale == math.lcm(*(x.denominator for row in entries for x in row))
+    assert y.scale == scale
     assert y.entries == tuple(map(tuple, entries))
     dec = bvn_decompose(y)
     assert dec.terms == _bvn_fractions(entries)
-    assert all(type(w) is Fraction and w > 0 for w in dec.weights())
-    assert sum(dec.weights()) == 1
+    assert all(type(w) is Fraction and w > 0 for w, _ in dec.terms)
+    assert sum(w for w, _ in dec.terms) == 1
     assert len(dec.terms) <= dim * dim - 2 * dim + 2
     recon = [[Fraction(0)] * dim for _ in range(dim)]
     for w, perm in dec.terms:

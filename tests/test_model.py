@@ -19,7 +19,6 @@ from poe_toolkit.model import (
     BinaryAdditive,
     Instance,
     LinearMatroidGF2,
-    _bit_mask,
     floor_table,
     goods_of,
     is_ef,
@@ -54,20 +53,20 @@ def make_clean(inst: Instance, alloc: Allocation) -> Allocation:
 
 def test_value_additive_row():
     v = BinaryAdditive([1, 1, 0, 1])
-    assert v.value({0, 1}) == 2
-    assert v.value([]) == 0
-    assert v.value(range(4)) == 3
+    assert v.value(0b0011) == 2
+    assert v.value(0) == 0
+    assert v.value(0b1111) == 3
 
 
 def test_value_matroid_repeated_basis():
     v = LinearMatroidGF2(3, [E1 + [0], E1 + [0], E2 + [0]])
-    assert v.value({0, 1, 2}) == 2
-    assert v.value([]) == 0
+    assert v.value(0b111) == 2
+    assert v.value(0) == 0
 
 
 def test_value_out_of_range():
     with pytest.raises(ValueError):
-        BinaryAdditive([1, 0]).value({5})
+        BinaryAdditive([1, 0]).value(1 << 5)
     with pytest.raises(ValueError):
         BinaryAdditive([1, 0]).value(0b100)
     with pytest.raises(ValueError):
@@ -77,21 +76,34 @@ def test_value_out_of_range():
 def test_value_of_bitmask_bundle():
     add = BinaryAdditive([1, 1, 0, 1])
     mat = LinearMatroidGF2(3, [E1 + [0], E1 + [0], E2 + [0]])
-    assert add.value(0b1011) == add.value({0, 1, 3}) == 3
-    assert mat.value(0b111) == mat.value({0, 1, 2}) == 2
+    assert add.value(0b1011) == 3
+    assert mat.value(0b111) == mat.value(0b011) + 1 == 2
     assert add.value(0) == mat.value(0) == 0
 
 
 ENTRIES = "matroid matrix entries must be 0/1 integers"
+ROW = "binary additive row must contain only 0/1 integers"
 LENGTH = "column length does not match row count"
 
 
-@pytest.mark.parametrize("entry", [True, 1.0, 2, -1, 256, 2**70, "1", None, [1]])
+BAD_ENTRIES = [True, 1.0, 2, -1, 256, 2**70, "1", None, [1]]
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES)
 def test_matroid_rejects_entry(entry):
     for cols in ([[entry, 0]], [[1, 0], [0, entry]]):
         with pytest.raises(ValueError) as exc:
             LinearMatroidGF2(2, cols)
         assert str(exc.value) == ENTRIES
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES)
+def test_additive_rejects_entry(entry):
+    # the same check as the matroid's, with the row's own message
+    for row in ([entry, 0], [1, 0, entry]):
+        with pytest.raises(ValueError) as exc:
+            BinaryAdditive(row)
+        assert str(exc.value) == ROW
 
 
 @pytest.mark.parametrize("cols", [[[1]], [[1, 0], [1]], [[1, 0, 1]], [[0, 1], [1, 0, 0]], [[]]])
@@ -112,7 +124,7 @@ def test_matroid_column_masks_match_per_column_pack(rng):
         rows, m = rng.randint(1, 70), rng.randint(1, 12)
         cols = [[rng.randint(0, 1) for _ in range(rows)] for _ in range(m)]
         v = LinearMatroidGF2(rows, cols)
-        assert v.col_masks == tuple(_bit_mask(tuple(col), ENTRIES) for col in cols)
+        assert v.col_masks == tuple(sum(b << t for t, b in enumerate(col)) for col in cols)
         assert v.to_json()["cols"] == cols
 
 
@@ -146,24 +158,23 @@ def valuations(draw):
 @given(valuations(), st.data())
 def test_circuits_agree_with_value(val, data):
     m = val.m
-    indep: list[int] = []  # greedy independent bundle over a random good order
+    indep = 0  # greedy independent bundle over a random good order
     for g in data.draw(st.lists(st.integers(0, m - 1), unique=True)):
-        if val.value(indep + [g]) == len(indep) + 1:
-            indep.append(g)
-    circuit = val.exchange(sum(1 << g for g in indep)).circuit
-    for g in set(range(m)) - set(indep):
-        if val.value(indep + [g]) == len(indep) + 1:
+        if val.value(indep | 1 << g) == indep.bit_count() + 1:
+            indep |= 1 << g
+    size = indep.bit_count()
+    circuit = val.exchange(indep).circuit
+    for g in goods_of(((1 << m) - 1) ^ indep):
+        if val.value(indep | 1 << g) == size + 1:
             assert circuit(g) is None
         else:
-            swaps = [h for h in indep
-                     if val.value([x for x in indep if x != h] + [g]) == len(indep)]
+            swaps = [h for h in goods_of(indep) if val.value(indep ^ 1 << h | 1 << g) == size]
             assert circuit(g) == sum(1 << h for h in swaps)
     # any bundle, dependent or not: None exactly when g raises the value
     bundle = data.draw(st.integers(0, (1 << m) - 1))
-    goods = [g for g in range(m) if (bundle >> g) & 1]
     circuit = val.exchange(bundle).circuit
-    for g in set(range(m)) - set(goods):
-        assert (circuit(g) is None) == (val.value(goods + [g]) == val.value(goods) + 1)
+    for g in goods_of(((1 << m) - 1) ^ bundle):
+        assert (circuit(g) is None) == (val.value(bundle | 1 << g) == val.value(bundle) + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,22 +206,32 @@ def test_exchange_updates_match_rebuild(val, data):
 # Reference copies of the per-good loops that coloops() and basis() replaced.
 
 
-def reference_reduced_value(val, bundle: frozenset) -> int:
+def reference_reduced_value(val, bundle: int) -> int:
     best = val.value(bundle)
-    for g in sorted(bundle):
-        v = val.value(bundle - {g})
+    for g in goods_of(bundle):
+        v = val.value(bundle ^ (1 << g))
         if v < best:
             return v
     return best
 
 
-def goods_sets(inst, alloc) -> list[frozenset[int]]:
-    """Per-agent bundles as sets of goods."""
-    return [frozenset(goods_of(b)) for b in alloc.masks(inst)]
+def reference_value(val, bundle: int) -> int:
+    """The row's sum over the bundle, or the GF(2) rank of its columns by
+    plain elimination."""
+    if isinstance(val, BinaryAdditive):
+        return sum(val.row[g] for g in goods_of(bundle))
+    rank, vecs = 0, [val.col_masks[g] for g in goods_of(bundle)]
+    while vecs:
+        pivot = vecs.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            vecs = [v ^ pivot if v & low else v for v in vecs]
+    return rank
 
 
 def reference_is_eq1(inst, alloc) -> bool:
-    bundles = goods_sets(inst, alloc)
+    bundles = alloc.masks(inst)
     vmin = min(v.value(b) for v, b in zip(inst.valuations, bundles))
     return inst.n <= 1 or all(
         not b or reference_reduced_value(v, b) <= vmin for v, b in zip(inst.valuations, bundles)
@@ -218,7 +239,7 @@ def reference_is_eq1(inst, alloc) -> bool:
 
 
 def reference_is_ef1(inst, alloc) -> bool:
-    bundles = goods_sets(inst, alloc)
+    bundles = alloc.masks(inst)
     for i, val in enumerate(inst.valuations):
         vi = val.value(bundles[i])
         for k, b in enumerate(bundles):
@@ -229,15 +250,15 @@ def reference_is_ef1(inst, alloc) -> bool:
 
 def reference_wasted_goods(inst, alloc) -> frozenset:
     removed = set()
-    work = [set(b) for b in goods_sets(inst, alloc)]
+    work = alloc.masks(inst)
     for g in range(alloc.m):
         i = alloc.owner[g]
         if i == -1:
             continue
         val = inst.valuations[i]
-        if val.value(work[i]) == val.value(work[i] - {g}):
+        if val.value(work[i]) == val.value(work[i] & ~(1 << g)):
             removed.add(g)
-            work[i].discard(g)
+            work[i] &= ~(1 << g)
     return frozenset(removed)
 
 
@@ -267,17 +288,17 @@ def test_floor_matches_definitions(case):
     inst, alloc = case
     for val in inst.valuations:
         for bundle in alloc.masks(inst) + [(1 << inst.m) - 1]:
-            goods = frozenset(g for g in range(inst.m) if (bundle >> g) & 1)
-            full = val.value(goods)
-            coloops = {g for g in goods if val.value(goods - {g}) < full}
+            full = reference_value(val, bundle)
+            coloops = [g for g in goods_of(bundle) if reference_value(val, bundle ^ (1 << g)) < full]
+            assert val.value(bundle) == full
             assert val.coloops(bundle) == (full, sum(1 << g for g in coloops))
             assert val.basis(bundle) & ~bundle == 0
-            assert val.basis(bundle).bit_count() == val.value(goods)
+            assert val.basis(bundle).bit_count() == full
         # an int set at construction, on both valuation kinds
         assert type(val.nonloops) is int
-        assert val.nonloops == sum(1 << g for g in range(inst.m) if val.value([g]))
+        assert val.nonloops == sum(1 << g for g in range(inst.m) if val.value(1 << g))
     assert inst.takers() == [
-        [j for j, val in enumerate(inst.valuations) if val.value([g])] for g in range(inst.m)
+        [j for j, val in enumerate(inst.valuations) if val.value(1 << g)] for g in range(inst.m)
     ]
     assert wasted_goods(inst, alloc) == reference_wasted_goods(inst, alloc)
     if alloc.is_complete:
@@ -469,7 +490,7 @@ def test_identical_valuations_ef1_iff_eq1(rng):
             inst = random_binary_additive(rng, 1, m)
             inst = Instance([inst.valuations[0]] * n)
         else:
-            inst = random_matroid_gf2(rng, n, m, identical=True)
+            inst = Instance(random_matroid_gf2(rng, 1, m).valuations * n)
         alloc = random_allocation(rng, inst)
         assert is_ef1(inst, alloc) == is_eq1(inst, alloc)
 
@@ -606,7 +627,7 @@ def test_grand_value_is_the_value_of_all_goods(rng):
         vals.extend(random_matroid_gf2(rng, n, m, k=rng.randint(0, 6)).valuations)
         vals.extend(random_matroid_gf2(rng, n, m, W=rng.randint(1, m)).valuations)
     for i, v in enumerate(vals):
-        assert v.grand_value == v.value(range(v.m)) == v.value((1 << v.m) - 1), v
+        assert v.grand_value == v.value((1 << v.m) - 1) == reference_value(v, (1 << v.m) - 1), v
         if i < len(expected):
             assert v.grand_value == expected[i], v
     # the normalisation constant is the common grand value

@@ -42,7 +42,8 @@ def test_unnormalised_example_poe():
 
 def test_identical_instances_poe_one(rng):
     for _ in range(20):
-        inst = random_matroid_gf2(rng, rng.randint(2, 3), rng.randint(1, 5), identical=True)
+        n, m = rng.randint(2, 3), rng.randint(1, 5)
+        inst = Instance(random_matroid_gf2(rng, 1, m).valuations * n)
         orc = enumerate_allocations(inst, GATE_P_LIST)
         for p in GATE_P_LIST:
             assert orc.poe[p] == 1

@@ -239,21 +239,26 @@ def assert_sweep_matches_search(inst: Instance) -> int:
     return longer
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 16), st.sampled_from(
-    ("additive", "additive_w", "gf2_w", "gf2_k")))
-def test_augmentation_sweep_matches_search(seed, n, m, kind):
-    # low GF(2) ranks make agents compete for goods, so some paths are longer
+SEEDED_KINDS = st.sampled_from(("additive", "additive_w", "gf2_w", "gf2_k"))
+
+
+def seeded_instance(seed: int, n: int, m: int, kind: str) -> Instance:
+    """A sampled instance of one of ``SEEDED_KINDS``; low GF(2) ranks make
+    agents compete for goods, so some augmenting paths are longer."""
     rng = random.Random(seed)
     if kind == "additive":
-        inst = random_binary_additive(rng, n, m)
-    elif kind == "additive_w":
-        inst = random_binary_additive(rng, n, m, W=rng.randint(1, m))
-    elif kind == "gf2_w":
-        inst = random_matroid_gf2(rng, n, m, W=rng.randint(1, min(m, 3)))
-    else:
-        inst = random_matroid_gf2(rng, n, m, k=rng.randint(1, 3))
-    assert_sweep_matches_search(inst)
+        return random_binary_additive(rng, n, m)
+    if kind == "additive_w":
+        return random_binary_additive(rng, n, m, W=rng.randint(1, m))
+    if kind == "gf2_w":
+        return random_matroid_gf2(rng, n, m, W=rng.randint(1, min(m, 3)))
+    return random_matroid_gf2(rng, n, m, k=rng.randint(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 16), SEEDED_KINDS)
+def test_augmentation_sweep_matches_search(seed, n, m, kind):
+    assert_sweep_matches_search(seeded_instance(seed, n, m, kind))
 
 
 def test_augmentation_sweep_leaves_the_longer_paths_to_the_search():
@@ -267,6 +272,31 @@ def test_augmentation_sweep_leaves_the_longer_paths_to_the_search():
         n, m = rng.randint(2, 6), rng.randint(3, 16)
         longer += assert_sweep_matches_search(random_matroid_gf2(rng, n, m, k=rng.randint(1, 3)))
     assert longer >= 20, longer
+
+
+def assert_union_dual(inst: Instance) -> None:
+    """A* meets Edmonds' matroid-union bound: with T the goods the exchange
+    search reaches from the pool of A* (no path is left), the A* total is
+    |E - T| + sum of r_j(T).  By weak duality every allocation's total is at
+    most that sum, so a suboptimal A* would leave a positive gap."""
+    state = max_utilitarian_clean(inst)
+    T = state._bfs(state.pool, range(inst.n))
+    assert isinstance(T, int)  # a mask of reached goods: no path is left
+    dual = (((1 << inst.m) - 1) ^ T).bit_count() + sum(v.value(T) for v in inst.valuations)
+    assert sum(state.values()) == dual
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 24), SEEDED_KINDS)
+def test_clean_total_meets_matroid_union_dual(seed, n, m, kind):
+    assert_union_dual(seeded_instance(seed, n, m, kind))
+
+
+def test_clean_total_meets_matroid_union_dual_on_families():
+    for k in (2, 8, 32):
+        assert_union_dual(gen_submodular_lb_instance(k))
+    assert_union_dual(gen_lower_bound_instance(16, 16))
+    assert_union_dual(random_matroid_gf2(random.Random(1), 128, 512, k=8))
 
 
 def tie_break_corpus() -> list[Instance]:
@@ -480,7 +510,8 @@ def test_solve_family_poe_exact():
 
 def test_solve_r1_value_vectors_match(rng):
     for _ in range(30):
-        inst = random_matroid_gf2(rng, rng.randint(2, 4), rng.randint(1, 6), identical=True)
+        n, m = rng.randint(2, 4), rng.randint(1, 6)
+        inst = Instance(random_matroid_gf2(rng, 1, m).valuations * n)
         res = solve(inst, GATE_P_LIST)
         assert sorted(res.b.values(inst)) == sorted(res.a_star.values(inst))
         for p in GATE_P_LIST:

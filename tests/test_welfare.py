@@ -239,12 +239,11 @@ nonnegative_vectors = st.one_of(
 @example([])
 @example([0, 0])
 @example([0.0, 2.5, 3])
-def test_p_mean_default_restrict_is_the_plain_mean(values):
+def test_p_mean_over_all_entries_is_the_plain_mean(values):
     # the positive-subset convention over all len(values) agents is the
     # plain mean over every entry, zeros included
     for p in P_WIDE:
-        got = p_mean(values, p)
-        assert got == p_mean(values, p, len(values))
+        got = p_mean(values, p, len(values))
         want = plain_mean(values, p)
         if p in EXACT and all(type(v) is int for v in values):
             assert got == want, (p, values)
@@ -271,7 +270,7 @@ def test_neg_inf_keys_keep_values_and_types(values, restrict):
     assert key == (len(positives), want)
     assert type(key[1]) is type(want)
     if 0 in values or not values:
-        assert type(p_mean(values, NEG_INF)) is Fraction
+        assert type(p_mean(values, NEG_INF, len(values))) is Fraction
 
 
 def case_table_key(values, p: PParam, restrict: int):
@@ -380,8 +379,8 @@ def test_concavity(x, y, t):
     x, y = x[:n], y[:n]
     mix = [t * a + (1 - t) * b for a, b in zip(x, y)]
     for p in (UTILITARIAN, PParam.real(Fraction(1, 2)), NASH, PParam.real(-1), NEG_INF):
-        lhs = float(p_mean(mix, p))
-        rhs = t * float(p_mean(x, p)) + (1 - t) * float(p_mean(y, p))
+        lhs = float(p_mean(mix, p, n))
+        rhs = t * float(p_mean(x, p, n)) + (1 - t) * float(p_mean(y, p, n))
         assert lhs >= rhs - 1e-9
 
 
@@ -392,7 +391,7 @@ def test_averaging_weakly_increases(x, data):
     avg = sum(x[i] for i in idx) / len(idx)
     y = [avg if i in idx else v for i, v in enumerate(x)]
     for p in P_GRID:
-        assert float(p_mean(y, p)) >= float(p_mean(x, p)) - 1e-9
+        assert float(p_mean(y, p, len(x))) >= float(p_mean(x, p, len(x))) - 1e-9
 
 
 def _le_up_to_rounding(a: float, b: float) -> bool:
