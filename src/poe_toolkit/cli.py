@@ -14,7 +14,9 @@ import json
 import sys
 
 from .bounds import bound_table, proof_rule_W
-from .doubly import eating_matrix, expected_values, is_doubly_normalised, randomized_allocation
+from .doubly import (
+    eating_lottery, eating_matrix, expected_values, is_doubly_normalised, randomized_allocation,
+)
 from .generators import (
     example1_instance,
     gen_doubly_normalised,
@@ -200,7 +202,9 @@ def cmd_doubly(args) -> int:
     W, W_c = dn
     if args.matrix_csv and W % W_c == 0:
         raise UsageError("no eating matrix: W divisible by W_c (flow route)")
-    lottery = randomized_allocation(inst)
+    # the lottery is decoded from the matrix the CSV prints
+    eating = eating_matrix(inst) if args.matrix_csv else None
+    lottery = eating_lottery(inst, eating) if eating else randomized_allocation(inst)
     doc = {
         "W": W,
         "W_c": W_c,
@@ -208,14 +212,13 @@ def cmd_doubly(args) -> int:
         "allocations": [list(a.owner) for _, a in lottery],
         "expected_values": [str(v) for v in expected_values(inst, lottery)],
     }
-    csv = eating_matrix(inst).to_csv() if args.matrix_csv else None
     # the CSV file is written first, so a path that cannot be written is
     # refused before the document is out; on stdout the document comes first
-    if csv is not None and args.matrix_csv != "-":
-        _emit(csv, args.matrix_csv)
+    if eating and args.matrix_csv != "-":
+        _emit(eating.to_csv(), args.matrix_csv)
     _emit_json(doc, args.out)
-    if csv is not None and args.matrix_csv == "-":
-        _emit(csv, "-")
+    if eating and args.matrix_csv == "-":
+        _emit(eating.to_csv(), "-")
     return 0
 
 

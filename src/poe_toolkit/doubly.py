@@ -4,8 +4,9 @@ Two independent routes produce welfare-optimal EQ1 allocations when every
 agent values exactly W goods and every good is valued by exactly W_c
 agents:
 
-* an integral flow with degree lower bounds (every good to an agent that
-  values it, every agent getting floor(W/W_c) or ceil(W/W_c) goods), and
+* ``welfare.fill``, the agent-good flow, run with the two degree bounds
+  (every good to an agent that values it, every agent getting floor(W/W_c)
+  or ceil(W/W_c) goods), and
 * a simultaneous-eating construction whose fractional outcome is an exactly
   doubly stochastic matrix, decomposed into permutation matrices and decoded
   back into allocations.
@@ -19,14 +20,13 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
 from .model import Allocation, BinaryAdditive, Instance, goods_of
-from .welfare import augment
+from .welfare import fill
 
 
 # ---------------------------------------------------------------------------
@@ -48,89 +48,6 @@ def is_doubly_normalised(inst: Instance) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Max flow (Dinic); integer capacities, deterministic
-# ---------------------------------------------------------------------------
-
-
-class _MaxFlow:
-    def __init__(self, size: int):
-        self.size = size
-        self.adj: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        """Add a directed edge; returns its id (the reverse edge is id ^ 1)."""
-        eid = len(self.to)
-        self.adj[u].append(eid)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return eid
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.size
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _push(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push flow along one s-t path of the level graph; return the amount
-        (0 when the level graph has no path left).
-
-        Iterative depth-first search: ``it[u]`` is u's current-arc pointer,
-        advanced only past an arc that is not admissible or leads nowhere, so
-        arcs are tried in the same order as a recursive search would."""
-        adj, to, cap = self.adj, self.to, self.cap
-        path: list[int] = []
-        u = s
-        while u != t:
-            arcs = adj[u]
-            while it[u] < len(arcs):
-                eid = arcs[it[u]]
-                if cap[eid] > 0 and level[to[eid]] == level[u] + 1:
-                    path.append(eid)
-                    u = to[eid]
-                    break
-                it[u] += 1
-            else:
-                if not path:
-                    return 0
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-        pushed = min(cap[eid] for eid in path)
-        for eid in path:
-            cap[eid] -= pushed
-            cap[eid ^ 1] += pushed
-        return pushed
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return total
-            it = [0] * self.size
-            while True:
-                pushed = self._push(s, t, level, it)
-                if not pushed:
-                    break
-                total += pushed
-
-    def flow_on(self, eid: int) -> int:
-        return self.cap[eid ^ 1]
-
-
-# ---------------------------------------------------------------------------
 # Integral flow route
 # ---------------------------------------------------------------------------
 
@@ -139,37 +56,21 @@ def solve_flow(inst: Instance) -> Allocation:
     """Welfare-optimal EQ1 allocation for a doubly normalised instance.
 
     Every good goes to an agent that values it, and every agent receives
-    floor(W/W_c) or ceil(W/W_c) goods.  Realized as an integral flow in two
-    phases: saturate the per-agent lower bounds first, then route the
-    remaining goods under the upper bounds (augmentation never pushes an
-    agent back below its saturated lower bound)."""
+    floor(W/W_c) or ceil(W/W_c) goods: ``fill`` saturates the lower bound
+    first, then places the remaining goods under the upper bound (an
+    augmenting path never takes a good from an agent without giving it
+    another)."""
     dn = is_doubly_normalised(inst)
     if dn is None:
         raise ValueError("instance is not doubly normalised")
     W, W_c = dn
     lo, hi = W // W_c, -(-W // W_c)
-    n, m = inst.n, inst.m
-    s, t = n + m, n + m + 1
-    net = _MaxFlow(n + m + 2)
-    agent_edges = [net.add_edge(s, i, lo) for i in range(n)]
-    pair_edges: dict[int, tuple[int, int]] = {}
-    for i, v in enumerate(inst.valuations):
-        for g in goods_of(v.nonloops):
-            pair_edges[net.add_edge(i, n + g, 1)] = (i, g)
-    for g in range(m):
-        net.add_edge(n + g, t, 1)
-    if net.max_flow(s, t) != n * lo:
+    owner, load = fill([v.nonloops for v in inst.valuations], inst.m, (lo, hi))
+    if min(load) < lo:
         raise RuntimeError("internal: lower bounds infeasible on a doubly normalised instance")
-    for eid in agent_edges:
-        net.cap[eid] += hi - lo
-    total = n * lo + net.max_flow(s, t)
-    if total != m:
+    if sum(load) != inst.m:
         raise RuntimeError("internal: flow failed to place every good")
-    owner = [-1] * m
-    for eid, (i, g) in pair_edges.items():
-        if net.flow_on(eid) > 0:
-            owner[g] = i
-    return Allocation(owner, n)
+    return Allocation(owner, inst.n)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +192,42 @@ class BvnDecomposition:
     terms: list[tuple[Fraction, tuple[int, ...]]]
 
 
+def augment(
+    adj: Sequence[Sequence[int]], root: int, row_match: list[int], col_match: list[int],
+) -> bool:
+    """Extend ``bvn_decompose``'s matching by one augmenting path from the
+    free row ``root``; False, with the matching unchanged, if there is none.
+
+    ``adj[r]`` lists the columns row ``r`` may take, and ``row_match`` and
+    ``col_match`` (the partner of each row and column, -1 if free) are
+    updated in place.  A depth-first (Kuhn) search that tries columns in
+    ``adj`` order and visits each at most once, on an explicit stack, so the
+    path length is not bounded by the recursion limit; the decomposition's
+    terms depend on that order.
+    """
+    seen: set[int] = set()
+    rows = [root]  # rows[k + 1] is matched to the column rows[k] is trying
+    iters = [iter(adj[root])]  # iters[k]: the columns rows[k] has not tried
+    while iters:
+        for c in iters[-1]:
+            if c in seen:
+                continue
+            seen.add(c)
+            owner = col_match[c]
+            if owner < 0:
+                for r in reversed(rows):  # each row takes the next one's column
+                    row_match[r], c = c, row_match[r]
+                    col_match[row_match[r]] = r
+                return True
+            rows.append(owner)
+            iters.append(iter(adj[owner]))
+            break
+        else:
+            iters.pop()
+            rows.pop()
+    return False
+
+
 def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
     """Decompose a doubly stochastic matrix into permutation matrices.
 
@@ -364,7 +301,12 @@ def randomized_allocation(inst: Instance) -> list[tuple[Fraction, Allocation]]:
     W, W_c = dn
     if W % W_c == 0:
         return [(Fraction(1), solve_flow(inst))]
-    eating = eating_matrix(inst)
+    return eating_lottery(inst, eating_matrix(inst))
+
+
+def eating_lottery(inst: Instance, eating: EatingMatrix) -> list[tuple[Fraction, Allocation]]:
+    """The lottery of ``inst``'s eating matrix ``eating``: its decomposition's
+    weights, each with its permutation decoded into an allocation."""
     decomp = bvn_decompose(eating.matrix)
     return [(w, decode_allocation(inst, perm, eating)) for w, perm in decomp.terms]
 

@@ -3,7 +3,10 @@
 When some agents are bound to receive zero value, welfare is evaluated over
 a largest subset of agents that can simultaneously get positive value; the
 size of that subset is the instance's *positive capacity* (a maximum
-bipartite matching between agents and the goods they value).  ``p_mean`` is
+bipartite matching between agents and the goods they value).  ``fill`` is
+the one flow on that agent-good graph: the capacity is its total with one
+good per agent, and the doubly normalised flow route runs it with the
+route's two degree bounds.  ``p_mean`` is
 the one place that rule is written: ``welfare_key`` ranks allocations by
 (number of positive agents, ``p_mean`` over the capacity), with the integer
 product of positive values standing in for the Nash mean;
@@ -97,78 +100,95 @@ UTILITARIAN = PParam("real", Fraction(1))
 # ---------------------------------------------------------------------------
 
 
-def augment(
-    adj: Sequence[Sequence[int]], root: int, row_match: list[int], col_match: list[int],
-) -> bool:
-    """Extend a bipartite matching by one augmenting path from the free row
-    ``root``.
+def fill(rows: Sequence[int], m: int, caps: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Give each agent up to c goods from its liked-goods mask ``rows[i]``,
+    as many goods in total as possible, for each c of the ascending ``caps``
+    in turn (each round goes on from the last one's goods).  Returns the
+    goods' ``owner`` list (-1 for a free good) and the agents' ``load`` list.
 
-    ``adj[r]`` lists the columns row ``r`` may take; ``row_match`` and
-    ``col_match`` hold the partner of each row and column (-1 if free) and
-    are updated in place.  A depth-first (Kuhn) search that tries columns
-    in ``adj`` order and visits each column at most once, kept on an
-    explicit stack so the path length is not bounded by the recursion
-    limit.  Returns False, leaving the matching unchanged, when no
-    augmenting path exists.
+    Dinic's maximum flow on source -> agent (capacity c) -> liked good ->
+    sink, on those lists and bitmasks.  A round opens with the phase of
+    one-arc paths: each agent in turn takes its lowest free liked goods.
+    Each later phase layers the goods breadth-first from the agents with
+    room (the owners of layer k's goods not reached before are on level
+    k + 1) up to the first layer that holds a free good.  The blocking flow
+    searches from each agent with room, in agent order: an agent tries its
+    liked goods in its layer, lowest first, and a good leads on to its owner
+    if the owner is one level down, or to the sink in the last layer.  A
+    good once tried has no arc left that a later path of the phase can use,
+    so one ``entered`` mask stands for the arc pointers.  The path is kept
+    on lists, so its length is not bounded by the recursion limit.
     """
-    seen: set[int] = set()
-    rows = [root]  # rows[k + 1] is matched to the column rows[k] is trying
-    iters = [iter(adj[root])]  # iters[k]: the columns rows[k] has not tried
-    while iters:
-        for c in iters[-1]:
-            if c in seen:
-                continue
-            seen.add(c)
-            owner = col_match[c]
-            if owner < 0:
-                for r in reversed(rows):  # each row takes the next one's column
-                    row_match[r], c = c, row_match[r]
-                    col_match[row_match[r]] = r
-                return True
-            rows.append(owner)
-            iters.append(iter(adj[owner]))
-            break
-        else:
-            iters.pop()
-            rows.pop()
-    return False
+    n = len(rows)
+    owner = [-1] * m
+    load = [0] * n
+    free = (1 << m) - 1
+    for c in caps:
+        for i, row in enumerate(rows):
+            avail = row & free
+            while avail and load[i] < c:
+                low = avail & -avail
+                avail ^= low
+                free ^= low
+                owner[low.bit_length() - 1] = i
+                load[i] += 1
+        while min(load) < c:
+            roots = [i for i in range(n) if load[i] < c]
+            level = [0 if k < c else -1 for k in load]  # agent i takes from layers[level[i]]
+            layers: list[int] = []
+            seen = 0
+            frontier = roots
+            while frontier:
+                reach = reduce(operator.or_, map(rows.__getitem__, frontier)) & ~seen
+                seen |= reach
+                layers.append(reach)
+                if reach & free:
+                    break
+                frontier = []
+                for g in goods_of(reach):
+                    if level[owner[g]] < 0:
+                        level[owner[g]] = len(layers)
+                        frontier.append(owner[g])
+            if not layers[-1] & free:
+                break
+            last, entered = len(layers) - 1, 0
+            for root in roots:
+                while load[root] < c:
+                    agents, goods = [root], []  # agents[k] takes goods[k]
+                    while agents:
+                        k = len(goods)
+                        cand = rows[agents[-1]] & layers[k] & ~entered
+                        if not cand:
+                            agents.pop()
+                            if goods:
+                                goods.pop()
+                            continue
+                        low = cand & -cand
+                        entered |= low
+                        g = low.bit_length() - 1
+                        if k == last:
+                            if low & free:
+                                goods.append(g)
+                                break
+                        elif level[owner[g]] == k + 1:
+                            agents.append(owner[g])
+                            goods.append(g)
+                    if not agents:
+                        break
+                    free ^= 1 << goods[-1]
+                    for a, g in zip(agents, goods):
+                        owner[g] = a
+                    load[root] += 1
+    return owner, load
 
 
 def max_positive_count(inst: Instance) -> int:
-    """Maximum number of agents that can simultaneously get positive value.
-
-    Equals the size of a maximum matching in the agent-good bipartite graph
+    """Maximum number of agents that can simultaneously get positive value:
+    a maximum matching, ``fill`` with capacity 1, in the agent-good graph
     with an edge whenever the agent values the good on its own (under unit
     marginals, one singleton-valued good is exactly what positivity takes),
-    read from the agents' ``nonloops`` masks.
-
-    The matching starts greedily on those masks: in agent order, each agent
-    takes its lowest valued good still free.  Kuhn's search (``augment``)
-    then runs once from each agent left unmatched that values some good,
-    over goods lists built only in that case.  A row with no augmenting path
-    keeps none after later augmentations, so one search from every initially
-    free row ends at a maximum matching whatever matching it starts from;
-    only its size is returned.
-    """
-    rows = [v.nonloops for v in inst.valuations]
-    row_match = [-1] * inst.n
-    col_match = [-1] * inst.m
-    free = (1 << inst.m) - 1
-    unmatched = []
-    for i, row in enumerate(rows):
-        avail = row & free
-        if avail:
-            low = avail & -avail
-            free ^= low
-            g = low.bit_length() - 1
-            row_match[i], col_match[g] = g, i
-        elif row:
-            unmatched.append(i)
-    count = inst.n - row_match.count(-1)
-    if unmatched:
-        adj = list(map(goods_of, rows))
-        count += sum(augment(adj, i, row_match, col_match) for i in unmatched)
-    return count
+    read from the agents' ``nonloops`` masks."""
+    return sum(fill([v.nonloops for v in inst.valuations], inst.m, (1,))[1])
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,26 @@ def test_doubly_example1(tmp_path):
     assert first_row[:3] == ["1/3", "1/3", "1/3"]
 
 
+def test_doubly_matrix_csv_builds_the_eating_matrix_once(tmp_path, monkeypatch, capsys):
+    # the lottery is decoded from the matrix the CSV prints
+    from poe_toolkit import cli, doubly
+
+    inst = tmp_path / "e1.json"
+    assert run("generate", "example1", "--out", str(inst)).returncode == 0
+    want = run("doubly", str(inst), "--matrix-csv", "-").stdout
+    honest, calls = doubly.eating_matrix, []
+
+    def counted(i):
+        calls.append(i)
+        return honest(i)
+
+    monkeypatch.setattr(doubly, "eating_matrix", counted)
+    monkeypatch.setattr(cli, "eating_matrix", counted)
+    assert cli.main(["doubly", str(inst), "--matrix-csv", "-"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == want
+
+
 def test_doubly_expected_values_match_the_fraction_sums(tmp_path):
     # eating route (W_c does not divide W): weights with several denominators
     from poe_toolkit.model import Allocation, Instance

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import functools
 import math
 
 import pytest
@@ -23,6 +24,7 @@ from poe_toolkit.welfare import (
     NEG_INF,
     PParam,
     UTILITARIAN,
+    fill,
     max_positive_count,
     p_mean,
     poe_ratio,
@@ -100,7 +102,7 @@ def test_capacity_single_contested_good():
 
 
 def test_capacity_greedy_rerouted():
-    # greedy gives good 0 to agent 0; augment must move agent 0 to good 1
+    # greedy gives good 0 to agent 0; a path must move agent 0 to good 1
     inst = Instance([BinaryAdditive([1, 1]), BinaryAdditive([1, 0])])
     assert max_positive_count(inst) == 2
 
@@ -142,6 +144,37 @@ def test_capacity_matches_brute_force(data):
             vals.append(LinearMatroidGF2(2, cols))
     valued = [{g for g in range(m) if row[g]} for row in matrix]
     assert max_positive_count(Instance(vals)) == brute_force_capacity(valued)
+
+
+def brute_force_fill(rows: list[int], m: int, c: int) -> int:
+    """Most goods handed out, each to an agent that likes it, at most c per agent."""
+    @functools.cache
+    def best(g: int, loads: tuple[int, ...]) -> int:
+        if g == m:
+            return 0
+        return max([best(g + 1, loads)]
+                   + [1 + best(g + 1, loads[:i] + (k + 1,) + loads[i + 1:])
+                      for i, k in enumerate(loads) if rows[i] >> g & 1 and k < c])
+    return best(0, (0,) * len(rows))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4))),
+    st.lists(st.integers(1, 3), min_size=1, max_size=2).map(sorted),
+)
+# in the last round's layers, the layer with the free good also holds goods
+# whose owners lead on to later layers
+@example((7, [0b1101011, 0b1101011, 0b110]), [1, 2])
+@example((7, [0b1101001, 0b100110, 0b1011011, 0b1010]), [2])
+def test_fill_matches_brute_force(graph, caps):
+    m, rows = graph
+    owner, load = fill(rows, m, caps)
+    assert sum(load) == brute_force_fill(rows, m, caps[-1])
+    assert max(load) <= caps[-1]
+    assert load == [owner.count(i) for i in range(len(rows))]
+    assert all(rows[i] >> g & 1 for g, i in enumerate(owner) if i >= 0)
 
 
 def test_capacity_long_augmenting_path():
