@@ -34,17 +34,19 @@ from .welfare import fill
 # ---------------------------------------------------------------------------
 
 
-def is_doubly_normalised(inst: Instance) -> tuple[int, int] | None:
-    """Return (W, W_c) when every agent values W >= 1 goods (the
-    normalisation constant) and every good is valued by W_c agents (its
-    ``takers()``); None otherwise.  Binary additive instances only."""
+def doubly_degrees(inst: Instance) -> tuple[int, int]:
+    """(W, W_c): every agent values W >= 1 goods (the normalisation constant)
+    and every good is valued by W_c agents (its ``takers()``).  Raises
+    ``ValueError`` when the instance is not doubly normalised; binary
+    additive instances only."""
     if not all(isinstance(v, BinaryAdditive) for v in inst.valuations):
         raise ValueError("double normalisation is defined for binary additive instances")
     W = inst.normalisation()
-    if not W:  # not normalised, or nobody values anything
-        return None
-    col_sums = {len(agents) for agents in inst.takers()}
-    return (W, col_sums.pop()) if len(col_sums) == 1 else None
+    if W:  # not None (not normalised) and not 0 (nobody values anything)
+        col_sums = {len(agents) for agents in inst.takers()}
+        if len(col_sums) == 1:
+            return W, col_sums.pop()
+    raise ValueError("instance is not doubly normalised")
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +62,7 @@ def solve_flow(inst: Instance) -> Allocation:
     first, then places the remaining goods under the upper bound (an
     augmenting path never takes a good from an agent without giving it
     another)."""
-    dn = is_doubly_normalised(inst)
-    if dn is None:
-        raise ValueError("instance is not doubly normalised")
-    W, W_c = dn
+    W, W_c = doubly_degrees(inst)
     lo, hi = W // W_c, -(-W // W_c)
     owner, load = fill([v.nonloops for v in inst.valuations], inst.m, (lo, hi))
     if min(load) < lo:
@@ -120,42 +119,26 @@ class DoublyStochasticMatrix:
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.counts)
 
-
-@dataclass
-class EatingMatrix:
-    """Fractional outcome of the simultaneous-eating construction.
-
-    Rows are agent copies (agent-major: copies of agent i occupy rows
-    i*(copies)..i*(copies)+copies-1); columns are the m real goods in
-    instance order followed by dummy goods that everyone values at zero.
-    """
-
-    matrix: DoublyStochasticMatrix
-    copies: int  # p + 1, where W = p * W_c + q with 0 < q < W_c
-    m: int
-
     def to_csv(self) -> str:
-        lines = []
-        for row in self.matrix.entries:
-            lines.append(",".join(str(x) for x in row))
-        return "\n".join(lines) + "\n"
+        """One line per row, each entry as ``str`` of its Fraction."""
+        return "".join(",".join(map(str, row)) + "\n" for row in self.entries)
 
 
-def eating_matrix(inst: Instance) -> EatingMatrix:
+def eating_matrix(inst: Instance) -> DoublyStochasticMatrix:
     """Closed-form eating outcome for a doubly normalised instance with
     W = p * W_c + q, q != 0 (the q = 0 case is the flow route).
 
+    Rows are agent copies, p + 1 per agent and agent-major (the copies of
+    agent i are rows i*(p+1)..i*(p+1)+p); columns are the m real goods in
+    instance order followed by t dummy goods that everyone values at zero.
     Each of the first p copies of an agent eats 1/W of every liked good;
     the last copy eats q/(W*W_c) of every liked good plus an equal share
-    (1 - q/W_c)/t of each of the t dummy goods.  Over the common denominator
+    (1 - q/W_c)/t of each dummy good.  Over the common denominator
     W*W_c*t these shares are W_c*t, q*t and W*(W_c - q)."""
-    dn = is_doubly_normalised(inst)
-    if dn is None:
-        raise ValueError("instance is not doubly normalised")
-    W, W_c = dn
+    W, W_c = doubly_degrees(inst)
     p, q = divmod(W, W_c)
     if q == 0:
-        raise ValueError("W divisible by W_c: use the flow route, not the eating route")
+        raise ValueError("no eating matrix: W divisible by W_c (flow route)")
     n, m = inst.n, inst.m
     copies = p + 1
     dim = copies * n
@@ -172,7 +155,7 @@ def eating_matrix(inst: Instance) -> EatingMatrix:
             if j == p:
                 row[m:] = [share_dummy] * t
             counts.append(row)
-    return EatingMatrix(DoublyStochasticMatrix(counts, W * W_c * t), copies=copies, m=m)
+    return DoublyStochasticMatrix(counts, W * W_c * t)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +259,11 @@ def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def decode_allocation(inst: Instance, perm: Sequence[int], eating: EatingMatrix) -> Allocation:
-    """Map a permutation of the eating matrix back to a full allocation:
-    goods eaten by any copy of an agent belong to that agent; dummy columns
-    are dropped (they carry zero value for everyone)."""
-    m, copies = inst.m, eating.copies
+def decode_allocation(inst: Instance, perm: Sequence[int]) -> Allocation:
+    """Map a permutation of ``inst``'s eating matrix back to a full
+    allocation: goods eaten by any copy of an agent belong to that agent;
+    dummy columns are dropped (they carry zero value for everyone)."""
+    m, copies = inst.m, len(perm) // inst.n
     owner = [-1] * m
     for row, col in enumerate(perm):
         if col < m:
@@ -295,20 +278,18 @@ def randomized_allocation(inst: Instance) -> list[tuple[Fraction, Allocation]]:
     """Lottery over welfare-optimal EQ1 allocations whose expected value is
     exactly W/W_c for every agent.  A single deterministic allocation when
     W_c divides W; otherwise the decoded eating-matrix decomposition."""
-    dn = is_doubly_normalised(inst)
-    if dn is None:
-        raise ValueError("instance is not doubly normalised")
-    W, W_c = dn
+    W, W_c = doubly_degrees(inst)
     if W % W_c == 0:
         return [(Fraction(1), solve_flow(inst))]
     return eating_lottery(inst, eating_matrix(inst))
 
 
-def eating_lottery(inst: Instance, eating: EatingMatrix) -> list[tuple[Fraction, Allocation]]:
+def eating_lottery(
+    inst: Instance, eating: DoublyStochasticMatrix,
+) -> list[tuple[Fraction, Allocation]]:
     """The lottery of ``inst``'s eating matrix ``eating``: its decomposition's
     weights, each with its permutation decoded into an allocation."""
-    decomp = bvn_decompose(eating.matrix)
-    return [(w, decode_allocation(inst, perm, eating)) for w, perm in decomp.terms]
+    return [(w, decode_allocation(inst, perm)) for w, perm in bvn_decompose(eating).terms]
 
 
 def expected_values(inst: Instance, lottery: list[tuple[Fraction, Allocation]]) -> list[Fraction]:

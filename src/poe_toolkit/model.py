@@ -29,9 +29,10 @@ Agent types (``canonical_key``) are read from the same queries: the greedy
 basis of all goods and its fundamental circuits.  ``_reduce`` is the one
 GF(2) elimination behind all of them.
 
-Everything here but an exchange oracle is immutable after construction and
-safe to share between concurrent workers; each ``exchange`` call returns a
-new oracle, owned by its caller.
+Everything here but a GF(2) exchange oracle is immutable after construction
+and safe to share between concurrent workers; each GF(2) ``exchange`` call
+returns a new oracle, owned by its caller, and an additive row is its own
+stateless oracle.
 """
 
 from __future__ import annotations
@@ -134,6 +135,30 @@ class Valuation:
         raise ValueError(f"unknown valuation kind: {kind!r}")
 
 
+class Exchange:
+    """Exchange oracle of a bundle, kept up to date in place while the
+    bundle stays independent.
+
+    ``circuit(g)`` maps a good g outside the bundle to None if g raises the
+    value, else (for an independent bundle) to the mask of goods h with
+    ``bundle - h + g`` independent: g's fundamental circuit without g.
+    ``add(g)`` follows the bundle gaining g and returns False, leaving the
+    oracle as it was, when g does not raise the value; ``remove(g)`` follows
+    it losing g.
+    """
+
+    __slots__ = ()
+
+    def circuit(self, g: int) -> int | None:
+        raise NotImplementedError
+
+    def add(self, g: int) -> bool:
+        raise NotImplementedError
+
+    def remove(self, g: int) -> None:
+        raise NotImplementedError
+
+
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> 0/1 bytes
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # and back
 
@@ -155,8 +180,10 @@ def _digits(entries: Sequence[int], message: str) -> bytes:
     return packed[::-1].translate(_DIGITS)
 
 
-class BinaryAdditive(Valuation):
-    """Additive valuation with per-good values in {0, 1}."""
+class BinaryAdditive(Valuation, Exchange):
+    """Additive valuation with per-good values in {0, 1}, and its own exchange
+    oracle: whatever the bundle, a valued good always adds one and an
+    unvalued one replaces nothing, so the row alone answers."""
 
     kind = "additive"
 
@@ -171,7 +198,16 @@ class BinaryAdditive(Valuation):
         return bundle & self.nonloops
 
     def exchange(self, bundle: int) -> "Exchange":
-        return _RowExchange(self.nonloops)
+        return self
+
+    def circuit(self, g: int) -> int | None:
+        return None if (self.nonloops >> g) & 1 else 0
+
+    def add(self, g: int) -> bool:
+        return (self.nonloops >> g) & 1 == 1
+
+    def remove(self, g: int) -> None:
+        pass
 
     def coloops(self, bundle: int) -> tuple[int, int]:
         valued = bundle & self.nonloops
@@ -259,49 +295,6 @@ class LinearMatroidGF2(Valuation):
 
     def __repr__(self) -> str:
         return f"LinearMatroidGF2(rows={self.rows}, m={self.m})"
-
-
-class Exchange:
-    """Exchange oracle of a bundle, kept up to date in place while the
-    bundle stays independent.
-
-    ``circuit(g)`` maps a good g outside the bundle to None if g raises the
-    value, else (for an independent bundle) to the mask of goods h with
-    ``bundle - h + g`` independent: g's fundamental circuit without g.
-    ``add(g)`` follows the bundle gaining g and returns False, leaving the
-    oracle as it was, when g does not raise the value; ``remove(g)`` follows
-    it losing g.
-    """
-
-    __slots__ = ()
-
-    def circuit(self, g: int) -> int | None:
-        raise NotImplementedError
-
-    def add(self, g: int) -> bool:
-        raise NotImplementedError
-
-    def remove(self, g: int) -> None:
-        raise NotImplementedError
-
-
-class _RowExchange(Exchange):
-    """A valued good always adds one and an unvalued one replaces nothing,
-    so the row alone answers, whatever the bundle."""
-
-    __slots__ = ("nonloops",)
-
-    def __init__(self, nonloops: int):
-        self.nonloops = nonloops
-
-    def circuit(self, g: int) -> int | None:
-        return None if (self.nonloops >> g) & 1 else 0
-
-    def add(self, g: int) -> bool:
-        return (self.nonloops >> g) & 1 == 1
-
-    def remove(self, g: int) -> None:
-        pass
 
 
 class _GF2Exchange(Exchange):

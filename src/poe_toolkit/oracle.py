@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Allocation, Instance, floor_table
-from .welfare import PParam, poe_ratio, welfare_key
+from .welfare import PParam, num_to_json, poe_ratio, welfare_key
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -44,8 +44,6 @@ class OracleResult:
     restrict: int
 
     def to_json(self) -> dict:
-        from .welfare import num_to_json
-
         return {
             "poe": {str(p): num_to_json(v) for p, v in self.poe.items()},
             "leximin": list(self.leximin),

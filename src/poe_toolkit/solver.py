@@ -52,7 +52,9 @@ from .model import (
     goods_of,
     is_eq1,
 )
-from .welfare import PParam, WelfareReport, max_positive_count, poe_ratio, welfare_report
+from .welfare import (
+    PParam, WelfareReport, max_positive_count, num_to_json, poe_ratio, welfare_report,
+)
 
 
 class SolverInternalError(RuntimeError):
@@ -437,8 +439,6 @@ class SolveResult:
     diagnostics: TruncationDiagnostics | None
 
     def to_json(self) -> dict:
-        from .welfare import num_to_json
-
         return {
             "a_star": self.a_star.to_json(),
             "b": self.b.to_json(),

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import rank_of_instance
-from .doubly import expected_values, is_doubly_normalised, randomized_allocation
+from .doubly import doubly_degrees, expected_values, randomized_allocation
 from .generators import (
     example1_instance,
     gen_lower_bound_instance,
@@ -41,15 +41,6 @@ class GateResult:
     cases: int
     seconds: float
     detail: str = ""
-
-
-@dataclass
-class VerifyReport:
-    gates: list[GateResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(g.passed for g in self.gates)
 
 
 def _keys_match(key_a, key_b, p: PParam) -> bool:
@@ -237,7 +228,7 @@ def gate_doubly(instances) -> GateResult:
             if any(rep.keys[p] != res.report_b.keys[p] for p in p_check):
                 yield "lottery allocation key differs from B's"
                 return
-        W, W_c = is_doubly_normalised(inst)
+        W, W_c = doubly_degrees(inst)
         if expected_values(inst, lottery) != [Fraction(W, W_c)] * inst.n:
             yield "expected values are not W/W_c"
 
@@ -279,13 +270,13 @@ def gate_self_test(budget: int) -> GateResult:
 
 def run_verification(
     budget: int = DEFAULT_BUDGET, seed: int = 20240, self_test: bool = False,
-) -> VerifyReport:
-    report = VerifyReport([
+) -> list[GateResult]:
+    gates = [
         gate_optimal_allocations(oracle_corpus(seed, 60) + fixture_instances(), budget),
         gate_rank_bound(rank_corpus(seed + 1, 80)),
         gate_matroid_floor(matroid_corpus(seed + 2, 40)),
         gate_doubly(doubly_corpus(seed + 3, 40)),
-    ])
+    ]
     if self_test:
-        report.gates.append(gate_self_test(budget))
-    return report
+        gates.append(gate_self_test(budget))
+    return gates

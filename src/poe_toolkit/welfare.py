@@ -58,7 +58,9 @@ class PParam:
     def real(p) -> "PParam":
         """Exact p <= 1; 0 is Nash.  Other p must be a nonzero float with a
         finite reciprocal, since the p-mean evaluates ``x ** p`` and
-        ``y ** (1 / p)`` in floats."""
+        ``y ** (1 / p)`` in floats, and |p| must be at least 10^-6: nearer
+        0, ``x ** p`` rounds toward 1 and the mean drifts past the gates'
+        ``FLOAT_TOL`` (use Nash, the p -> 0 limit)."""
         p = Fraction(p)
         if p > 1:
             raise ValueError("p-mean welfare is only defined here for p <= 1")
@@ -70,6 +72,8 @@ class PParam:
             finite = False
         if not finite:
             raise ValueError("p and 1/p must both be finite nonzero floats")
+        if abs(p) < Fraction(1, 10**6):
+            raise ValueError("|p| below 1e-6 is too close to 0 for the float p-mean; use nash")
         return PParam("real", p)
 
     @staticmethod

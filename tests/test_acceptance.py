@@ -156,18 +156,18 @@ def test_criterion_06_doubly_normalised():
     failures = []
     inst = example1_instance()
     eat = eating_matrix(inst)
-    nonzero = {x for row in eat.matrix.entries for x in row if x}
+    nonzero = {x for row in eat.entries for x in row if x}
     if nonzero != {Fraction(1, 3), Fraction(1, 6), Fraction(1, 4)}:
         failures.append(f"eating entries {sorted(nonzero)}")
-    dec = bvn_decompose(eat.matrix)
+    dec = bvn_decompose(eat)
     if sum(w for w, _ in dec.terms) != 1:
         failures.append("weights do not sum to 1")
-    dim = eat.matrix.dim
+    dim = eat.dim
     recon = [[Fraction(0)] * dim for _ in range(dim)]
     for w, perm in dec.terms:
         for r, c in enumerate(perm):
             recon[r][c] += w
-    if recon != [list(row) for row in eat.matrix.entries]:
+    if recon != [list(row) for row in eat.entries]:
         failures.append("reconstruction not exact")
     for w, alloc in randomized_allocation(inst):
         if not is_eq1(inst, alloc) or sum(alloc.values(inst)) != 6:

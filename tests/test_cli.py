@@ -212,7 +212,7 @@ def test_bounds_extra_p():
     assert any(l.startswith("1/2,") for l in res.stdout.splitlines())
 
 
-@pytest.mark.parametrize("p", ["1e-400", "-1e400", "1e-320", "-1e-320"])
+@pytest.mark.parametrize("p", ["1e-400", "-1e400", "1e-320", "-1e-320", "1e-8", "1e-17", "-1e-7"])
 @pytest.mark.parametrize("command", ["solve", "bounds"])
 def test_p_beyond_float_range_rejected(lb_file, command, p):
     args = [command, str(lb_file)] if command == "solve" else [command, "--r-max", "3"]
@@ -337,7 +337,7 @@ def test_doubly_flow_route_matrix_csv_refused_before_output(tmp_path):
     res = run("doubly", str(inst), "--matrix-csv", str(matrix))
     assert res.returncode == 1
     assert res.stdout == ""
-    assert "flow route" in res.stderr
+    assert res.stderr == "error: no eating matrix: W divisible by W_c (flow route)\n"
     assert not matrix.exists()
 
 
@@ -386,6 +386,20 @@ def test_path_that_cannot_be_read_or_written(tmp_path, lb_file, case, message):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("what", ["instance", "allocation"])
+def test_deeply_nested_json_is_a_bad_file(tmp_path, lb_file, what):
+    # nesting too deep for the JSON decoder: a bad file, not a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    args = ("solve", str(deep)) if what == "instance" else (
+        "check", str(lb_file), "--allocation", str(deep))
+    res = run(*args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: bad {what} file {deep}: ")
+    assert "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -394,8 +408,8 @@ def test_path_that_cannot_be_read_or_written(tmp_path, lb_file, case, message):
 def test_verify_small_corpus_passes():
     from poe_toolkit.verify import run_verification
 
-    report = run_verification()
-    assert report.passed
+    gates = run_verification()
+    assert all(g.passed for g in gates)
 
 
 def test_verify_doubly_gate_passes_at_default_seed():

@@ -16,8 +16,8 @@ from poe_toolkit.doubly import (
     augment,
     bvn_decompose,
     decode_allocation,
+    doubly_degrees,
     eating_matrix,
-    is_doubly_normalised,
     randomized_allocation,
     solve_flow,
 )
@@ -28,7 +28,7 @@ from poe_toolkit.generators import (
     random_biregular,
     remark_3x4_instance,
 )
-from poe_toolkit.model import BinaryAdditive, Instance, is_eq, is_eq1, wasted_goods
+from poe_toolkit.model import BinaryAdditive, Instance, LinearMatroidGF2, is_eq, is_eq1, wasted_goods
 from poe_toolkit.solver import solve
 from poe_toolkit.verify import gate_doubly
 from poe_toolkit.welfare import NASH, UTILITARIAN
@@ -40,21 +40,40 @@ from poe_toolkit.welfare import NASH, UTILITARIAN
 
 
 def test_detect_example1():
-    assert is_doubly_normalised(example1_instance()) == (3, 2)
+    assert doubly_degrees(example1_instance()) == (3, 2)
 
 
 def test_detect_family_is_not():
-    assert is_doubly_normalised(gen_lower_bound_instance(2, 2)) is None
+    with pytest.raises(ValueError, match="not doubly normalised"):
+        doubly_degrees(gen_lower_bound_instance(2, 2))
 
 
 def test_detect_single_agent():
     inst = Instance([BinaryAdditive([1, 1, 1])])
-    assert is_doubly_normalised(inst) == (3, 1)
+    assert doubly_degrees(inst) == (3, 1)
 
 
 def test_detect_nobody_values_anything_is_not():
     # W = 0: every row and column sums to 0, but there is no W_c to divide by
-    assert is_doubly_normalised(Instance([BinaryAdditive([0, 0])] * 2)) is None
+    with pytest.raises(ValueError, match="not doubly normalised"):
+        doubly_degrees(Instance([BinaryAdditive([0, 0])] * 2))
+
+
+@pytest.mark.parametrize("inst, want", [
+    (example1_instance(), (3, 2)),
+    (Instance([BinaryAdditive([1, 1, 1])]), (3, 1)),
+    (gen_lower_bound_instance(2, 2), "not doubly normalised"),
+    (remark_3x4_instance(), "not doubly normalised"),  # rows sum to 2, columns do not agree
+    (Instance([BinaryAdditive([0, 0])] * 2), "not doubly normalised"),
+    (Instance([LinearMatroidGF2(1, [[1], [1]])] * 2), "binary additive"),
+], ids=["example1", "single_agent", "lb_2_2", "remark_3x4", "all_zero", "gf2"])
+def test_doubly_degrees(inst, want):
+    # the one detection every doubly route and the CLI call: (W, W_c) or ValueError
+    if isinstance(want, tuple):
+        assert doubly_degrees(inst) == want
+    else:
+        with pytest.raises(ValueError, match=want):
+            doubly_degrees(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +135,14 @@ def test_flow_rejects_non_doubly():
 
 
 def test_eating_example1_entries():
-    eat = eating_matrix(example1_instance())
-    assert eat.copies == 2 and eat.matrix.dim == eat.m + 2  # two dummy goods
-    nonzero = {x for row in eat.matrix.entries for x in row if x}
+    inst = example1_instance()
+    eat = eating_matrix(inst)
+    assert eat.dim == 2 * inst.n == inst.m + 2  # two copies per agent, two dummy goods
+    nonzero = {x for row in eat.entries for x in row if x}
     assert nonzero == {Fraction(1, 3), Fraction(1, 6), Fraction(1, 4)}
     # last copies: real-good total q/W_c, dummy total 1 - q/W_c
     for i in range(4):
-        last = eat.matrix.entries[i * 2 + 1]
+        last = eat.entries[i * 2 + 1]
         assert sum(last[:6]) == Fraction(1, 2)
         assert sum(last[6:]) == Fraction(1, 2)
 
@@ -130,8 +150,8 @@ def test_eating_example1_entries():
 def test_eating_example1_counts_and_csv():
     eat = eating_matrix(example1_instance())
     # W * W_c * t = 3 * 2 * 2; shares W_c*t = 4, q*t = 2, W*(W_c - q) = 3
-    assert eat.matrix.scale == 12
-    assert {x for row in eat.matrix.counts for x in row} == {0, 4, 2, 3}
+    assert eat.scale == 12
+    assert {x for row in eat.counts for x in row} == {0, 4, 2, 3}
     # bytes of `poe-toolkit doubly --matrix-csv` from the Fraction implementation
     assert eat.to_csv() == (
         "1/3,1/3,1/3,0,0,0,0,0\n"
@@ -149,12 +169,12 @@ def test_eating_doubly_stochastic_exact(rng):
     checked = 0
     for _ in range(60):
         inst = random_biregular(rng, 10, 12)
-        W, W_c = is_doubly_normalised(inst)
+        W, W_c = doubly_degrees(inst)
         if W % W_c == 0:
             continue
         eat = eating_matrix(inst)  # the constructor asserts exact sums
         checked += 1
-        assert eat.matrix.dim == eat.copies * inst.n
+        assert eat.dim == (W // W_c + 1) * inst.n
     assert checked
 
 
@@ -164,7 +184,8 @@ def test_eating_matches_stepwise_simulation():
     eat = eating_matrix(inst)
     W, W_c = 3, 2
     p = W // W_c
-    entries = eat.matrix.entries
+    copies = p + 1  # rows are agent-major copies
+    entries = eat.entries
     for i in range(inst.n):
         liked = [g for g in range(inst.m) if inst.valuations[i].row[g]]
         remaining = Fraction(1)
@@ -172,17 +193,17 @@ def test_eating_matches_stepwise_simulation():
             rate = Fraction(1, W - j * W_c)
             eaten = remaining * rate
             for g in liked:
-                assert entries[i * eat.copies + j][g] == eaten
+                assert entries[i * copies + j][g] == eaten
             remaining -= W_c * eaten
         # last copy splits the leftovers evenly among the liking agents
         for g in liked:
-            assert entries[i * eat.copies + p][g] == remaining / W_c
+            assert entries[i * copies + p][g] == remaining / W_c
     assert remaining / W_c == Fraction(1, 6)
 
 
 def test_eating_rejects_integral_ratio():
     inst = gen_doubly_normalised(4, 8, 2, 1, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="flow route"):
         eating_matrix(inst)
 
 
@@ -207,12 +228,12 @@ def test_bvn_half_half():
 def test_bvn_reconstruction_and_bounds(rng):
     for _ in range(30):
         inst = random_biregular(rng, 10, 12)
-        W, W_c = is_doubly_normalised(inst)
+        W, W_c = doubly_degrees(inst)
         if W % W_c == 0:
             continue
         eat = eating_matrix(inst)
-        dec = bvn_decompose(eat.matrix)
-        dim, entries = eat.matrix.dim, eat.matrix.entries
+        dec = bvn_decompose(eat)
+        dim, entries = eat.dim, eat.entries
         weights = [w for w, _ in dec.terms]
         assert sum(weights) == 1
         assert all(w > 0 for w in weights)
@@ -227,7 +248,7 @@ def test_bvn_reconstruction_and_bounds(rng):
 
 def test_bvn_example1_term_list():
     # Pins the deterministic term order; the benchmark digests depend on it.
-    dec = bvn_decompose(eating_matrix(example1_instance()).matrix)
+    dec = bvn_decompose(eating_matrix(example1_instance()))
     sixth, twelfth = Fraction(1, 6), Fraction(1, 12)
     assert dec.terms == [
         (sixth, (2, 7, 5, 3, 1, 6, 4, 0)),
@@ -360,10 +381,9 @@ def test_bvn_integer_counts(entries):
 
 def test_decode_example1_all_terms():
     inst = example1_instance()
-    eat = eating_matrix(inst)
-    dec = bvn_decompose(eat.matrix)
+    dec = bvn_decompose(eating_matrix(inst))
     for _, perm in dec.terms:
-        alloc = decode_allocation(inst, perm, eat)
+        alloc = decode_allocation(inst, perm)
         assert is_eq1(inst, alloc)
         assert sum(alloc.values(inst)) == 6
 

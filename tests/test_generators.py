@@ -92,10 +92,11 @@ def test_example1_fixture_structure():
 
 
 def test_remark_fixture_not_column_normalised():
-    from poe_toolkit.doubly import is_doubly_normalised
+    from poe_toolkit.doubly import doubly_degrees
 
     inst = remark_3x4_instance()
-    assert is_doubly_normalised(inst) is None
+    with pytest.raises(ValueError, match="not doubly normalised"):
+        doubly_degrees(inst)
     assert validate(inst).W == 2
 
 

@@ -19,6 +19,8 @@ from poe_toolkit.generators import (
 )
 from poe_toolkit.doubly import solve_flow
 from poe_toolkit.model import Allocation, BinaryAdditive, Instance, LinearMatroidGF2
+from poe_toolkit.solver import solve
+from poe_toolkit.verify import FLOAT_TOL
 from poe_toolkit.welfare import (
     NASH,
     NEG_INF,
@@ -48,7 +50,7 @@ def test_parse_tokens():
     assert PParam.parse("-inf") == NEG_INF
     assert PParam.parse("0") == NASH  # the p = 0 mean is the Nash limit
     assert PParam.parse("-0.5").value == Fraction(-1, 2)
-    assert PParam.parse("1e-300").value == Fraction(1, 10**300)  # 1/p is still finite
+    assert PParam.parse("1e-6").value == Fraction(1, 10**6)  # the smallest |p| accepted
     assert PParam.parse("-1e300").value == -10**300
 
 
@@ -78,6 +80,27 @@ def test_p_beyond_float_range_rejected(p):
     # float(p) is 0, overflows, or has an infinite reciprocal
     with pytest.raises(ValueError, match="finite nonzero floats"):
         PParam.real(Fraction(p))
+
+
+@pytest.mark.parametrize("p", ["1e-6", "-1e-6"])
+def test_p_at_the_near_zero_bound_stays_within_float_tol(p):
+    # |p| = 1e-6 still parses, and its PoE on lb(3, 2) is within FLOAT_TOL of
+    # the stable form exp(log1p(mean(expm1(p ln x))) / p) of both p-means;
+    # nearer 0 the float p-mean drifts past it, so 0 < |p| < 1e-6 is refused
+    param = PParam.parse(p)
+    pf = float(param.value)
+    res = solve(gen_lower_bound_instance(3, 2), [param])
+
+    def stable(report):
+        entries = [x for x in report.values if x]
+        assert len(entries) == report.restrict
+        mean = math.fsum(math.expm1(pf * math.log(x)) for x in entries) / len(entries)
+        return math.exp(math.log1p(mean) / pf)
+
+    want = stable(res.report_a_star) / stable(res.report_b)
+    assert math.isclose(res.poe[param], want, rel_tol=FLOAT_TOL)
+    with pytest.raises(ValueError, match="use nash"):
+        PParam.real(param.value / 10)
 
 
 # ---------------------------------------------------------------------------
