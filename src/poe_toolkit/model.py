@@ -522,14 +522,18 @@ def _top_floor(pairs: Iterable[tuple[int, int]]) -> int:
     return max(value - (mask != 0) for value, mask in pairs)
 
 
+def eq1_holds(pairs: Sequence[tuple[int, int]]) -> bool:
+    """EQ1 read from every bundle's ``coloops`` pair, in agent order: the
+    largest floor is at most the smallest value."""
+    return _top_floor(pairs) <= min(value for value, _ in pairs)
+
+
 def is_eq1(inst: Instance, alloc: Allocation) -> bool:
     """Equitable up to one good: for every pair (i, k) with k's bundle
     nonempty, some good of k can be dropped so that i's value for its own
-    bundle is at least k's value for the reduced bundle; that is, the
-    largest floor is at most the smallest value."""
+    bundle is at least k's value for the reduced bundle (``eq1_holds``)."""
     _require_complete(alloc)
-    pairs = [v.coloops(b) for v, b in zip(inst.valuations, alloc.masks(inst))]
-    return _top_floor(pairs) <= min(value for value, _ in pairs)
+    return eq1_holds([v.coloops(b) for v, b in zip(inst.valuations, alloc.masks(inst))])
 
 
 def is_eq(inst: Instance, alloc: Allocation) -> bool:

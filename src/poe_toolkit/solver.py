@@ -14,7 +14,8 @@ The pipeline is:
 3. ``truncate`` — reduce every bundle worth more than one unit above the
    minimum down to that level, handing the removed goods to a minimum-value
    agent for whom they are worthless; the result is EQ1 and optimal among
-   EQ1 allocations for every p.
+   EQ1 allocations for every p.  It returns both allocations' values, which
+   the welfare reports of ``solve`` read.
 
 Bundles, the pool and the search's sources are bitmasks of goods.
 Augmentation makes every one-good path in one ascending sweep over the
@@ -29,8 +30,11 @@ it, the sources first, so a search with a one-good path ends before any
 arc is built.  Each bundle's exchange oracle is built once per solve and
 updated in place along every applied path.  Balancing walks each failed
 source set at most once per pass, and ends a pass at the first target no
-agent is two ahead of.  Truncation reads each bundle's value and the
-goods to remove from one ``Valuation.coloops`` call.  Correctness of the
+agent is two ahead of, and keeps the value vector across passes, moving
+one unit per applied path.  Each allocation is evaluated once per solve:
+truncation reads each A* bundle's value and the goods to remove from one
+``Valuation.coloops`` call, and each B bundle's value and EQ1 floor from
+one more, on masks updated as the goods move.  Correctness of the
 search steps is gated end-to-end against the exhaustive oracle in the
 test suite.
 """
@@ -49,11 +53,11 @@ from .model import (
     Allocation,
     BinaryAdditive,
     Instance,
+    eq1_holds,
     goods_of,
-    is_eq1,
 )
 from .welfare import (
-    PParam, WelfareReport, max_positive_count, num_to_json, poe_ratio, welfare_report,
+    PParam, WelfareReport, max_positive_count, num_to_json, poe_ratio,
 )
 
 
@@ -236,8 +240,8 @@ def _balance(state: _State) -> None:
     and it finds the path the walk would.
     """
     n, bundles = state.inst.n, state.bundles
+    values = state.values()  # kept across passes: a path moves one unit
     while True:
-        values = state.values()
         top = max(values)
         applied = False
         failed: dict[int, int] = {}  # sources -> goods their failed walk reached
@@ -262,8 +266,9 @@ def _balance(state: _State) -> None:
             path, absorber = found
             donor = state.owner[path[0]]
             state.apply_path(path, absorber)
-            if (bundles[donor].bit_count() != values[donor] - 1
-                    or bundles[i].bit_count() != values[i] + 1):
+            values[donor] -= 1
+            values[i] += 1
+            if bundles[donor].bit_count() != values[donor] or bundles[i].bit_count() != values[i]:
                 raise SolverInternalError("transfer path did not move one unit of value")
             applied = True
             break
@@ -305,8 +310,11 @@ def nash_optimal(inst: Instance) -> Allocation:
 # ---------------------------------------------------------------------------
 
 
-def truncate(inst: Instance, a_star: Allocation) -> Allocation:
-    """EQ1 allocation obtained by trimming a Nash-optimal allocation.
+def truncate(
+    inst: Instance, a_star: Allocation,
+) -> tuple[Allocation, tuple[int, ...], tuple[int, ...]]:
+    """EQ1 allocation B obtained by trimming a Nash-optimal allocation A*,
+    with A*'s and B's per-agent values.
 
     With ``l`` the minimum agent value, every bundle worth ``l + 2`` or more
     is reduced to exactly ``l + 1`` by removing value-carrying goods in
@@ -315,7 +323,12 @@ def truncate(inst: Instance, a_star: Allocation) -> Allocation:
     value to be zero.  A good carries value when its removal lowers the
     bundle's value, and removing one such good leaves the others carrying
     value, so the goods removed are the bundle's first ``v - l - 1``
-    coloops."""
+    coloops.
+
+    One ``coloops`` pass over A*'s bundles gives its values and the goods
+    to remove.  B's bundles are A*'s with those goods moved to the sink,
+    and one ``coloops`` pass over them is both the EQ1 check and B's
+    values."""
     if not a_star.is_complete:
         raise ValueError("truncation requires a complete allocation")
     masks = a_star.masks(inst)
@@ -337,12 +350,14 @@ def truncate(inst: Instance, a_star: Allocation) -> Allocation:
                     "agent; input allocation was not Nash-optimal"
                 )
             owner[g] = i_l
+            masks[i] ^= 1 << g
+            masks[i_l] |= 1 << g
         if len(removed) != excess:
             raise SolverInternalError("could not truncate bundle to the target value")
-    b = Allocation(owner, inst.n)
-    if not is_eq1(inst, b):
+    pairs = [v.coloops(b) for v, b in zip(inst.valuations, masks)]
+    if not eq1_holds(pairs):
         raise SolverInternalError("truncated allocation is not EQ1")
-    return b
+    return Allocation(owner, inst.n), values, tuple(value for value, _ in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +467,14 @@ class SolveResult:
 
 def solve(inst: Instance, p_list: Iterable[PParam]) -> SolveResult:
     """Compute the optimal allocation, the optimal EQ1 allocation, welfare
-    reports for both, and the per-p price of equity."""
+    reports for both, and the per-p price of equity.  Each allocation is
+    evaluated once, in ``truncate``, and both reports read those values."""
     p_list = list(p_list)
     restrict = max_positive_count(inst)
     a_star = nash_optimal(inst)
-    b = truncate(inst, a_star)
-    rep_a = welfare_report(inst, a_star, p_list, restrict=restrict)
-    rep_b = welfare_report(inst, b, p_list, restrict=restrict)
+    b, values_a, values_b = truncate(inst, a_star)
+    rep_a = WelfareReport.from_values(values_a, p_list, restrict)
+    rep_b = WelfareReport.from_values(values_b, p_list, restrict)
     if rep_a.positive_count != restrict or rep_b.positive_count != restrict:
         raise SolverInternalError("optimal allocations missed the positive capacity")
     poe = {p: poe_ratio(rep_a.keys[p], rep_b.keys[p], p, restrict) for p in p_list}

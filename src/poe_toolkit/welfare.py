@@ -10,7 +10,8 @@ route's two degree bounds.  ``p_mean`` is
 the one place that rule is written: ``welfare_key`` ranks allocations by
 (number of positive agents, ``p_mean`` over the capacity), with the integer
 product of positive values standing in for the Nash mean;
-``welfare_report`` reads its keys and means from those two; and
+``WelfareReport.from_values`` reads a value vector's keys and means from
+those two (``welfare_report`` evaluates an allocation first); and
 ``poe_ratio`` divides two keys.  Arithmetic is exact for p = 1, Nash, and
 the egalitarian limit.
 """
@@ -297,6 +298,27 @@ class WelfareReport:
     pmean: dict[PParam, object]
     keys: dict[PParam, tuple]
 
+    @staticmethod
+    def from_values(
+        values: tuple[int, ...], p_list: Iterable[PParam], restrict: int,
+    ) -> "WelfareReport":
+        """The comparison key and p-mean for each p of a complete
+        allocation's per-agent values, over the positive capacity
+        ``restrict`` (``max_positive_count(inst)``).  The keys are
+        ``welfare_key``'s; a p-mean is read from its key's welfare, except
+        Nash's, whose key holds the product instead."""
+        keys = {p: welfare_key(values, p, restrict) for p in p_list}
+        return WelfareReport(
+            values=values,
+            positive_count=sum(1 for v in values if v > 0),
+            restrict=restrict,
+            pmean={
+                p: p_mean(values, p, restrict) if p.kind == "nash" else w
+                for p, (_, w) in keys.items()
+            },
+            keys=keys,
+        )
+
     def to_json(self) -> dict:
         return {
             "values": list(self.values),
@@ -318,21 +340,8 @@ def num_to_json(v):
 def welfare_report(
     inst: Instance, alloc: Allocation, p_list: Iterable[PParam], restrict: int,
 ) -> WelfareReport:
-    """Per-agent values plus the comparison key and p-mean for each p, over
-    the positive capacity ``restrict`` (``max_positive_count(inst)``).  The
-    keys are ``welfare_key``'s; a p-mean is read from its key's welfare,
-    except Nash's, whose key holds the product instead."""
+    """The report of a complete allocation: ``WelfareReport.from_values``
+    of its values."""
     if not alloc.is_complete:
         raise ValueError("welfare report requires a complete allocation")
-    values = alloc.values(inst)
-    keys = {p: welfare_key(values, p, restrict) for p in p_list}
-    return WelfareReport(
-        values=values,
-        positive_count=sum(1 for v in values if v > 0),
-        restrict=restrict,
-        pmean={
-            p: p_mean(values, p, restrict) if p.kind == "nash" else w
-            for p, (_, w) in keys.items()
-        },
-        keys=keys,
-    )
+    return WelfareReport.from_values(alloc.values(inst), p_list, restrict)

@@ -336,7 +336,7 @@ def test_tie_break_corpus_owners_pinned():
     owners = []
     for inst in tie_break_corpus():
         a_star = nash_optimal(inst)
-        owners.append([list(a_star.owner), list(truncate(inst, a_star).owner)])
+        owners.append([list(a_star.owner), list(truncate(inst, a_star)[0].owner)])
     digest = hashlib.sha256(json.dumps(owners).encode()).hexdigest()
     assert digest == "6740ff834ebf910a369339320a42eb233e1ab9f25c4640469bd9e7bd9a6ce1ea"
 
@@ -383,6 +383,36 @@ def test_one_state_per_solve(monkeypatch):
             builds.clear()
             run(inst)
             assert builds == [inst]
+
+
+def test_one_evaluation_per_allocation(monkeypatch):
+    # truncation's coloops pass over A* and its EQ1 pass over B give both
+    # reports their values, so a GF(2) solve makes one coloops call per
+    # agent and allocation and builds masks twice (the state's and
+    # truncation's); on an additive instance the diagnostics evaluate A*
+    # once more
+    calls, builds = [], []
+    masks = Allocation.masks
+
+    def counted_masks(self, inst):
+        builds.append(self)
+        return masks(self, inst)
+
+    def counting(coloops):
+        def counted(self, bundle):
+            calls.append(bundle)
+            return coloops(self, bundle)
+        return counted
+
+    monkeypatch.setattr(Allocation, "masks", counted_masks)
+    for cls in (BinaryAdditive, LinearMatroidGF2):
+        monkeypatch.setattr(cls, "coloops", counting(cls.coloops))
+    for inst, passes in ((random_matroid_gf2(random.Random(5), 6, 24, k=3), 2),
+                         (random_binary_additive(random.Random(5), 6, 24), 3)):
+        calls.clear()
+        builds.clear()
+        solve(inst, GATE_P_LIST)
+        assert (len(calls), len(builds)) == (passes * inst.n, passes)
 
 
 def test_exchange_oracles_updated_in_place(monkeypatch):
@@ -452,8 +482,7 @@ def test_balancing_walks_each_source_set_once_per_pass(monkeypatch):
 def test_truncate_family_all_positive_at_one():
     for r, W in ((2, 2), (3, 2), (4, 3)):
         inst = gen_lower_bound_instance(r, W)
-        b = truncate(inst, nash_optimal(inst))
-        values = b.values(inst)
+        _, _, values = truncate(inst, nash_optimal(inst))
         assert all(v == 1 for v in values if v > 0)
         assert sum(1 for v in values if v > 0) == W + r - 1
 
@@ -461,14 +490,15 @@ def test_truncate_family_all_positive_at_one():
 def test_truncate_noop_when_already_eq1(rng):
     inst = Instance([BinaryAdditive([1, 1, 1, 1])] * 2)
     a_star = nash_optimal(inst)
-    assert truncate(inst, a_star).values(inst) == a_star.values(inst)
+    b, values_a, values_b = truncate(inst, a_star)
+    assert b == a_star and values_b == values_a == a_star.values(inst)
 
 
 def test_truncate_matroid_family():
     for k in (2, 3, 4):
         inst = gen_submodular_lb_instance(k)
-        b = truncate(inst, nash_optimal(inst))
-        values = sorted(b.values(inst))
+        _, _, values_b = truncate(inst, nash_optimal(inst))
+        values = sorted(values_b)
         assert values == [1] * k + [min(2, k)] * k
         assert sum(values) <= 3 * k
 
@@ -476,7 +506,7 @@ def test_truncate_matroid_family():
 def test_truncate_band_structure(rng):
     for inst in small_corpus(rng, 60):
         a_star = nash_optimal(inst)
-        b = truncate(inst, a_star)
+        b, _, _ = truncate(inst, a_star)
         l = min(a_star.values(inst))
         assert set(b.values(inst)) <= {l, l + 1}
         assert is_eq1(inst, b)
@@ -496,6 +526,25 @@ def test_truncate_flags_non_optimal_input():
     bad = Allocation(owner, inst.n)
     with pytest.raises(SolverInternalError):
         truncate(inst, bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 16), SEEDED_KINDS,
+       st.integers(0, 2))
+def test_solve_values_match_an_independent_evaluation(seed, n, m, kind, zero_goods):
+    # goods nobody values go to the sink with the pool, so with zero_goods
+    # A* is not clean; the values truncation returns and both reports read
+    # must still be the allocations' own
+    inst = relabel(seeded_instance(seed, n, m, kind), range(n), range(m), zero_goods)
+    res = solve(inst, GATE_P_LIST)
+    assert res.report_a_star.values == res.a_star.values(inst)
+    assert res.report_b.values == res.b.values(inst)
+    assert is_eq1(inst, res.b)
+    b, values_a, values_b = truncate(inst, res.a_star)
+    assert b == res.b
+    assert (values_a, values_b) == (res.a_star.values(inst), res.b.values(inst))
+    if zero_goods:
+        assert wasted_goods(inst, res.a_star)
 
 
 # ---------------------------------------------------------------------------
