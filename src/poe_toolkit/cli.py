@@ -36,15 +36,12 @@ from .model import (
 )
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 from .solver import solve
+from .verify import DEFAULT_SEED, run_verification
 from .welfare import NASH, PParam, UTILITARIAN
 
 FORMAT_VERSION = 1
 
 DEFAULT_BOUND_PS = (UTILITARIAN, NASH, PParam.real(-1), PParam.real(-10))
-
-
-class UsageError(Exception):
-    pass
 
 
 def _fmt(x) -> str:
@@ -58,7 +55,7 @@ def _parse_p_list(tokens, default) -> list[PParam]:
     try:
         return [PParam.parse(t) for t in tokens]
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad p value: {exc}") from exc
+        raise ValueError(f"bad p value: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -69,12 +66,18 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
     doc = {"format_version": FORMAT_VERSION, **doc}
     _emit(json.dumps(doc, indent=2) + "\n", out)
+
+
+def _emit_csv(command: str, header: str, rows, out: str | None) -> None:
+    lines = [f"# poe-toolkit {command} csv format={FORMAT_VERSION}", header]
+    lines += (",".join(map(str, row)) for row in rows)
+    _emit("\n".join(lines) + "\n", out)
 
 
 def _load(path: str, what: str, parse):
@@ -84,11 +87,11 @@ def _load(path: str, what: str, parse):
         with open(path) as fh:
             return parse(json.load(fh))
     except FileNotFoundError as exc:
-        raise UsageError(f"{what} file not found: {path}") from exc
+        raise ValueError(f"{what} file not found: {path}") from exc
     except OSError as exc:
-        raise UsageError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {what} file {path}: {exc.strerror}") from exc
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise UsageError(f"bad {what} file {path}: {exc}") from exc
+        raise ValueError(f"bad {what} file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -99,22 +102,20 @@ def _load(path: str, what: str, parse):
 def cmd_generate(args) -> int:
     if args.family == "lb":
         if args.r is None or args.W is None:
-            raise UsageError("family 'lb' needs --r and --W")
+            raise ValueError("family 'lb' needs --r and --W")
         inst = gen_lower_bound_instance(args.r, args.W)
     elif args.family == "submodular_lb":
         if args.k is None:
-            raise UsageError("family 'submodular_lb' needs --k")
+            raise ValueError("family 'submodular_lb' needs --k")
         inst = gen_submodular_lb_instance(args.k)
     elif args.family == "doubly":
         if args.n is None or args.m is None or args.W is None or args.Wc is None:
-            raise UsageError("family 'doubly' needs --n, --m, --W and --Wc")
+            raise ValueError("family 'doubly' needs --n, --m, --W and --Wc")
         inst = gen_doubly_normalised(args.n, args.m, args.W, args.Wc, seed=args.seed)
     elif args.family == "example1":
         inst = example1_instance()
-    elif args.family == "remark_3x4":
-        inst = remark_3x4_instance()
     else:
-        raise UsageError(f"unknown family: {args.family}")
+        inst = remark_3x4_instance()
     _emit_json(inst.to_json(), args.out)
     return 0
 
@@ -124,14 +125,9 @@ def cmd_solve(args) -> int:
     p_list = _parse_p_list(args.p, (UTILITARIAN, NASH))
     result = solve(inst, p_list)
     if args.format == "csv":
-        lines = [f"# poe-toolkit solve csv format={FORMAT_VERSION}",
-                 "p,poe,welfare_optimal,welfare_eq1"]
-        for p in p_list:
-            lines.append(
-                f"{p},{_fmt(result.poe[p])},{_fmt(result.report_a_star.pmean[p])},"
-                f"{_fmt(result.report_b.pmean[p])}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [(p, _fmt(result.poe[p]), _fmt(result.report_a_star.pmean[p]),
+                 _fmt(result.report_b.pmean[p])) for p in p_list]
+        _emit_csv("solve", "p,poe,welfare_optimal,welfare_eq1", rows, args.out)
     else:
         _emit_json(result.to_json(), args.out)
     return 0
@@ -162,22 +158,19 @@ def cmd_check(args) -> int:
 
 def cmd_bounds(args) -> int:
     p_list = list(DEFAULT_BOUND_PS) + _parse_p_list(args.p, ())
-    rows = bound_table(p_list, range(2, args.r_max + 1))
-    lines = [f"# poe-toolkit bounds csv format={FORMAT_VERSION}", "p,r,s,lower,upper"]
-    for row in rows:
-        lines.append(f"{row.p},{row.r},{row.s},{_fmt(row.lower)},{_fmt(row.upper)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [(row.p, row.r, row.s, _fmt(row.lower), _fmt(row.upper))
+            for row in bound_table(p_list, range(2, args.r_max + 1))]
+    _emit_csv("bounds", "p,r,s,lower,upper", rows, args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
     if args.family != "lb":
-        raise UsageError("only the 'lb' family is sweepable")
+        raise ValueError("only the 'lb' family is sweepable")
     if args.W_rule == "fixed" and args.W is None:
-        raise UsageError("--W-rule fixed needs --W")
+        raise ValueError("--W-rule fixed needs --W")
     p_list = _parse_p_list(args.p, (UTILITARIAN,))
-    lines = [f"# poe-toolkit sweep csv format={FORMAT_VERSION}",
-             "p,r,s,W,empirical,lower,upper"]
+    rows = []
     for p in p_list:
         for r in range(args.r_min, args.r_max + 1):
             s = r - 1
@@ -187,10 +180,8 @@ def cmd_sweep(args) -> int:
             inst = gen_lower_bound_instance(r, W)
             result = solve(inst, [p])
             bound = bound_table([p], [r])[0]
-            lines.append(
-                f"{p},{r},{s},{W},{_fmt(result.poe[p])},{_fmt(bound.lower)},{_fmt(bound.upper)}"
-            )
-    _emit("\n".join(lines) + "\n", args.out)
+            rows.append((p, r, s, W, _fmt(result.poe[p]), _fmt(bound.lower), _fmt(bound.upper)))
+    _emit_csv("sweep", "p,r,s,W,empirical,lower,upper", rows, args.out)
     return 0
 
 
@@ -218,8 +209,6 @@ def cmd_doubly(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_verification
-
     gates = run_verification(budget=args.budget, seed=args.seed, self_test=args.self_test)
     for gate in gates:
         status = "PASS" if gate.passed else "FAIL"
@@ -291,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the oracle and closed-form gates")
     v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    v.add_argument("--seed", type=int, default=20240)
+    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--self-test", action="store_true", dest="self_test")
     v.set_defaults(func=cmd_verify)
 
@@ -306,9 +295,6 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return 3

@@ -77,7 +77,6 @@ class Valuation:
     """Rank-oracle interface; every method takes a bundle as a bitmask."""
 
     m: int
-    kind: str
     grand_value: int  # r(E): the value of all goods, set at construction
     nonloops: int  # the goods worth one on their own (the others are loops), likewise
 
@@ -185,8 +184,6 @@ class BinaryAdditive(Valuation, Exchange):
     oracle: whatever the bundle, a valued good always adds one and an
     unvalued one replaces nothing, so the row alone answers."""
 
-    kind = "additive"
-
     def __init__(self, row: Sequence[int]):
         self.row = row = tuple(row)
         self.m = len(row)
@@ -232,8 +229,6 @@ class LinearMatroidGF2(Valuation):
     read), and one ``int(..., 2)`` per column slice of it (entry t of a
     column is bit t of its mask).
     """
-
-    kind = "matroid_gf2"
 
     def __init__(self, rows: int, cols: Sequence[Sequence[int]]):
         if type(rows) is not int or rows < 0:

@@ -186,9 +186,6 @@ class _State:
         if bundles[absorber].bit_count() == self.inst.valuations[absorber].grand_value:
             self.below.discard(absorber)
 
-    def to_allocation(self) -> Allocation:
-        return Allocation(self.owner, self.inst.n)
-
 
 def max_utilitarian_clean(inst: Instance) -> _State:
     """Exchange state of a clean partial allocation maximizing total value.
@@ -276,11 +273,6 @@ def _balance(state: _State) -> None:
             return
 
 
-def _min_value_agent(values: list[int]) -> int:
-    l = min(values)
-    return min(i for i, v in enumerate(values) if v == l)
-
-
 def nash_optimal(inst: Instance) -> Allocation:
     """Complete allocation maximizing Nash welfare under the positive-subset
     convention, hence the p-mean welfare for every p <= 1.
@@ -292,7 +284,8 @@ def nash_optimal(inst: Instance) -> Allocation:
     state = max_utilitarian_clean(inst)
     _balance(state)
 
-    sink = _min_value_agent(state.values())
+    values = state.values()
+    sink = values.index(min(values))
     pool = goods_of(state.pool)
     # one oracle serves the whole pool: a good in the sink's span leaves it unchanged
     circuit = state.exchanges[sink].circuit
@@ -302,7 +295,7 @@ def nash_optimal(inst: Instance) -> Allocation:
         )
     for g in pool:
         state.owner[g] = sink
-    return state.to_allocation()
+    return Allocation(state.owner, inst.n)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +327,7 @@ def truncate(
     masks = a_star.masks(inst)
     values, coloops = zip(*(v.coloops(b) for v, b in zip(inst.valuations, masks)))
     l = min(values)
-    i_l = _min_value_agent(values)
+    i_l = values.index(l)
     # removed goods come from other agents, so the sink's bundle stays fixed
     sink_circuit = inst.valuations[i_l].exchange(masks[i_l]).circuit
     owner = list(a_star.owner)
@@ -447,7 +440,6 @@ def diagnostics(inst: Instance, a_star: Allocation) -> TruncationDiagnostics:
 class SolveResult:
     a_star: Allocation
     b: Allocation
-    min_value: int
     report_a_star: WelfareReport
     report_b: WelfareReport
     poe: dict[PParam, object]
@@ -457,7 +449,7 @@ class SolveResult:
         return {
             "a_star": self.a_star.to_json(),
             "b": self.b.to_json(),
-            "min_value": self.min_value,
+            "min_value": min(self.report_a_star.values),
             "welfare_optimal": self.report_a_star.to_json(),
             "welfare_eq1": self.report_b.to_json(),
             "poe": {str(p): num_to_json(v) for p, v in self.poe.items()},
@@ -484,7 +476,6 @@ def solve(inst: Instance, p_list: Iterable[PParam]) -> SolveResult:
     return SolveResult(
         a_star=a_star,
         b=b,
-        min_value=min(rep_a.values),
         report_a_star=rep_a,
         report_b=rep_b,
         poe=poe,

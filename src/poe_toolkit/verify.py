@@ -32,6 +32,7 @@ from .welfare import NASH, NEG_INF, PParam, UTILITARIAN, welfare_report
 GATE_P_LIST = (UTILITARIAN, PParam.real(Fraction(1, 2)), NASH, PParam.real(-1), NEG_INF)
 EXACT_P = (UTILITARIAN, NASH, NEG_INF)
 FLOAT_TOL = 1e-9
+DEFAULT_SEED = 20240
 
 
 @dataclass
@@ -269,7 +270,7 @@ def gate_self_test(budget: int) -> GateResult:
 
 
 def run_verification(
-    budget: int = DEFAULT_BUDGET, seed: int = 20240, self_test: bool = False,
+    budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED, self_test: bool = False,
 ) -> list[GateResult]:
     gates = [
         gate_optimal_allocations(oracle_corpus(seed, 60) + fixture_instances(), budget),

@@ -57,24 +57,22 @@ class PParam:
 
     @staticmethod
     def real(p) -> "PParam":
-        """Exact p <= 1; 0 is Nash.  Other p must be a nonzero float with a
-        finite reciprocal, since the p-mean evaluates ``x ** p`` and
-        ``y ** (1 / p)`` in floats, and |p| must be at least 10^-6: nearer
-        0, ``x ** p`` rounds toward 1 and the mean drifts past the gates'
-        ``FLOAT_TOL`` (use Nash, the p -> 0 limit)."""
+        """Exact p <= 1; 0 is Nash.  The p-mean evaluates ``x ** p`` and
+        ``y ** (1 / p)`` in floats, so other p must be a float and |p| at
+        least 10^-6: nearer 0, ``x ** p`` rounds toward 1 and the mean
+        drifts past the gates' ``FLOAT_TOL`` (use Nash, the p -> 0 limit).
+        That bound also keeps ``float(p)`` nonzero and ``1 / p`` finite."""
         p = Fraction(p)
         if p > 1:
             raise ValueError("p-mean welfare is only defined here for p <= 1")
         if p == 0:
             return NASH
-        try:
-            finite = math.isfinite(1.0 / float(p))
-        except (OverflowError, ZeroDivisionError):
-            finite = False
-        if not finite:
-            raise ValueError("p and 1/p must both be finite nonzero floats")
         if abs(p) < Fraction(1, 10**6):
             raise ValueError("|p| below 1e-6 is too close to 0 for the float p-mean; use nash")
+        try:
+            float(p)
+        except OverflowError as exc:
+            raise ValueError("p and 1/p must both be finite nonzero floats") from exc
         return PParam("real", p)
 
     @staticmethod

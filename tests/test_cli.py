@@ -57,6 +57,16 @@ def test_generate_missing_params():
     assert run("generate", "lb").returncode == 1
 
 
+@pytest.mark.parametrize("args", [("generate", "lb"), ("sweep", "--W-rule", "fixed")])
+def test_missing_flag_is_one_error_line(args):
+    res = run(*args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_generate_deterministic_bytes(tmp_path):
     a = run("generate", "doubly", "--n", "4", "--m", "6", "--W", "3", "--Wc", "2", "--seed", "7")
     b = run("generate", "doubly", "--n", "4", "--m", "6", "--W", "3", "--Wc", "2", "--seed", "7")
@@ -416,7 +426,7 @@ def test_verify_doubly_gate_passes_at_default_seed():
     from poe_toolkit import verify
 
     # as run_verification calls it by default
-    gate = verify.gate_doubly(verify.doubly_corpus(20240 + 3, 40))
+    gate = verify.gate_doubly(verify.doubly_corpus(verify.DEFAULT_SEED + 3, 40))
     assert gate.passed and gate.cases == 40 and gate.detail == ""
 
 
@@ -430,7 +440,7 @@ def test_verify_doubly_gate_catches_a_wrong_weight(monkeypatch):
         return [(w / 2, alloc), *rest]
 
     monkeypatch.setattr(verify, "randomized_allocation", one_weight_halved)
-    gate = verify.gate_doubly(verify.doubly_corpus(20240 + 3, 40))
+    gate = verify.gate_doubly(verify.doubly_corpus(verify.DEFAULT_SEED + 3, 40))
     assert not gate.passed and gate.cases == 40
     assert gate.detail.startswith("case 0: lottery weights")
 
@@ -439,7 +449,7 @@ def test_verify_rank_gate_numbers_cases_from_0(monkeypatch):
     from poe_toolkit import verify
 
     monkeypatch.setattr(verify, "rank_of_instance", lambda inst: Fraction(1, 2))
-    gate = verify.gate_rank_bound(verify.rank_corpus(20240 + 1, 80))
+    gate = verify.gate_rank_bound(verify.rank_corpus(verify.DEFAULT_SEED + 1, 80))
     assert not gate.passed and gate.cases == 80
     assert gate.detail.startswith("case 0: PoE ")
 

@@ -103,20 +103,20 @@ def small_corpus(rng, count):
 def test_util_family_total():
     for r, W in ((2, 2), (3, 4), (4, 3)):
         inst = gen_lower_bound_instance(r, W)
-        alloc = max_utilitarian_clean(inst).to_allocation()
+        alloc = Allocation(max_utilitarian_clean(inst).owner, inst.n)
         assert sum(alloc.values(inst)) == r * W
 
 
 def test_util_matroid_family_total():
     for k in (1, 2, 3, 4):
         inst = gen_submodular_lb_instance(k)
-        alloc = max_utilitarian_clean(inst).to_allocation()
+        alloc = Allocation(max_utilitarian_clean(inst).owner, inst.n)
         assert sum(alloc.values(inst)) == k + k * k
 
 
 def test_util_matches_brute_force(rng):
     for inst in small_corpus(rng, 40):
-        alloc = max_utilitarian_clean(inst).to_allocation()
+        alloc = Allocation(max_utilitarian_clean(inst).owner, inst.n)
         assert sum(alloc.values(inst)) == brute_force_max_utilitarian(inst)
         for v, b in zip(inst.valuations, alloc.masks(inst)):
             assert v.value(b) == b.bit_count()  # clean
@@ -824,3 +824,4 @@ def test_solve_serialization_round_trip():
     doc = json.loads(json.dumps(res.to_json()))
     assert doc["poe"]["1"] == "4/3"
     assert doc["a_star"]["owner"] == list(res.a_star.owner)
+    assert doc["min_value"] == min(res.report_a_star.values)
