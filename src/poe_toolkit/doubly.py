@@ -176,39 +176,41 @@ class BvnDecomposition:
 
 
 def augment(
-    adj: Sequence[Sequence[int]], root: int, row_match: list[int], col_match: list[int],
+    adj: Sequence[int], root: int, row_match: list[int], col_match: list[int],
 ) -> bool:
     """Extend ``bvn_decompose``'s matching by one augmenting path from the
     free row ``root``; False, with the matching unchanged, if there is none.
 
-    ``adj[r]`` lists the columns row ``r`` may take, and ``row_match`` and
-    ``col_match`` (the partner of each row and column, -1 if free) are
-    updated in place.  A depth-first (Kuhn) search that tries columns in
-    ``adj`` order and visits each at most once, on an explicit stack, so the
-    path length is not bounded by the recursion limit; the decomposition's
-    terms depend on that order.
+    ``adj[r]`` is the bitmask of the columns (below ``len(adj)``) row ``r``
+    may take, and ``row_match`` and ``col_match`` (the partner of each row
+    and column, -1 if free) are updated in place.  A depth-first (Kuhn)
+    search on an explicit stack, so the path length is not bounded by the
+    recursion limit.  Row ``r`` next tries the lowest bit of
+    ``adj[r] & unseen``, where ``unseen`` holds the columns this search has
+    not tried.  Every lower column of ``adj[r]`` has been tried, so that is
+    the column an ascending column list would yield next, and the
+    decomposition's terms, which depend on this order, are the list search's.
     """
-    seen: set[int] = set()
-    rows = [root]  # rows[k + 1] is matched to the column rows[k] is trying
-    iters = [iter(adj[root])]  # iters[k]: the columns rows[k] has not tried
-    while iters:
-        for c in iters[-1]:
-            if c in seen:
-                continue
-            seen.add(c)
-            owner = col_match[c]
-            if owner < 0:
+    unseen = (1 << len(adj)) - 1
+    rows = []  # the rows before r on the path; each holds the column the one before tries
+    r = root
+    while True:
+        free = adj[r] & unseen
+        if free:
+            bit = free & -free
+            unseen ^= bit
+            c = bit.bit_length() - 1
+            rows.append(r)
+            r = col_match[c]
+            if r < 0:
                 for r in reversed(rows):  # each row takes the next one's column
                     row_match[r], c = c, row_match[r]
                     col_match[row_match[r]] = r
                 return True
-            rows.append(owner)
-            iters.append(iter(adj[owner]))
-            break
+        elif rows:
+            r = rows.pop()
         else:
-            iters.pop()
-            rows.pop()
-    return False
+            return False
 
 
 def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
@@ -219,10 +221,12 @@ def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
     one entry, so at most dim^2 - 2*dim + 2 terms are produced).  The
     decomposition is deterministic but not unique; the contract is exact
     reconstruction, not any particular term list.  The arithmetic runs on
-    ``Y.counts``; each weight is its integer delta over ``Y.scale``."""
+    ``Y.counts``; each weight is its integer delta over ``Y.scale``.  Support
+    rows are column bitmasks, which ``augment`` searches lowest column
+    first, so the terms are those of a search over ascending column lists."""
     dim, scale = Y.dim, Y.scale
     work = [list(row) for row in Y.counts]
-    support = [[c for c in range(dim) if row[c] > 0] for row in work]
+    support = [sum(1 << c for c in range(dim) if row[c] > 0) for row in work]
     row_match = [-1] * dim
     col_match = [-1] * dim
     terms: list[tuple[int, tuple[int, ...]]] = []
@@ -242,7 +246,7 @@ def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
         for r, c in enumerate(perm):
             work[r][c] -= delta
             if work[r][c] == 0:
-                support[r].remove(c)
+                support[r] ^= 1 << c
                 row_match[r] = -1
                 col_match[c] = -1
                 freed.append(r)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import re
 import subprocess
@@ -9,7 +12,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poe_toolkit import cli
 from poe_toolkit.solver import SolverInternalError
 
 CLI = [sys.executable, "-m", "poe_toolkit.cli"]
@@ -173,6 +179,81 @@ def test_non_integer_instance_rejected(tmp_path, command, instance):
     assert res.stdout == ""
     assert res.stderr.startswith("error: bad instance file")
     assert "Traceback" not in res.stderr
+
+
+_BIT = st.integers(0, 1)
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.integers()
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "m", "kind", "row", "rows", "cols", "x"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _valid_instance(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    valuations = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            valuations.append({"kind": "additive", "row": draw(st.lists(_BIT, min_size=m, max_size=m))})
+        else:
+            k = draw(st.integers(0, 3))
+            cols = draw(st.lists(st.lists(_BIT, min_size=k, max_size=k), min_size=m, max_size=m))
+            valuations.append({"kind": "matroid_gf2", "rows": k, "cols": cols})
+    return {"format_version": 1, "n": n, "m": m, "valuations": valuations}
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_instance(draw):
+    """A valid instance document with one to three edits, each at any
+    position: the node is replaced by junk or removed, or a list gains a junk
+    entry or a copy of its last one (a row or column one entry too long)."""
+    doc = draw(_valid_instance())
+    for _ in range(draw(st.integers(1, 3))):
+        # deepest first, as sampled_from leans to its first entries
+        path = draw(st.sampled_from(sorted(_paths(doc), key=len, reverse=True)))
+        if not path:
+            doc = draw(_JUNK)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        edit = draw(st.sampled_from(["replace", "remove", "append"]))
+        if edit == "remove":
+            del parent[path[-1]]
+        elif edit == "append" and isinstance(node, list):
+            node.append(copy.deepcopy(node[-1]) if node and draw(st.booleans()) else draw(_JUNK))
+        else:
+            parent[path[-1]] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_instance())
+def test_malformed_instance_is_one_error_line(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check", "solve"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(path)])
+        assert code in (0, 1), (command, doc)
+        if code == 1:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: bad instance file")
+            assert len(err.getvalue().splitlines()) == 1
 
 
 def test_check_rejects_non_integer_owner(tmp_path):

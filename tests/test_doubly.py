@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -310,9 +311,37 @@ def test_matrix_rejects(entries, scale, message):
         DoublyStochasticMatrix(entries, scale)
 
 
+def _augment_lists(adj, root, row_match, col_match):
+    """The reference Kuhn search: ``adj[r]`` is a list of columns, tried in
+    list order through one iterator per stacked row, skipping columns already
+    tried in this search.  ``augment`` must find the same paths on bitmasks."""
+    seen = set()
+    rows = [root]
+    iters = [iter(adj[root])]
+    while iters:
+        for c in iters[-1]:
+            if c in seen:
+                continue
+            seen.add(c)
+            owner = col_match[c]
+            if owner < 0:
+                for r in reversed(rows):
+                    row_match[r], c = c, row_match[r]
+                    col_match[row_match[r]] = r
+                return True
+            rows.append(owner)
+            iters.append(iter(adj[owner]))
+            break
+        else:
+            iters.pop()
+            rows.pop()
+    return False
+
+
 def _bvn_fractions(entries):
-    """The decomposition computed on Fractions throughout: the reference that
-    the integer version must reproduce term for term."""
+    """The decomposition computed on Fractions throughout, with the list
+    search: the reference that the integer, bitmask version must reproduce
+    term for term."""
     dim = len(entries)
     work = [list(row) for row in entries]
     support = [[c for c in range(dim) if row[c] > 0] for row in work]
@@ -322,7 +351,7 @@ def _bvn_fractions(entries):
     while remaining > 0:
         for r in range(dim):
             if row_match[r] < 0:
-                assert augment(support, r, row_match, col_match)
+                assert _augment_lists(support, r, row_match, col_match)
         delta = min(work[r][row_match[r]] for r in range(dim))
         perm = tuple(row_match)
         terms.append((delta, perm))
@@ -372,6 +401,51 @@ def test_bvn_integer_counts(entries):
             assert entries[r][c] > 0  # support containment
             recon[r][c] += w
     assert recon == entries
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_bvn_eating_matrices_match_list_search(n):
+    # dims 32, 64 and 128: the support rows cross Python's 30-bit int digits
+    y = eating_matrix(gen_doubly_normalised(n, 3 * n // 2, 3, 2, seed=1))
+    assert y.dim == 2 * n
+    assert bvn_decompose(y).terms == _bvn_fractions(y.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda dim: st.tuples(
+    st.lists(st.integers(0, (1 << dim) - 1), min_size=dim, max_size=dim),
+    st.permutations(range(dim)),
+)))
+def test_augment_matches_list_search(case):
+    # the same paths, matchings and failures as the list search, root by root
+    adj, roots = case
+    dim = len(adj)
+    lists = [[c for c in range(dim) if mask >> c & 1] for mask in adj]
+    bits = [[-1] * dim, [-1] * dim]
+    ref = [[-1] * dim, [-1] * dim]
+    for r in roots:
+        assert augment(adj, r, *bits) == _augment_lists(lists, r, *ref)
+        assert bits == ref
+
+
+@pytest.mark.parametrize("open_end", [True, False])
+def test_augment_staircase_runs_through_every_row(open_end):
+    # row i < k holds column i and may take i + 1, except that row k - 1 may
+    # not take column k when the end is closed; the free row k takes only
+    # column 0, so its one augmenting path, if any, shifts every row up by one,
+    # and without it the search fails at depth k and leaves the matching as is
+    k = 3 * sys.getrecursionlimit()
+    adj = [3 << i for i in range(k)] + [1]
+    if not open_end:
+        adj[k - 1] = 1 << (k - 1)
+    row_match = list(range(k)) + [-1]
+    col_match = list(range(k)) + [-1]
+    assert augment(adj, k, row_match, col_match) == open_end
+    if open_end:
+        assert row_match == list(range(1, k + 1)) + [0]
+        assert col_match == [k] + list(range(k))
+    else:
+        assert row_match == col_match == list(range(k)) + [-1]
 
 
 # ---------------------------------------------------------------------------
