@@ -251,7 +251,7 @@ def bvn_decompose(Y: DoublyStochasticMatrix) -> BvnDecomposition:
                 col_match[c] = -1
                 freed.append(r)
         remaining -= delta
-    if sum(delta for delta, _ in terms) != scale:
+    if remaining != 0:
         raise RuntimeError("internal: decomposition weights do not sum to 1")
     if len(terms) > dim * dim - 2 * dim + 2 and dim > 1:
         raise RuntimeError("internal: decomposition exceeded the term bound")

@@ -123,14 +123,27 @@ class Valuation:
         raise NotImplementedError
 
     @staticmethod
-    def from_json(obj: dict) -> "Valuation":
+    def from_json(obj: dict, index: int) -> "Valuation":
+        """The valuation a JSON object describes; a missing key, or a row or
+        column that is not a list, is named with ``index``, its position."""
         if not isinstance(obj, dict):
             raise ValueError("each valuation must be a JSON object")
+
+        def a_list(x, what: str) -> list:
+            if not isinstance(x, list):
+                raise ValueError(f"valuation {index}: {what} is not a list")
+            return x
+
         kind = obj.get("kind")
-        if kind == "additive":
-            return BinaryAdditive(obj["row"])
-        if kind == "matroid_gf2":
-            return LinearMatroidGF2(obj["rows"], obj["cols"])
+        try:  # the constructors raise no KeyError
+            if kind == "additive":
+                return BinaryAdditive(a_list(obj["row"], "'row'"))
+            if kind == "matroid_gf2":
+                for g, col in enumerate(a_list(obj["cols"], "'cols'")):
+                    a_list(col, f"column {g}")
+                return LinearMatroidGF2(obj["rows"], obj["cols"])
+        except KeyError as key:
+            raise ValueError(f"valuation {index}: missing key {key}") from None
         raise ValueError(f"unknown valuation kind: {kind!r}")
 
 
@@ -430,7 +443,7 @@ class Instance:
     def from_json(obj: dict) -> "Instance":
         if not isinstance(obj, dict) or not isinstance(obj.get("valuations"), list):
             raise ValueError("instance must be a JSON object with a 'valuations' list")
-        vals = [Valuation.from_json(v) for v in obj["valuations"]]
+        vals = [Valuation.from_json(v, j) for j, v in enumerate(obj["valuations"])]
         inst = Instance(vals)
         for name, actual, what in (("n", inst.n, "agent"), ("m", inst.m, "good")):
             if name not in obj:
@@ -495,6 +508,8 @@ class Allocation:
 
     @staticmethod
     def from_json(obj: dict, n: int, m: int) -> "Allocation":
+        if not isinstance(obj, dict) or not isinstance(obj.get("owner"), list):
+            raise ValueError("allocation must be a JSON object with an 'owner' list")
         alloc = Allocation(obj["owner"], n)
         if alloc.m != m:
             raise ValueError(f"allocation covers {alloc.m} goods, instance has {m}")
@@ -537,28 +552,26 @@ def is_eq(inst: Instance, alloc: Allocation) -> bool:
     return len(set(alloc.values(inst))) <= 1
 
 
-def is_ef(inst: Instance, alloc: Allocation) -> bool:
-    """Envy-free: no agent values another's bundle above its own."""
+def _views(inst: Instance, alloc: Allocation) -> Iterable[tuple[list[tuple[int, int]], int]]:
+    """Each agent's view of a complete allocation, in agent order: its
+    ``coloops`` pairs of every bundle and its value of its own."""
     _require_complete(alloc)
     masks = alloc.masks(inst)
     for i, val in enumerate(inst.valuations):
-        vi = val.value(masks[i])
-        if any(k != i and val.value(b) > vi for k, b in enumerate(masks)):
-            return False
-    return True
+        pairs = [val.coloops(b) for b in masks]
+        yield pairs, pairs[i][0]
+
+
+def is_ef(inst: Instance, alloc: Allocation) -> bool:
+    """Envy-free: no agent values another's bundle above its own."""
+    return all(max(value for value, _ in pairs) <= own for pairs, own in _views(inst, alloc))
 
 
 def is_ef1(inst: Instance, alloc: Allocation) -> bool:
     """Envy-free up to one good, with the envious agent's own valuation
     applied to the reduced bundle: in each agent's view, the largest floor is
     at most the value of its own bundle."""
-    _require_complete(alloc)
-    masks = alloc.masks(inst)
-    for i, val in enumerate(inst.valuations):
-        pairs = [val.coloops(b) for b in masks]
-        if _top_floor(pairs) > pairs[i][0]:
-            return False
-    return True
+    return all(_top_floor(pairs) <= own for pairs, own in _views(inst, alloc))
 
 
 def wasted_goods(inst: Instance, alloc: Allocation) -> frozenset[int]:

@@ -11,11 +11,10 @@ The pipeline is:
    handing the leftover pool (zero marginal value for everyone) to a
    minimum-value agent.  The result simultaneously maximizes the p-mean
    welfare for every p <= 1 under the positive-subset convention.
-3. ``truncate`` — reduce every bundle worth more than one unit above the
-   minimum down to that level, handing the removed goods to a minimum-value
-   agent for whom they are worthless; the result is EQ1 and optimal among
-   EQ1 allocations for every p.  It returns both allocations' values, which
-   the welfare reports of ``solve`` read.
+3. ``truncate`` — cut each bundle to one unit above the minimum ``l``,
+   handing the removed goods to a minimum-value agent who finds them
+   worthless.  B's values are ``min(l + 1, a_j)`` for A*'s ``a_j``, as
+   ``truncate`` checks; B is EQ1 and optimal among EQ1 allocations for all p.
 
 Bundles, the pool and the search's sources are bitmasks of goods.
 Augmentation makes every one-good path in one ascending sweep over the
@@ -309,48 +308,35 @@ def truncate(
     """EQ1 allocation B obtained by trimming a Nash-optimal allocation A*,
     with A*'s and B's per-agent values.
 
-    With ``l`` the minimum agent value, every bundle worth ``l + 2`` or more
-    is reduced to exactly ``l + 1`` by removing value-carrying goods in
-    ascending index order; the removed goods go to the lowest-index
-    minimum-value agent, for whom Nash optimality forces their marginal
-    value to be zero.  A good carries value when its removal lowers the
-    bundle's value, and removing one such good leaves the others carrying
-    value, so the goods removed are the bundle's first ``v - l - 1``
-    coloops.
-
-    One ``coloops`` pass over A*'s bundles gives its values and the goods
-    to remove.  B's bundles are A*'s with those goods moved to the sink,
-    and one ``coloops`` pass over them is both the EQ1 check and B's
-    values."""
+    With ``l`` the minimum agent value, each bundle worth ``v >= l + 2``
+    hands its first ``v - l - 1`` coloops (each removal lowers its value by
+    one) to the lowest-index minimum-value agent, to whom Nash optimality
+    makes them worthless.  So B's values are ``min(l + 1, a_j)`` for A*'s
+    ``a_j``, and that result is checked, not the steps: a sink that values
+    a good it takes, or a bundle short of coloops, breaks it.  EQ1 is
+    checked on its own.  One ``coloops`` pass over each allocation gives
+    its values, the goods to remove from A* and B's EQ1 floors."""
     if not a_star.is_complete:
         raise ValueError("truncation requires a complete allocation")
     masks = a_star.masks(inst)
     values, coloops = zip(*(v.coloops(b) for v, b in zip(inst.valuations, masks)))
     l = min(values)
     i_l = values.index(l)
-    # removed goods come from other agents, so the sink's bundle stays fixed
-    sink_circuit = inst.valuations[i_l].exchange(masks[i_l]).circuit
     owner = list(a_star.owner)
     for i, value in enumerate(values):
-        excess = value - l - 1
-        if excess < 1:
-            continue
-        removed = goods_of(coloops[i])[:excess]
-        for g in removed:
-            if sink_circuit(g) is None:
-                raise SolverInternalError(
-                    "removed good has positive marginal value for the minimum-value "
-                    "agent; input allocation was not Nash-optimal"
-                )
-            owner[g] = i_l
-            masks[i] ^= 1 << g
-            masks[i_l] |= 1 << g
-        if len(removed) != excess:
-            raise SolverInternalError("could not truncate bundle to the target value")
+        if value > l + 1:
+            for g in goods_of(coloops[i])[:value - l - 1]:
+                owner[g] = i_l
+                masks[i] ^= 1 << g
+                masks[i_l] |= 1 << g
     pairs = [v.coloops(b) for v, b in zip(inst.valuations, masks)]
+    values_b = tuple(value for value, _ in pairs)
+    if values_b != tuple(min(l + 1, a) for a in values):
+        raise SolverInternalError(f"truncated values are not min(l + 1, A* value) with l = {l}: "
+                                  "A* was not Nash-optimal, or a bundle had too few coloops")
     if not eq1_holds(pairs):
         raise SolverInternalError("truncated allocation is not EQ1")
-    return Allocation(owner, inst.n), values, tuple(value for value, _ in pairs)
+    return Allocation(owner, inst.n), values, values_b
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +453,7 @@ def solve(inst: Instance, p_list: Iterable[PParam]) -> SolveResult:
     b, values_a, values_b = truncate(inst, a_star)
     rep_a = WelfareReport.from_values(values_a, p_list, restrict)
     rep_b = WelfareReport.from_values(values_b, p_list, restrict)
-    if rep_a.positive_count != restrict or rep_b.positive_count != restrict:
+    if rep_a.positive_count != restrict:  # B's values are positive where A*'s are
         raise SolverInternalError("optimal allocations missed the positive capacity")
     poe = {p: poe_ratio(rep_a.keys[p], rep_b.keys[p], p, restrict) for p in p_list}
     diag = None

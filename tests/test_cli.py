@@ -256,6 +256,35 @@ def test_malformed_instance_is_one_error_line(tmp_path_factory, doc):
             assert len(err.getvalue().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "valuation, allocation, message",
+    [
+        ({"kind": "matroid_gf2", "cols": [[1]]}, None, "valuation 0: missing key 'rows'"),
+        ({"kind": "matroid_gf2", "rows": 1, "cols": [[1], None]}, None,
+         "valuation 0: column 1 is not a list"),
+        ({"kind": "additive"}, None, "valuation 0: missing key 'row'"),
+        ({"kind": "additive", "row": 5}, None, "valuation 0: 'row' is not a list"),
+        ({"kind": "matroid_gf2", "rows": 1, "cols": 5}, None, "valuation 0: 'cols' is not a list"),
+        ({"kind": "additive", "row": [1, 0]}, "[1]",
+         "allocation must be a JSON object with an 'owner' list"),
+    ],
+    ids=["missing_rows", "null_column", "missing_row", "int_row", "int_cols", "owner_not_keyed"],
+)
+def test_file_shape_error_names_what_is_wrong(tmp_path, valuation, allocation, message):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"valuations": [valuation]}))
+    argv = ["check", str(path)]
+    if allocation is not None:
+        path = tmp_path / "allocation.json"
+        path.write_text(allocation)
+        argv += ["--allocation", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"error: bad {path.stem} file {path}: {message}\n"
+
+
 def test_check_rejects_non_integer_owner(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"valuations": _additive([1, 0], [0, 1])}))

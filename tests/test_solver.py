@@ -528,6 +528,23 @@ def test_truncate_flags_non_optimal_input():
         truncate(inst, bad)
 
 
+def test_truncate_flags_good_the_sink_values():
+    # the sink (agent 1) takes goods 0 and 1 and values good 0: B's values
+    # (1, 1, 1) are EQ1, but the sink's is not min(l + 1, 0) = 0
+    inst = Instance([BinaryAdditive([1, 1, 1, 0]), BinaryAdditive([1, 0, 0, 0]),
+                     BinaryAdditive([0, 0, 0, 1])])
+    with pytest.raises(SolverInternalError, match=r"min\(l \+ 1, A\* value\) with l = 0"):
+        truncate(inst, Allocation([0, 0, 0, 2], inst.n))
+
+
+def test_truncate_flags_bundle_without_coloops():
+    # agent 0's bundle is one circuit: worth 2, no coloop to remove, so it
+    # cannot be cut down to l + 1 = 1
+    inst = Instance([LinearMatroidGF2(2, [[1, 0], [0, 1], [1, 1]]), BinaryAdditive([0, 0, 0])])
+    with pytest.raises(SolverInternalError, match="too few coloops"):
+        truncate(inst, Allocation([0, 0, 0], inst.n))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 16), SEEDED_KINDS,
        st.integers(0, 2))
@@ -540,6 +557,9 @@ def test_solve_values_match_an_independent_evaluation(seed, n, m, kind, zero_goo
     assert res.report_a_star.values == res.a_star.values(inst)
     assert res.report_b.values == res.b.values(inst)
     assert is_eq1(inst, res.b)
+    # B is A* cut at one unit above its minimum, entry by entry
+    l = min(res.report_a_star.values)
+    assert res.report_b.values == tuple(min(l + 1, a) for a in res.report_a_star.values)
     b, values_a, values_b = truncate(inst, res.a_star)
     assert b == res.b
     assert (values_a, values_b) == (res.a_star.values(inst), res.b.values(inst))
