@@ -135,8 +135,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     inst = _load(args.instance, "instance", Instance.from_json)
-    report = validate(inst)
-    doc = {"instance": report.to_json()}
+    doc = {"instance": validate(inst)}
     if args.allocation:
         alloc = _load(args.allocation, "allocation",
                       lambda obj: Allocation.from_json(obj, inst.n, inst.m))

@@ -11,6 +11,11 @@ agents:
   doubly stochastic matrix, decomposed into permutation matrices and decoded
   back into allocations.
 
+n*W and m*W_c both count the agent-good pairs, so W/W_c = m/n: W_c
+divides W exactly when n divides m, and ``randomized_allocation`` picks its
+route by that test alone.  Each route detects the instance once, with
+``doubly_degrees``, and a lottery makes no other detection.
+
 Everything here is exact: matrix arithmetic runs on integer numerators over
 one common denominator, and Fractions appear only at the API boundary (entries,
 lottery weights); no tolerances anywhere.
@@ -280,10 +285,10 @@ def decode_allocation(inst: Instance, perm: Sequence[int]) -> Allocation:
 
 def randomized_allocation(inst: Instance) -> list[tuple[Fraction, Allocation]]:
     """Lottery over welfare-optimal EQ1 allocations whose expected value is
-    exactly W/W_c for every agent.  A single deterministic allocation when
-    W_c divides W; otherwise the decoded eating-matrix decomposition."""
-    W, W_c = doubly_degrees(inst)
-    if W % W_c == 0:
+    exactly W/W_c = m/n for every agent: a single deterministic allocation
+    when n divides m (so W_c divides W), otherwise the decoded eating-matrix
+    decomposition.  Either route detects the instance, raising alike."""
+    if inst.m % inst.n == 0:
         return [(Fraction(1), solve_flow(inst))]
     return eating_lottery(inst, eating_matrix(inst))
 

@@ -37,7 +37,7 @@ stateless oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
@@ -92,8 +92,16 @@ class Valuation:
         ``wasted_goods`` reports."""
         raise NotImplementedError
 
-    def exchange(self, bundle: int) -> "Exchange":
-        """The bundle's exchange oracle, built from scratch."""
+    def exchange(self, bundle: int) -> "BinaryAdditive | _GF2Exchange":
+        """The bundle's exchange oracle, built from scratch and kept up to
+        date in place while the bundle stays independent.
+
+        Its ``circuit(g)`` maps a good g outside the bundle to None if g
+        raises the value, else (for an independent bundle) to the mask of
+        goods h with ``bundle - h + g`` independent: g's fundamental circuit
+        without g.  ``add(g)`` follows the bundle gaining g and returns
+        False, leaving the oracle as it was, when g does not raise the
+        value; ``remove(g)`` follows it losing g."""
         raise NotImplementedError
 
     def coloops(self, bundle: int) -> tuple[int, int]:
@@ -124,51 +132,31 @@ class Valuation:
 
     @staticmethod
     def from_json(obj: dict, index: int) -> "Valuation":
-        """The valuation a JSON object describes; a missing key, or a row or
-        column that is not a list, is named with ``index``, its position."""
-        if not isinstance(obj, dict):
-            raise ValueError("each valuation must be a JSON object")
+        """The valuation a JSON object describes.  Every ``ValueError`` it
+        raises starts with ``valuation {index}: ``, its position, the
+        constructors' own included; a missing key is named."""
 
         def a_list(x, what: str) -> list:
             if not isinstance(x, list):
-                raise ValueError(f"valuation {index}: {what} is not a list")
+                raise ValueError(f"{what} is not a list")
             return x
 
-        kind = obj.get("kind")
-        try:  # the constructors raise no KeyError
-            if kind == "additive":
-                return BinaryAdditive(a_list(obj["row"], "'row'"))
-            if kind == "matroid_gf2":
-                for g, col in enumerate(a_list(obj["cols"], "'cols'")):
-                    a_list(col, f"column {g}")
-                return LinearMatroidGF2(obj["rows"], obj["cols"])
-        except KeyError as key:
-            raise ValueError(f"valuation {index}: missing key {key}") from None
-        raise ValueError(f"unknown valuation kind: {kind!r}")
-
-
-class Exchange:
-    """Exchange oracle of a bundle, kept up to date in place while the
-    bundle stays independent.
-
-    ``circuit(g)`` maps a good g outside the bundle to None if g raises the
-    value, else (for an independent bundle) to the mask of goods h with
-    ``bundle - h + g`` independent: g's fundamental circuit without g.
-    ``add(g)`` follows the bundle gaining g and returns False, leaving the
-    oracle as it was, when g does not raise the value; ``remove(g)`` follows
-    it losing g.
-    """
-
-    __slots__ = ()
-
-    def circuit(self, g: int) -> int | None:
-        raise NotImplementedError
-
-    def add(self, g: int) -> bool:
-        raise NotImplementedError
-
-    def remove(self, g: int) -> None:
-        raise NotImplementedError
+        try:
+            if not isinstance(obj, dict):
+                raise ValueError("each valuation must be a JSON object")
+            kind = obj.get("kind")
+            try:  # the constructors raise no KeyError
+                if kind == "additive":
+                    return BinaryAdditive(a_list(obj["row"], "'row'"))
+                if kind == "matroid_gf2":
+                    for g, col in enumerate(a_list(obj["cols"], "'cols'")):
+                        a_list(col, f"column {g}")
+                    return LinearMatroidGF2(obj["rows"], obj["cols"])
+            except KeyError as key:
+                raise ValueError(f"missing key {key}") from None
+            raise ValueError(f"unknown valuation kind: {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"valuation {index}: {exc}") from None
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> 0/1 bytes
@@ -192,7 +180,7 @@ def _digits(entries: Sequence[int], message: str) -> bytes:
     return packed[::-1].translate(_DIGITS)
 
 
-class BinaryAdditive(Valuation, Exchange):
+class BinaryAdditive(Valuation):
     """Additive valuation with per-good values in {0, 1}, and its own exchange
     oracle: whatever the bundle, a valued good always adds one and an
     unvalued one replaces nothing, so the row alone answers."""
@@ -207,7 +195,7 @@ class BinaryAdditive(Valuation, Exchange):
     def basis(self, bundle: int) -> int:
         return bundle & self.nonloops
 
-    def exchange(self, bundle: int) -> "Exchange":
+    def exchange(self, bundle: int) -> "BinaryAdditive":
         return self
 
     def circuit(self, g: int) -> int | None:
@@ -289,7 +277,7 @@ class LinearMatroidGF2(Valuation):
     def basis(self, bundle: int) -> int:
         return bundle ^ self._basis(bundle)[1]
 
-    def exchange(self, bundle: int) -> "Exchange":
+    def exchange(self, bundle: int) -> "_GF2Exchange":
         return _GF2Exchange(self._basis(bundle)[0], self.col_masks)
 
     def coloops(self, bundle: int) -> tuple[int, int]:
@@ -305,7 +293,7 @@ class LinearMatroidGF2(Valuation):
         return f"LinearMatroidGF2(rows={self.rows}, m={self.m})"
 
 
-class _GF2Exchange(Exchange):
+class _GF2Exchange:
     """A basis of the bundle's span keyed by leading bit, each vector with
     the bundle goods whose columns sum to it, as ``_basis`` builds it.
 
@@ -595,30 +583,20 @@ def wasted_goods(inst: Instance, alloc: Allocation) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    W: int | None
-    r: int
-    warnings: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "W": self.W if self.W is not None else "not normalised",
-            "r": self.r,
-            "warnings": list(self.warnings),
-            # both valuation kinds are matroid rank functions by construction
-            "binary_submodular": True,
-        }
-
-
-def validate(inst: Instance) -> ValidationReport:
-    """Report the normalisation constant, agent-type count and unvalued
-    goods.  Binary submodularity needs no check: the valuation constructors
-    accept only 0/1 rows and 0/1 GF(2) matrices, whose value functions are
-    matroid rank functions."""
-    valued = 0
+def validate(inst: Instance) -> dict:
+    """The ``instance`` object ``check`` prints: the normalisation constant
+    ``W`` ("not normalised" when the grand values differ), the agent-type
+    count ``r``, one warning per good valued by no agent, ascending, and
+    ``binary_submodular``, always true.  It needs no check: the valuation
+    constructors accept only 0/1 rows and 0/1 GF(2) matrices, whose value
+    functions are matroid rank functions."""
+    unvalued = (1 << inst.m) - 1
     for v in inst.valuations:
-        valued |= v.nonloops
-    unvalued = goods_of(((1 << inst.m) - 1) ^ valued)
-    return ValidationReport(W=inst.normalisation(), r=inst.r,
-                            warnings=[f"good {g} valued by no agent" for g in unvalued])
+        unvalued &= ~v.nonloops
+    W = inst.normalisation()
+    return {
+        "W": W if W is not None else "not normalised",
+        "r": inst.r,
+        "warnings": [f"good {g} valued by no agent" for g in goods_of(unvalued)],
+        "binary_submodular": True,
+    }

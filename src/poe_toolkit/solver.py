@@ -16,6 +16,10 @@ The pipeline is:
    worthless.  B's values are ``min(l + 1, a_j)`` for A*'s ``a_j``, as
    ``truncate`` checks; B is EQ1 and optimal among EQ1 allocations for all p.
 
+``solve`` adds both welfare reports, the per-p price of equity and
+``diagnostics``: the type-level truncation quantities as the JSON object it
+prints, or None unless every valuation is binary additive.
+
 Bundles, the pool and the search's sources are bitmasks of goods.
 Augmentation makes every one-good path in one ascending sweep over the
 pool, the same paths in the same order as the searches would (no span
@@ -344,44 +348,22 @@ def truncate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TruncationDiagnostics:
-    """Per-type goods/agents counts with the derived truncation level.
+def diagnostics(inst: Instance, a_star: Allocation) -> dict | None:
+    """The ``diagnostics`` object ``solve`` prints: the type-level
+    truncation quantities, evaluated on a clean view of the optimal
+    allocation, or None unless every valuation is binary additive.  A clean
+    bundle keeps one good per unit of value, so a type's goods are the sum
+    of its agents' values.
 
     Types are reindexed so goods-per-agent ratios are nondecreasing (ties by
-    original type id).  ``truncation_level`` is the ceiling of the smallest
-    ratio, bumped by one when the ratio is integral; ``retained_types`` is
-    the number of leading types whose ratio it still covers, and
-    ``retained_fraction`` the fraction of agents in those types.
-    """
-
-    type_order: list[int]  # original type ids, reindexed order
-    goods_per_type: list[int]  # m_k, reindexed
-    agents_per_type: list[int]  # n_k, reindexed
-    truncation_level: int
-    retained_types: int
-    retained_fraction: Fraction
-    warnings: list[str]
-
-    def to_json(self) -> dict:
-        return {
-            "type_order": list(self.type_order),
-            "goods_per_type": list(self.goods_per_type),
-            "agents_per_type": list(self.agents_per_type),
-            "truncation_level": self.truncation_level,
-            "retained_types": self.retained_types,
-            "retained_fraction": str(self.retained_fraction),
-            "warnings": list(self.warnings),
-        }
-
-
-def diagnostics(inst: Instance, a_star: Allocation) -> TruncationDiagnostics:
-    """Evaluate the type-level truncation quantities on a clean view of the
-    optimal allocation.  Binary additive instances only.  A clean bundle
-    keeps one good per unit of value, so a type's goods are the sum of its
-    agents' values."""
+    original type id): ``type_order`` lists the original type ids in that
+    order, and ``goods_per_type`` (m_k) and ``agents_per_type`` (n_k) follow
+    it.  ``truncation_level`` is the ceiling of the smallest ratio, bumped
+    by one when the ratio is integral; ``retained_types`` is the number of
+    leading types whose ratio it still covers, and ``retained_fraction``
+    the fraction of agents in those types, as "a/b"."""
     if not all(isinstance(v, BinaryAdditive) for v in inst.valuations):
-        raise ValueError("diagnostics are defined for binary additive instances")
+        return None
     type_of = inst.type_index
     r = max(type_of) + 1
     goods = [0] * r
@@ -405,16 +387,15 @@ def diagnostics(inst: Instance, a_star: Allocation) -> TruncationDiagnostics:
         )
 
     rho = max(k + 1 for k in range(r) if level * n_k[k] >= m_k[k])
-    alpha = Fraction(sum(n_k[:rho]), inst.n)
-    return TruncationDiagnostics(
-        type_order=order,
-        goods_per_type=m_k,
-        agents_per_type=n_k,
-        truncation_level=level,
-        retained_types=rho,
-        retained_fraction=alpha,
-        warnings=warnings,
-    )
+    return {
+        "type_order": order,
+        "goods_per_type": m_k,
+        "agents_per_type": n_k,
+        "truncation_level": level,
+        "retained_types": rho,
+        "retained_fraction": str(Fraction(sum(n_k[:rho]), inst.n)),
+        "warnings": warnings,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +410,7 @@ class SolveResult:
     report_a_star: WelfareReport
     report_b: WelfareReport
     poe: dict[PParam, object]
-    diagnostics: TruncationDiagnostics | None
+    diagnostics: dict | None
 
     def to_json(self) -> dict:
         return {
@@ -439,7 +420,7 @@ class SolveResult:
             "welfare_optimal": self.report_a_star.to_json(),
             "welfare_eq1": self.report_b.to_json(),
             "poe": {str(p): num_to_json(v) for p, v in self.poe.items()},
-            "diagnostics": self.diagnostics.to_json() if self.diagnostics else None,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -456,14 +437,11 @@ def solve(inst: Instance, p_list: Iterable[PParam]) -> SolveResult:
     if rep_a.positive_count != restrict:  # B's values are positive where A*'s are
         raise SolverInternalError("optimal allocations missed the positive capacity")
     poe = {p: poe_ratio(rep_a.keys[p], rep_b.keys[p], p, restrict) for p in p_list}
-    diag = None
-    if all(isinstance(v, BinaryAdditive) for v in inst.valuations):
-        diag = diagnostics(inst, a_star)
     return SolveResult(
         a_star=a_star,
         b=b,
         report_a_star=rep_a,
         report_b=rep_b,
         poe=poe,
-        diagnostics=diag,
+        diagnostics=diagnostics(inst, a_star),
     )

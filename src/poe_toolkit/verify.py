@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import rank_of_instance
-from .doubly import doubly_degrees, expected_values, randomized_allocation
+from .doubly import expected_values, randomized_allocation
 from .generators import (
     example1_instance,
     gen_lower_bound_instance,
@@ -209,7 +209,8 @@ def gate_doubly(instances) -> GateResult:
     and Nash, and ``randomized_allocation``'s lottery (flow or eating route)
     is a lottery over complete EQ1 allocations whose positive ``Fraction``
     weights sum to 1, each with ``solve``'s B key for p = 1 and Nash, that
-    gives every agent exactly W/W_c in expectation."""
+    gives every agent exactly W/W_c in expectation, read as m/n (equal on a
+    doubly normalised instance) without detecting W and W_c again."""
     p_check = (UTILITARIAN, NASH)
 
     def check(inst):
@@ -229,8 +230,7 @@ def gate_doubly(instances) -> GateResult:
             if any(rep.keys[p] != res.report_b.keys[p] for p in p_check):
                 yield "lottery allocation key differs from B's"
                 return
-        W, W_c = doubly_degrees(inst)
-        if expected_values(inst, lottery) != [Fraction(W, W_c)] * inst.n:
+        if expected_values(inst, lottery) != [Fraction(inst.m, inst.n)] * inst.n:
             yield "expected values are not W/W_c"
 
     return _run_gate("doubly-normalised", instances, check)

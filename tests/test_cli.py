@@ -267,12 +267,29 @@ def test_malformed_instance_is_one_error_line(tmp_path_factory, doc):
         ({"kind": "matroid_gf2", "rows": 1, "cols": 5}, None, "valuation 0: 'cols' is not a list"),
         ({"kind": "additive", "row": [1, 0]}, "[1]",
          "allocation must be a JSON object with an 'owner' list"),
+        # a list is the whole valuations list: the constructors' errors, an
+        # unknown kind and a non-object name the valuation by its position
+        ([{"kind": "additive", "row": [1, 0]}, {"kind": "additive", "row": [0, 1]},
+          {"kind": "additive", "row": [1, 2]}], None,
+         "valuation 2: binary additive row must contain only 0/1 integers"),
+        ({"kind": "matroid_gf2", "rows": 1, "cols": [[2]]}, None,
+         "valuation 0: matroid matrix entries must be 0/1 integers"),
+        ({"kind": "matroid_gf2", "rows": -1, "cols": []}, None,
+         "valuation 0: row count must be a non-negative integer"),
+        ({"kind": "matroid_gf2", "rows": 2, "cols": [[1]]}, None,
+         "valuation 0: column length does not match row count"),
+        ([{"kind": "additive", "row": [1]}, {"kind": "bogus"}], None,
+         "valuation 1: unknown valuation kind: 'bogus'"),
+        ([{"kind": "additive", "row": [1]}, 5], None,
+         "valuation 1: each valuation must be a JSON object"),
     ],
-    ids=["missing_rows", "null_column", "missing_row", "int_row", "int_cols", "owner_not_keyed"],
+    ids=["missing_rows", "null_column", "missing_row", "int_row", "int_cols", "owner_not_keyed",
+         "row_entry", "matrix_entry", "row_count", "column_length", "unknown_kind", "not_object"],
 )
 def test_file_shape_error_names_what_is_wrong(tmp_path, valuation, allocation, message):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps({"valuations": [valuation]}))
+    valuations = valuation if isinstance(valuation, list) else [valuation]
+    path.write_text(json.dumps({"valuations": valuations}))
     argv = ["check", str(path)]
     if allocation is not None:
         path = tmp_path / "allocation.json"

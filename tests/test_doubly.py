@@ -485,6 +485,44 @@ def test_lottery_random_biregular(rng):
         assert all(sum(alloc.values(inst)) == inst.m for _, alloc in randomized_allocation(inst))
 
 
+def test_one_detection_per_lottery(monkeypatch):
+    # the route, flow (n | m) or eating, makes the lottery's only
+    # doubly_degrees call, and gate_doubly reads W/W_c = m/n without one
+    from poe_toolkit import doubly, verify
+
+    honest, calls = doubly.doubly_degrees, []
+
+    def counted(inst):
+        calls.append(inst)
+        return honest(inst)
+
+    monkeypatch.setattr(doubly, "doubly_degrees", counted)
+    monkeypatch.setattr(verify, "doubly_degrees", counted, raising=False)
+    for inst in (example1_instance(), gen_doubly_normalised(8, 16, 4, 2, seed=1)):
+        calls.clear()
+        randomized_allocation(inst)
+        assert calls == [inst]
+        calls.clear()
+        gate = gate_doubly([inst])
+        assert gate.passed, gate.detail
+        assert calls == [inst]
+
+
+GF2_REFUSAL = "double normalisation is defined for binary additive instances"
+
+
+@pytest.mark.parametrize("inst, message", [
+    (gen_lower_bound_instance(2, 2), "instance is not doubly normalised"),  # n = m = 4
+    (remark_3x4_instance(), "instance is not doubly normalised"),  # n = 3, m = 4
+    (Instance([LinearMatroidGF2(1, [[1], [1]])] * 2), GF2_REFUSAL),
+    (Instance([LinearMatroidGF2(1, [[1], [1], [0]])] * 2), GF2_REFUSAL),
+], ids=["flow_route", "eating_route", "gf2_flow_route", "gf2_eating_route"])
+def test_lottery_refuses_non_doubly_on_either_route(inst, message):
+    with pytest.raises(ValueError) as exc:
+        randomized_allocation(inst)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_remark_fixture_poe_one():
     res = solve(remark_3x4_instance(), (UTILITARIAN, NASH))
     assert res.poe[UTILITARIAN] == 1 and res.poe[NASH] == 1

@@ -33,7 +33,7 @@ def test_lower_bound_family_validates():
     for r, W in ((2, 1), (3, 4), (5, 3)):
         inst = gen_lower_bound_instance(r, W)
         report = validate(inst)
-        assert report.W == W and report.r == r and not report.warnings
+        assert report["W"] == W and report["r"] == r and not report["warnings"]
         assert max_positive_count(inst) == W + r - 1
 
 
@@ -48,7 +48,7 @@ def test_submodular_family_shape():
     inst = gen_submodular_lb_instance(2)
     assert (inst.n, inst.m) == (4, 6)
     assert inst.r == 2
-    assert validate(inst).W == 2
+    assert validate(inst)["W"] == 2
     # every group is worth k to the second type
     t2 = inst.valuations[-1]
     for j in range(3):
@@ -61,7 +61,7 @@ def test_submodular_family_shape():
 
 def test_doubly_generator_margins():
     inst = gen_doubly_normalised(4, 6, 3, 2, seed=11)
-    assert validate(inst).W == 3
+    assert validate(inst)["W"] == 3
     for g in range(6):
         assert sum(v.row[g] for v in inst.valuations) == 2
 
@@ -97,12 +97,12 @@ def test_remark_fixture_not_column_normalised():
     inst = remark_3x4_instance()
     with pytest.raises(ValueError, match="not doubly normalised"):
         doubly_degrees(inst)
-    assert validate(inst).W == 2
+    assert validate(inst)["W"] == 2
 
 
 def test_unnormalised_fixture():
     inst = unnormalised_2agent_instance(6)
-    assert validate(inst).W is None
+    assert validate(inst)["W"] == "not normalised"
 
 
 def test_random_additive_normalised(rng):
@@ -110,7 +110,7 @@ def test_random_additive_normalised(rng):
         n, m = rng.randint(2, 5), rng.randint(2, 8)
         W = rng.randint(1, m)
         inst = random_binary_additive(rng, n, m, W=W)
-        assert validate(inst).W == W
+        assert validate(inst)["W"] == W
 
 
 def test_random_additive_every_good_valued(rng):
@@ -118,7 +118,7 @@ def test_random_additive_every_good_valued(rng):
         n, m = rng.randint(2, 5), rng.randint(2, 8)
         W = rng.randint(max(1, -(-m // n)), m)
         inst = random_binary_additive(rng, n, m, W=W, every_good_valued=True)
-        assert not validate(inst).warnings
+        assert not validate(inst)["warnings"]
 
 
 def test_random_matroid_normalised(rng):
@@ -126,7 +126,7 @@ def test_random_matroid_normalised(rng):
         n, m = rng.randint(2, 4), rng.randint(2, 6)
         W = rng.randint(1, min(4, m))
         inst = random_matroid_gf2(rng, n, m, W=W)
-        assert validate(inst).W == W
+        assert validate(inst)["W"] == W
 
 
 def test_biregular_choices_respect_margins():

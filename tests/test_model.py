@@ -585,25 +585,27 @@ def test_allocation_without_goods():
 
 def test_validate_family():
     report = validate(gen_lower_bound_instance(3, 2))
-    assert report.W == 2 and report.r == 3 and not report.warnings
-    assert report.to_json()["binary_submodular"] is True
+    assert report["W"] == 2 and report["r"] == 3 and not report["warnings"]
+    assert report["binary_submodular"] is True
+    # the object check prints, keys in its order
+    assert list(report) == ["W", "r", "warnings", "binary_submodular"]
 
 
 def test_validate_unvalued_good_warning():
     inst = Instance([BinaryAdditive([1, 0]), BinaryAdditive([1, 0])])
     report = validate(inst)
-    assert any("valued by no agent" in w for w in report.warnings)
-    assert report.W == 1
+    assert any("valued by no agent" in w for w in report["warnings"])
+    assert report["W"] == 1
 
 
 def test_validate_unvalued_goods_ascending():
     inst = Instance([BinaryAdditive([0, 1, 0, 0]), LinearMatroidGF2(1, [[0], [0], [1], [0]])])
-    assert validate(inst).warnings == ["good 0 valued by no agent", "good 3 valued by no agent"]
+    assert validate(inst)["warnings"] == ["good 0 valued by no agent", "good 3 valued by no agent"]
 
 
 def test_validate_not_normalised():
     inst = Instance([BinaryAdditive([1, 0]), BinaryAdditive([1, 1])])
-    assert validate(inst).W is None
+    assert validate(inst)["W"] == "not normalised"
 
 
 def test_grand_value_is_the_value_of_all_goods(rng):
@@ -632,7 +634,7 @@ def test_grand_value_is_the_value_of_all_goods(rng):
             assert v.grand_value == expected[i], v
     # the normalisation constant is the common grand value
     inst = Instance([vals[3], BinaryAdditive([1, 1, 1, 0])])
-    assert inst.normalisation() == 3 and validate(inst).W == 3
+    assert inst.normalisation() == 3 and validate(inst)["W"] == 3
     assert Instance([vals[3], vals[5]]).normalisation() is None
 
 

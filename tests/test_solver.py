@@ -743,10 +743,14 @@ def test_matroid_floor(rng):
 def test_diagnostics_family_r3_W4():
     inst = gen_lower_bound_instance(3, 4)
     d = diagnostics(inst, nash_optimal(inst))
-    assert d.agents_per_type[0] == 5 and d.goods_per_type[0] == 4
-    assert d.truncation_level == 1  # ceil(4/5); flagged, not fatal
-    assert d.warnings
-    assert d.retained_fraction == Fraction(5, 7)
+    assert d["agents_per_type"][0] == 5 and d["goods_per_type"][0] == 4
+    assert d["truncation_level"] == 1  # ceil(4/5); flagged, not fatal
+    assert d["warnings"]
+    assert d["retained_fraction"] == "5/7"
+    # the object solve prints, keys in its order
+    assert list(d) == ["type_order", "goods_per_type", "agents_per_type", "truncation_level",
+                       "retained_types", "retained_fraction", "warnings"]
+    assert solve(inst, [UTILITARIAN]).to_json()["diagnostics"] == d
 
 
 def test_diagnostics_integral_ratio_bumps_level():
@@ -755,7 +759,7 @@ def test_diagnostics_integral_ratio_bumps_level():
         [BinaryAdditive([1, 1, 1, 0, 0, 0]), BinaryAdditive([0, 0, 0, 1, 1, 1])]
     )
     d = diagnostics(inst, nash_optimal(inst))
-    assert d.truncation_level == 4  # 1 + 3
+    assert d["truncation_level"] == 4  # 1 + 3
 
 
 def test_diagnostics_retained_types_cover_normalisation(rng):
@@ -765,7 +769,7 @@ def test_diagnostics_retained_types_cover_normalisation(rng):
         W = rng.randint(max(1, -(-m // n)), m)
         inst = random_binary_additive(rng, n, m, W=W, every_good_valued=True)
         d = diagnostics(inst, nash_optimal(inst))
-        assert sum(d.goods_per_type[: d.retained_types]) >= W
+        assert sum(d["goods_per_type"][: d["retained_types"]]) >= W
 
 
 def test_diagnostics_goods_per_type_match_clean_goods(rng):
@@ -780,7 +784,7 @@ def test_diagnostics_goods_per_type_match_clean_goods(rng):
             for g, a in enumerate(alloc.owner):
                 if a >= 0 and g not in wasted:
                     goods[inst.type_index[a]] += 1
-            assert d.goods_per_type == [goods[t] for t in d.type_order]
+            assert d["goods_per_type"] == [goods[t] for t in d["type_order"]]
 
 
 def fraction_diagnostics(inst: Instance, alloc: Allocation):
@@ -826,15 +830,15 @@ def test_diagnostics_match_fraction_reference(types, rnd):
             owner[g] = rnd.randrange(len(agents))
     inst, alloc = Instance([BinaryAdditive(row) for row in rows]), Allocation(owner, len(agents))
     d = diagnostics(inst, alloc)
-    got = (d.type_order, d.goods_per_type, d.agents_per_type, d.truncation_level,
-           d.retained_types, d.retained_fraction)
+    got = (d["type_order"], d["goods_per_type"], d["agents_per_type"], d["truncation_level"],
+           d["retained_types"], Fraction(d["retained_fraction"]))
     assert got == fraction_diagnostics(inst, alloc)
 
 
 def test_diagnostics_rejects_matroids(rng):
     inst = random_matroid_gf2(rng, 2, 3)
-    with pytest.raises(ValueError):
-        diagnostics(inst, nash_optimal(inst))
+    assert diagnostics(inst, nash_optimal(inst)) is None
+    assert solve(inst, [UTILITARIAN]).to_json()["diagnostics"] is None
 
 
 def test_solve_serialization_round_trip():
