@@ -14,9 +14,7 @@ import json
 import sys
 
 from .bounds import bound_table, proof_rule_W
-from .doubly import (
-    doubly_degrees, eating_lottery, eating_matrix, expected_values, randomized_allocation,
-)
+from .doubly import eating_lottery, eating_matrix, expected_values, randomized_allocation
 from .generators import (
     example1_instance,
     gen_doubly_normalised,
@@ -24,16 +22,7 @@ from .generators import (
     gen_submodular_lb_instance,
     remark_3x4_instance,
 )
-from .model import (
-    Allocation,
-    Instance,
-    is_ef,
-    is_ef1,
-    is_eq,
-    is_eq1,
-    validate,
-    wasted_goods,
-)
+from .model import Allocation, Instance, check_allocation, validate
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 from .solver import solve
 from .verify import DEFAULT_SEED, run_verification
@@ -139,18 +128,7 @@ def cmd_check(args) -> int:
     if args.allocation:
         alloc = _load(args.allocation, "allocation",
                       lambda obj: Allocation.from_json(obj, inst.n, inst.m))
-        doc["allocation"] = {
-            "complete": alloc.is_complete,
-            "values": list(alloc.values(inst)),
-            "wasted_goods": sorted(wasted_goods(inst, alloc)),
-        }
-        if alloc.is_complete:
-            doc["allocation"].update(
-                eq=is_eq(inst, alloc),
-                eq1=is_eq1(inst, alloc),
-                ef=is_ef(inst, alloc),
-                ef1=is_ef1(inst, alloc),
-            )
+        doc["allocation"] = check_allocation(inst, alloc)
     _emit_json(doc, args.out)
     return 0
 
@@ -168,6 +146,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("only the 'lb' family is sweepable")
     if args.W_rule == "fixed" and args.W is None:
         raise ValueError("--W-rule fixed needs --W")
+    if args.W_rule == "proof" and args.W is not None:
+        raise ValueError("--W needs --W-rule fixed")
     p_list = _parse_p_list(args.p, (UTILITARIAN,))
     rows = []
     for p in p_list:
@@ -186,13 +166,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_doubly(args) -> int:
     inst = _load(args.instance, "instance", Instance.from_json)
-    W, W_c = doubly_degrees(inst)
     # the lottery is decoded from the matrix the CSV prints
     eating = eating_matrix(inst) if args.matrix_csv else None
     lottery = eating_lottery(inst, eating) if eating else randomized_allocation(inst)
+    # the route has detected the instance: W is its normalisation, and both
+    # n*W and m*W_c count the agent-good pairs, so W_c = W*n/m exactly
+    W = inst.normalisation()
     doc = {
         "W": W,
-        "W_c": W_c,
+        "W_c": W * inst.n // inst.m,
         "weights": [str(w) for w, _ in lottery],
         "allocations": [list(a.owner) for _, a in lottery],
         "expected_values": [str(v) for v in expected_values(inst, lottery)],

@@ -21,10 +21,12 @@ the bundle in place instead of being rebuilt), and the floor primitive
 (``coloops``: the bundle's value with the mask of goods whose removal lowers
 it); ``value``, on the base class, is the first half of ``coloops``.  A
 bundle's *floor*, its value after dropping the good whose removal lowers it
-most, is that value less one exactly when the mask is nonzero; EQ1, EF1 and
-truncation read it from ``coloops``, and the oracle from ``floor_table``,
-which packs the same pair for every bundle.  Both kinds check and pack their
-0/1 input with one helper, ``_digits``.
+most, is that value less one exactly when the mask is nonzero.  ``is_eq1``,
+truncation and ``check_allocation`` (values, EQ, EQ1, and EF and EF1 from
+one view of every bundle per valuation object) read it from ``coloops``,
+and the oracle from ``floor_table``, which packs the same pair for every
+bundle.
+Both kinds check and pack their 0/1 input with one helper, ``_digits``.
 Agent types (``canonical_key``) are read from the same queries: the greedy
 basis of all goods and its fundamental circuits.  ``_reduce`` is the one
 GF(2) elimination behind all of them.
@@ -390,15 +392,13 @@ class Instance:
 
     @property
     def type_index(self) -> tuple[int, ...]:
-        """Agent -> type id; agents with identical valuation functions share a type."""
+        """Agent -> type id; agents with identical valuation functions share a
+        type.  Each distinct valuation object is keyed once, in the order its
+        first agent appears, so the ids are those of keying every agent."""
         keys: dict[tuple, int] = {}
-        out = []
-        for v in self.valuations:
-            k = v.canonical_key()
-            if k not in keys:
-                keys[k] = len(keys)
-            out.append(keys[k])
-        return tuple(out)
+        type_of = {v: keys.setdefault(v.canonical_key(), len(keys))
+                   for v in dict.fromkeys(self.valuations)}
+        return tuple(map(type_of.__getitem__, self.valuations))
 
     @property
     def r(self) -> int:
@@ -509,11 +509,6 @@ class Allocation:
 # ---------------------------------------------------------------------------
 
 
-def _require_complete(alloc: Allocation) -> None:
-    if not alloc.is_complete:
-        raise ValueError("predicate requires a complete allocation")
-
-
 def _top_floor(pairs: Iterable[tuple[int, int]]) -> int:
     """The largest floor among ``coloops`` pairs: a bundle's value, less one
     when some good's removal lowers it (marginals are binary)."""
@@ -530,36 +525,9 @@ def is_eq1(inst: Instance, alloc: Allocation) -> bool:
     """Equitable up to one good: for every pair (i, k) with k's bundle
     nonempty, some good of k can be dropped so that i's value for its own
     bundle is at least k's value for the reduced bundle (``eq1_holds``)."""
-    _require_complete(alloc)
+    if not alloc.is_complete:
+        raise ValueError("predicate requires a complete allocation")
     return eq1_holds([v.coloops(b) for v, b in zip(inst.valuations, alloc.masks(inst))])
-
-
-def is_eq(inst: Instance, alloc: Allocation) -> bool:
-    """Equitable: all agents value their own bundles equally."""
-    _require_complete(alloc)
-    return len(set(alloc.values(inst))) <= 1
-
-
-def _views(inst: Instance, alloc: Allocation) -> Iterable[tuple[list[tuple[int, int]], int]]:
-    """Each agent's view of a complete allocation, in agent order: its
-    ``coloops`` pairs of every bundle and its value of its own."""
-    _require_complete(alloc)
-    masks = alloc.masks(inst)
-    for i, val in enumerate(inst.valuations):
-        pairs = [val.coloops(b) for b in masks]
-        yield pairs, pairs[i][0]
-
-
-def is_ef(inst: Instance, alloc: Allocation) -> bool:
-    """Envy-free: no agent values another's bundle above its own."""
-    return all(max(value for value, _ in pairs) <= own for pairs, own in _views(inst, alloc))
-
-
-def is_ef1(inst: Instance, alloc: Allocation) -> bool:
-    """Envy-free up to one good, with the envious agent's own valuation
-    applied to the reduced bundle: in each agent's view, the largest floor is
-    at most the value of its own bundle."""
-    return all(_top_floor(pairs) <= own for pairs, own in _views(inst, alloc))
 
 
 def wasted_goods(inst: Instance, alloc: Allocation) -> frozenset[int]:
@@ -576,6 +544,37 @@ def wasted_goods(inst: Instance, alloc: Allocation) -> frozenset[int]:
     for v, b in zip(inst.valuations, alloc.masks(inst)):
         wasted |= b ^ v.basis(b)
     return frozenset(goods_of(wasted))
+
+
+def check_allocation(inst: Instance, alloc: Allocation) -> dict:
+    """The ``allocation`` object ``check`` prints: ``complete``, each agent's
+    ``values`` of its own bundle and the ``wasted_goods``, ascending; for a
+    complete allocation also ``eq`` (all values equal), ``eq1``
+    (``eq1_holds``), ``ef`` (envy-free: no agent values another's bundle
+    above its own) and ``ef1`` (envy-free up to one good, the envious
+    agent's own valuation applied to the reduced bundle: in each agent's
+    view, the largest floor is at most its own value).  Each agent reads
+    ``coloops`` of its own bundle once, and each distinct valuation object
+    reads it of every bundle once more for the envy view, which the agents
+    holding that object share."""
+    masks = alloc.masks(inst)
+    own = [v.coloops(b) for v, b in zip(inst.valuations, masks)]
+    values = [value for value, _ in own]
+    doc = {
+        "complete": alloc.is_complete,
+        "values": values,
+        "wasted_goods": sorted(wasted_goods(inst, alloc)),
+    }
+    if alloc.is_complete:
+        views = {v: [v.coloops(b) for b in masks] for v in dict.fromkeys(inst.valuations)}
+        seen = [(views[v], mine) for v, mine in zip(inst.valuations, values)]
+        doc.update(
+            eq=len(set(values)) <= 1,
+            eq1=eq1_holds(own),
+            ef=all(max(value for value, _ in pairs) <= mine for pairs, mine in seen),
+            ef1=all(_top_floor(pairs) <= mine for pairs, mine in seen),
+        )
+    return doc
 
 
 # ---------------------------------------------------------------------------

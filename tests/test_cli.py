@@ -63,7 +63,11 @@ def test_generate_missing_params():
     assert run("generate", "lb").returncode == 1
 
 
-@pytest.mark.parametrize("args", [("generate", "lb"), ("sweep", "--W-rule", "fixed")])
+@pytest.mark.parametrize("args", [
+    ("generate", "lb"),
+    ("sweep", "--W-rule", "fixed"),
+    ("sweep", "--p", "1", "--r-max", "3", "--W", "5"),  # the proof rule picks W itself
+])
 def test_missing_flag_is_one_error_line(args):
     res = run(*args)
     assert res.returncode == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import sys
@@ -29,7 +30,9 @@ from poe_toolkit.generators import (
     random_biregular,
     remark_3x4_instance,
 )
-from poe_toolkit.model import BinaryAdditive, Instance, LinearMatroidGF2, is_eq, is_eq1, wasted_goods
+from poe_toolkit.model import (
+    BinaryAdditive, Instance, LinearMatroidGF2, check_allocation, is_eq1, wasted_goods,
+)
 from poe_toolkit.solver import solve
 from poe_toolkit.verify import gate_doubly
 from poe_toolkit.welfare import NASH, UTILITARIAN
@@ -93,7 +96,7 @@ def test_flow_example1():
 def test_flow_integral_case_is_eq():
     inst = gen_doubly_normalised(4, 8, 2, 1, seed=9)
     alloc = solve_flow(inst)
-    assert is_eq(inst, alloc)
+    assert check_allocation(inst, alloc)["eq"]
     assert len(set(alloc.values(inst))) == 1
 
 
@@ -473,7 +476,7 @@ def test_lottery_integral_case_single_term():
     inst = gen_doubly_normalised(4, 8, 2, 1, seed=4)
     lottery = randomized_allocation(inst)
     assert len(lottery) == 1 and lottery[0][0] == 1
-    assert is_eq(inst, lottery[0][1])
+    assert check_allocation(inst, lottery[0][1])["eq"]
 
 
 def test_lottery_random_biregular(rng):
@@ -485,10 +488,11 @@ def test_lottery_random_biregular(rng):
         assert all(sum(alloc.values(inst)) == inst.m for _, alloc in randomized_allocation(inst))
 
 
-def test_one_detection_per_lottery(monkeypatch):
+def test_one_detection_per_lottery(monkeypatch, tmp_path, capsys):
     # the route, flow (n | m) or eating, makes the lottery's only
-    # doubly_degrees call, and gate_doubly reads W/W_c = m/n without one
-    from poe_toolkit import doubly, verify
+    # doubly_degrees call, and gate_doubly reads W/W_c = m/n without one;
+    # so does the doubly command, which prints W and W_c = W*n/m
+    from poe_toolkit import cli, doubly, verify
 
     honest, calls = doubly.doubly_degrees, []
 
@@ -498,6 +502,8 @@ def test_one_detection_per_lottery(monkeypatch):
 
     monkeypatch.setattr(doubly, "doubly_degrees", counted)
     monkeypatch.setattr(verify, "doubly_degrees", counted, raising=False)
+    monkeypatch.setattr(cli, "doubly_degrees", counted, raising=False)
+    path, matrix = tmp_path / "inst.json", tmp_path / "eating.csv"
     for inst in (example1_instance(), gen_doubly_normalised(8, 16, 4, 2, seed=1)):
         calls.clear()
         randomized_allocation(inst)
@@ -506,6 +512,20 @@ def test_one_detection_per_lottery(monkeypatch):
         gate = gate_doubly([inst])
         assert gate.passed, gate.detail
         assert calls == [inst]
+        # the command loads its own instance: count its calls
+        path.write_text(json.dumps(inst.to_json()))
+        flow = inst.m % inst.n == 0
+        for extra in ([], ["--matrix-csv", str(matrix)]):
+            calls.clear()
+            code = cli.main(["doubly", str(path), *extra])
+            out, err = capsys.readouterr()
+            assert len(calls) == 1
+            if flow and extra:
+                assert (code, out) == (1, "")
+                assert err == "error: no eating matrix: W divisible by W_c (flow route)\n"
+            else:
+                doc = json.loads(out)
+                assert (code, doc["W"], doc["W_c"]) == (0, *honest(inst))
 
 
 GF2_REFUSAL = "double normalisation is defined for binary additive instances"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from poe_toolkit.generators import (
     gen_lower_bound_instance,
+    gen_submodular_lb_instance,
     random_binary_additive,
     random_matroid_gf2,
 )
@@ -19,11 +20,10 @@ from poe_toolkit.model import (
     BinaryAdditive,
     Instance,
     LinearMatroidGF2,
+    Valuation,
+    check_allocation,
     floor_table,
     goods_of,
-    is_ef,
-    is_ef1,
-    is_eq,
     is_eq1,
     validate,
     wasted_goods,
@@ -270,6 +270,9 @@ def floor_cases(draw):
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 10))
     vals = []
     for _ in range(n):
+        if vals and draw(st.integers(0, 3)) == 0:  # agents may share one valuation object
+            vals.append(draw(st.sampled_from(vals)))
+            continue
         loops = draw(st.lists(st.booleans(), min_size=m, max_size=m))
         if draw(st.booleans()):
             vals.append(BinaryAdditive([0 if loop else draw(st.integers(0, 1)) for loop in loops]))
@@ -301,9 +304,18 @@ def test_floor_matches_definitions(case):
         [j for j, val in enumerate(inst.valuations) if val.value(1 << g)] for g in range(inst.m)
     ]
     assert wasted_goods(inst, alloc) == reference_wasted_goods(inst, alloc)
+    doc = check_allocation(inst, alloc)
+    assert doc["wasted_goods"] == sorted(reference_wasted_goods(inst, alloc))
+    assert doc["values"] == [reference_value(v, b) for v, b in zip(inst.valuations, alloc.masks(inst))]
     if alloc.is_complete:
         assert is_eq1(inst, alloc) == reference_is_eq1(inst, alloc)
-        assert is_ef1(inst, alloc) == reference_is_ef1(inst, alloc)
+        assert doc["eq1"] == reference_is_eq1(inst, alloc)
+        assert doc["ef1"] == reference_is_ef1(inst, alloc)
+        values, masks = doc["values"], alloc.masks(inst)
+        assert doc["eq"] == (len(set(values)) <= 1)
+        assert doc["ef"] == all(
+            reference_value(v, b) <= values[i] for i, v in enumerate(inst.valuations) for b in masks
+        )
 
 
 def loopy_valuation(rng: random.Random, m: int, additive: bool):
@@ -388,6 +400,29 @@ def test_type_index_additive():
     assert inst.type_index == (0, 0, 0, 1, 2)
 
 
+def test_type_index_keys_each_valuation_object_once(monkeypatch):
+    honest, calls = Valuation.canonical_key, []
+
+    def counted(v):
+        calls.append(v)
+        return honest(v)
+
+    monkeypatch.setattr(Valuation, "canonical_key", counted)
+    inst = gen_submodular_lb_instance(4)  # 8 agents holding 2 objects
+    assert inst.type_index == (0, 0, 0, 0, 1, 1, 1, 1)
+    assert len(calls) == 2
+    # distinct objects sharing one function share a type, as when every
+    # agent is keyed: the additive row and the matrix key alike
+    add, mat = BinaryAdditive([1, 1, 0]), LinearMatroidGF2(2, [E1, E2, [0, 0]])
+    other = LinearMatroidGF2(2, [E1, E1, [0, 0]])
+    for vals in ([other, add, mat, add, other, mat], [add, mat, other, mat, add]):
+        keys: dict = {}
+        want = tuple(keys.setdefault(honest(v), len(keys)) for v in vals)
+        calls.clear()
+        assert Instance(vals).type_index == want
+        assert len(calls) == 3
+
+
 def test_type_identity_across_representations():
     # additive (1,1,0) equals the matroid with distinct basis columns
     add = BinaryAdditive([1, 1, 0])
@@ -450,9 +485,10 @@ def test_type_identity_iff_equal_rank_function(rng):
 def test_eq1_equal_values_true(rng):
     inst = random_binary_additive(rng, 3, 6, W=4)
     alloc = Allocation([0, 0, 1, 1, 2, 2], 3)
+    doc = check_allocation(inst, alloc)
     if len(set(alloc.values(inst))) == 1:
-        assert is_eq1(inst, alloc)
-    assert is_eq(inst, alloc) or len(set(alloc.values(inst))) > 1
+        assert is_eq1(inst, alloc) and doc["eq1"]
+    assert doc["eq"] or len(set(alloc.values(inst))) > 1
 
 
 def test_eq1_gap_of_two_fails():
@@ -468,19 +504,43 @@ def test_eq1_truncated_family_allocation():
     assert is_eq1(inst, res.b)
 
 
+def test_check_allocation_reads_one_view(monkeypatch, rng):
+    # values, EQ and EQ1 from each agent's own bundle, EF and EF1 from one
+    # view per valuation object: at most n^2 + n coloops calls, and 2n when
+    # every agent holds the same object
+    honest, calls = LinearMatroidGF2.coloops, []
+
+    def counted(v, bundle):
+        calls.append(bundle)
+        return honest(v, bundle)
+
+    monkeypatch.setattr(LinearMatroidGF2, "coloops", counted)
+    inst = random_matroid_gf2(rng, 5, 12)
+    alloc = random_allocation(rng, inst)
+    doc = check_allocation(inst, alloc)
+    assert list(doc) == ["complete", "values", "wasted_goods", "eq", "eq1", "ef", "ef1"]
+    assert len(calls) <= inst.n ** 2 + inst.n
+    shared = Instance(inst.valuations[:1] * inst.n)
+    calls.clear()
+    assert check_allocation(shared, alloc)["complete"]
+    assert len(calls) == 2 * inst.n
+
+
 def test_predicates_reject_partial():
     inst = Instance([BinaryAdditive([1, 1])])
     partial = Allocation([-1, 0], 1)
-    for pred in (is_eq1, is_eq, is_ef, is_ef1):
-        with pytest.raises(ValueError):
-            pred(inst, partial)
+    with pytest.raises(ValueError):
+        is_eq1(inst, partial)
+    # a partial allocation gets no fairness keys
+    assert check_allocation(inst, partial) == {"complete": False, "values": [1], "wasted_goods": []}
 
 
 def test_single_agent_all_predicates(rng):
     inst = Instance([BinaryAdditive([rng.randint(0, 1) for _ in range(5)])])
     alloc = Allocation([0] * 5, 1)
-    assert is_eq1(inst, alloc) and is_eq(inst, alloc)
-    assert is_ef(inst, alloc) and is_ef1(inst, alloc)
+    doc = check_allocation(inst, alloc)
+    assert is_eq1(inst, alloc) and doc["eq1"] and doc["eq"]
+    assert doc["ef"] and doc["ef1"]
 
 
 def test_identical_valuations_ef1_iff_eq1(rng):
@@ -492,7 +552,7 @@ def test_identical_valuations_ef1_iff_eq1(rng):
         else:
             inst = Instance(random_matroid_gf2(rng, 1, m).valuations * n)
         alloc = random_allocation(rng, inst)
-        assert is_ef1(inst, alloc) == is_eq1(inst, alloc)
+        assert check_allocation(inst, alloc)["ef1"] == is_eq1(inst, alloc)
 
 
 def test_ef_implies_ef1_and_eq_implies_eq1(rng):
@@ -501,11 +561,12 @@ def test_ef_implies_ef1_and_eq_implies_eq1(rng):
         n, m = rng.randint(2, 4), rng.randint(1, 6)
         inst = random_binary_additive(rng, n, m)
         alloc = random_allocation(rng, inst)
-        if is_ef(inst, alloc):
+        doc = check_allocation(inst, alloc)
+        if doc["ef"]:
             hits += 1
-            assert is_ef1(inst, alloc)
-        if is_eq(inst, alloc):
-            assert is_eq1(inst, alloc)
+            assert doc["ef1"]
+        if doc["eq"]:
+            assert doc["eq1"] and is_eq1(inst, alloc)
     assert hits  # the suite actually exercised the implication
 
 

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -68,6 +71,24 @@ def test_equal_params_share_dict_entries():
         assert {half[0]: "x"}[p] == "x" and {p: "y"}[half[0]] == "y"
     assert repr(half[0]) == "PParam(1/2)"
     assert len({NASH, PParam.parse("nash"), PParam.real(0), NEG_INF, PParam.parse("egal")}) == 2
+
+
+def test_unpickled_params_rehash_in_another_process():
+    # a str's hash differs between processes, so unpickling must rebuild the
+    # cached hash: params pickled under one hash seed are found under another
+    head = "import pickle, sys; from fractions import Fraction; from poe_toolkit.welfare import NASH, PParam; "
+    dump = head + "sys.stdout.buffer.write(pickle.dumps([NASH, PParam.real(Fraction(1, 2))]))"
+    load = head + (
+        "table = {PParam.parse('nash'): 'nash', PParam.parse('1/2'): 'half'}; "
+        "print([table.get(p) for p in pickle.loads(sys.stdin.buffer.read())])"
+    )
+
+    def run(code: str, seed: str, data: bytes = b"") -> bytes:
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                              capture_output=True, check=True).stdout
+
+    assert run(load, "2", run(dump, "1")) == b"['nash', 'half']\n"
 
 
 def test_p_above_one_rejected():
