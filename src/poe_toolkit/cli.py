@@ -1,10 +1,10 @@
 """Command-line front end: instance I/O, solving, bound tables, sweeps, and
 verification.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 oracle
-budget refusal.  Output is byte-identical for identical inputs, seeds, and
-flags, on every supported Python, 3.10+; rationals are printed as "a/b" in
-JSON and as 12-significant-digit decimals in CSV.
+Exit codes: 0 success, 1 usage error, 2 verification failure.  Output is
+byte-identical for identical inputs, seeds, and flags, on every supported
+Python, 3.10+; rationals are printed as "a/b" in JSON and as
+12-significant-digit decimals in CSV.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .generators import (
     remark_3x4_instance,
 )
 from .model import Allocation, Instance, check_allocation, validate
-from .oracle import DEFAULT_BUDGET, BudgetExceededError
 from .solver import solve
 from .verify import DEFAULT_SEED, run_verification
 from .welfare import NASH, PParam, UTILITARIAN
@@ -31,6 +30,17 @@ from .welfare import NASH, PParam, UTILITARIAN
 FORMAT_VERSION = 1
 
 DEFAULT_BOUND_PS = (UTILITARIAN, NASH, PParam.real(-1), PParam.real(-10))
+
+# each family's builder, the options it needs and those it may take, with their
+# defaults, in the builder's argument order; ``generate`` refuses any other
+FAMILIES = {
+    "lb": (gen_lower_bound_instance, ("r", "W"), {}),
+    "submodular_lb": (gen_submodular_lb_instance, ("k",), {}),
+    "doubly": (gen_doubly_normalised, ("n", "m", "W", "Wc"), {"seed": 0}),
+    "example1": (example1_instance, (), {}),
+    "remark_3x4": (remark_3x4_instance, (), {}),
+}
+FAMILY_OPTIONS = ("r", "W", "k", "n", "m", "Wc", "seed")
 
 
 def _fmt(x) -> str:
@@ -45,6 +55,18 @@ def _parse_p_list(tokens, default) -> list[PParam]:
         return [PParam.parse(t) for t in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad p value: {exc}") from exc
+
+
+def _flags(names) -> str:
+    """``--a``, ``--a and --b``, ``--a, --b and --c``."""
+    *rest, last = [f"--{name}" for name in names]
+    return f"{', '.join(rest)} and {last}" if rest else last
+
+
+def _r_range(r_min: int, r_max: int) -> range:
+    if r_max < r_min:
+        raise ValueError(f"empty r range: --r-max {r_max} is below the least r, {r_min}")
+    return range(r_min, r_max + 1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -89,22 +111,15 @@ def _load(path: str, what: str, parse):
 
 
 def cmd_generate(args) -> int:
-    if args.family == "lb":
-        if args.r is None or args.W is None:
-            raise ValueError("family 'lb' needs --r and --W")
-        inst = gen_lower_bound_instance(args.r, args.W)
-    elif args.family == "submodular_lb":
-        if args.k is None:
-            raise ValueError("family 'submodular_lb' needs --k")
-        inst = gen_submodular_lb_instance(args.k)
-    elif args.family == "doubly":
-        if args.n is None or args.m is None or args.W is None or args.Wc is None:
-            raise ValueError("family 'doubly' needs --n, --m, --W and --Wc")
-        inst = gen_doubly_normalised(args.n, args.m, args.W, args.Wc, seed=args.seed)
-    elif args.family == "example1":
-        inst = example1_instance()
-    else:
-        inst = remark_3x4_instance()
+    build, needs, takes = FAMILIES[args.family]
+    given = {name: getattr(args, name) for name in FAMILY_OPTIONS if getattr(args, name) is not None}
+    if any(name not in given for name in needs):
+        raise ValueError(f"family '{args.family}' needs {_flags(needs)}")
+    unread = [name for name in given if name not in needs and name not in takes]
+    if unread:
+        raise ValueError(f"family '{args.family}' does not read {_flags(unread)}")
+    inst = build(*(given[name] for name in needs),
+                 *(given.get(name, default) for name, default in takes.items()))
     _emit_json(inst.to_json(), args.out)
     return 0
 
@@ -136,24 +151,18 @@ def cmd_check(args) -> int:
 def cmd_bounds(args) -> int:
     p_list = list(DEFAULT_BOUND_PS) + _parse_p_list(args.p, ())
     rows = [(row.p, row.r, row.s, _fmt(row.lower), _fmt(row.upper))
-            for row in bound_table(p_list, range(2, args.r_max + 1))]
+            for row in bound_table(p_list, _r_range(2, args.r_max))]
     _emit_csv("bounds", "p,r,s,lower,upper", rows, args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    if args.family != "lb":
-        raise ValueError("only the 'lb' family is sweepable")
-    if args.W_rule == "fixed" and args.W is None:
-        raise ValueError("--W-rule fixed needs --W")
-    if args.W_rule == "proof" and args.W is not None:
-        raise ValueError("--W needs --W-rule fixed")
     p_list = _parse_p_list(args.p, (UTILITARIAN,))
     rows = []
     for p in p_list:
-        for r in range(args.r_min, args.r_max + 1):
+        for r in _r_range(args.r_min, args.r_max):
             s = r - 1
-            W = args.W if args.W_rule == "fixed" else proof_rule_W(p, s)
+            W = proof_rule_W(p, s) if args.W is None else args.W
             if W is None:
                 continue
             inst = gen_lower_bound_instance(r, W)
@@ -190,7 +199,7 @@ def cmd_doubly(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    gates = run_verification(budget=args.budget, seed=args.seed, self_test=args.self_test)
+    gates = run_verification(seed=args.seed)
     for gate in gates:
         status = "PASS" if gate.passed else "FAIL"
         line = f"{status} {gate.name}: {gate.cases} cases in {gate.seconds:.2f}s"
@@ -213,14 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write an instance file for a named family")
-    g.add_argument("family", choices=["lb", "submodular_lb", "doubly", "example1", "remark_3x4"])
-    g.add_argument("--r", type=int)
-    g.add_argument("--W", type=int)
-    g.add_argument("--k", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--m", type=int)
-    g.add_argument("--Wc", type=int)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("family", choices=list(FAMILIES))
+    for name in FAMILY_OPTIONS:
+        g.add_argument(f"--{name}", type=int)
     g.add_argument("--out")
     g.set_defaults(func=cmd_generate)
 
@@ -244,11 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bounds)
 
     w = sub.add_parser("sweep", help="empirical family PoE against the bounds")
-    w.add_argument("--family", default="lb")
     w.add_argument("--p", action="append", default=[])
     w.add_argument("--r-min", type=int, default=2, dest="r_min")
     w.add_argument("--r-max", type=int, default=8, dest="r_max")
-    w.add_argument("--W-rule", choices=["proof", "fixed"], default="proof", dest="W_rule")
     w.add_argument("--W", type=int)
     w.add_argument("--out")
     w.set_defaults(func=cmd_sweep)
@@ -260,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_doubly)
 
     v = sub.add_parser("verify", help="run the oracle and closed-form gates")
-    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--self-test", action="store_true", dest="self_test")
     v.set_defaults(func=cmd_verify)
 
     return parser
@@ -276,9 +276,6 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"budget refused: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

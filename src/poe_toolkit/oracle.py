@@ -2,8 +2,8 @@
 
 Enumerates all n^m complete assignments, tracking the best comparison key
 overall and among EQ1 allocations for each requested p, the exact price of
-equity, and the leximin value vector.  Refuses budgets it cannot honour;
-it never samples.
+equity, and the leximin value vector.  Refuses an instance whose n^m
+exceeds ``BUDGET``; it never samples.
 
 The enumeration splits bundles instead of counting through owner lists:
 agent 0 takes a submask of the goods, agent 1 a submask of what is left,
@@ -25,7 +25,7 @@ from typing import Iterable
 from .model import Allocation, Instance, floor_table
 from .welfare import PParam, num_to_json, poe_ratio, welfare_key
 
-DEFAULT_BUDGET = 10_000_000
+BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -52,15 +52,6 @@ class OracleResult:
             "best": {str(p): a.to_json() for p, a in self.best_alloc.items()},
             "best_eq1": {str(p): a.to_json() for p, a in self.best_eq1_alloc.items()},
         }
-
-
-def _check_budget(inst: Instance, budget: int) -> int:
-    total = inst.n ** inst.m
-    if total > budget:
-        raise BudgetExceededError(
-            f"{inst.n}^{inst.m} = {total} assignments exceed the budget of {budget}"
-        )
-    return total
 
 
 def _prefixes(tables: list[list[int]], weight: list[int], full: int):
@@ -161,17 +152,19 @@ def _alloc_from_index(inst: Instance, idx: int) -> Allocation:
     return Allocation(owner, inst.n)
 
 
-def enumerate_allocations(
-    inst: Instance, p_list: Iterable[PParam], budget: int = DEFAULT_BUDGET
-) -> OracleResult:
+def enumerate_allocations(inst: Instance, p_list: Iterable[PParam]) -> OracleResult:
     """Exact optima by brute force.
 
     Ties between allocations with equal keys break toward the first one in
-    lexicographic assignment order.  Raises ``BudgetExceededError`` when
-    n^m exceeds the budget.
+    lexicographic assignment order.  Raises ``BudgetExceededError``, before
+    any enumeration, when n^m exceeds ``BUDGET``.
     """
     p_list = list(p_list)
-    count = _check_budget(inst, budget)
+    count = inst.n ** inst.m
+    if count > BUDGET:
+        raise BudgetExceededError(
+            f"{inst.n}^{inst.m} = {count} assignments exceed the budget of {BUDGET}"
+        )
 
     all_vecs, eq1_vecs = _scan(inst)
     # the positive capacity: the most agents that one assignment gives value

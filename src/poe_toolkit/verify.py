@@ -1,8 +1,9 @@
 """Self-contained verification gates: solver output against the exhaustive
 oracle and against the closed-form guarantees.  Each gate checks whatever
 instances it is given; each has a seeded corpus here, and
-``run_verification`` (the command-line ``verify`` subcommand) pairs them.
-The acceptance tests run all four gates on larger corpora of their own.
+``run_verification`` (the command-line ``verify`` subcommand) pairs them and
+adds ``gate_self_test``, which checks the oracle gate's own check.  The
+acceptance tests run the four instance gates on larger corpora of their own.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .generators import (
     remark_3x4_instance,
 )
 from .model import Allocation, Instance, is_eq1, wasted_goods
-from .oracle import DEFAULT_BUDGET, BudgetExceededError, OracleResult, enumerate_allocations
+from .oracle import OracleResult, enumerate_allocations
 from .solver import SolveResult, solve
 from .welfare import NASH, NEG_INF, PParam, UTILITARIAN, welfare_report
 
@@ -116,16 +117,14 @@ def fixture_instances() -> list[Instance]:
 def _run_gate(name: str, instances, check) -> GateResult:
     """Run ``check`` (instance -> failure messages) on each instance of an
     iterable corpus, timing the whole gate.  Each failure in the detail names
-    its 0-based case index; a case that raises fails with the exception
-    named, and only an oracle budget refusal propagates."""
+    its 0-based case index; a case that raises, an oracle budget refusal
+    included, fails with the exception named."""
     start = time.perf_counter()
     instances = list(instances)
     failures = []
     for idx, inst in enumerate(instances):
         try:
             failures += [f"case {idx}: {msg}" for msg in check(inst)]
-        except BudgetExceededError:
-            raise
         except Exception as exc:
             failures.append(f"case {idx}: raised {type(exc).__name__}: {exc}")
     return GateResult(
@@ -152,13 +151,13 @@ def _optimality_failures(inst: Instance, res: SolveResult, orc: OracleResult):
         yield "B is not EQ1"
 
 
-def gate_optimal_allocations(instances, budget: int) -> GateResult:
+def gate_optimal_allocations(instances) -> GateResult:
     """Solver A* and B attain the oracle-optimal keys for every p, the
     sorted A* vector is the oracle leximin vector, and B is EQ1."""
 
     def check(inst):
         res = solve(inst, GATE_P_LIST)
-        orc = enumerate_allocations(inst, GATE_P_LIST, budget=budget)
+        orc = enumerate_allocations(inst, GATE_P_LIST)
         return _optimality_failures(inst, res, orc)
 
     return _run_gate("oracle-optimality", instances, check)
@@ -236,48 +235,39 @@ def gate_doubly(instances) -> GateResult:
     return _run_gate("doubly-normalised", instances, check)
 
 
-def gate_self_test(budget: int) -> GateResult:
-    """Swap two goods of the truncated allocation so it stops being EQ1,
-    then run the oracle gate's check on the result with that B.
+def gate_self_test() -> GateResult:
+    """Swap two goods of the truncated allocation of the lower-bound
+    instance (2, 2) so it stops being EQ1, then run the oracle gate's check
+    on the result with that B.  The gate passes when the check detects the
+    corruption, and fails with ``injected corruption went undetected`` when
+    it does not."""
 
-    The gate is expected to FAIL: a failing result here means the check
-    works; a passing one means the corruption went undetected."""
-    start = time.perf_counter()
-    inst = gen_lower_bound_instance(2, 2)
-    res = solve(inst, GATE_P_LIST)
-    orc = enumerate_allocations(inst, GATE_P_LIST, budget=budget)
-    owner = res.b.owner
-    trials = (  # good h handed to good g's owner
-        Allocation([owner[g] if k == h else a for k, a in enumerate(owner)], inst.n)
-        for g in range(inst.m)
-        for h in range(inst.m)
-        if owner[g] != owner[h]
-    )
-    corrupted = next((cand for cand in trials if not is_eq1(inst, cand)), None)
-    if corrupted is None:
-        raise RuntimeError("self-test harness could not corrupt the allocation")
-    report_b = welfare_report(inst, corrupted, GATE_P_LIST, restrict=res.report_b.restrict)
-    bad = replace(res, b=corrupted, report_b=report_b)
-    detected = any(_optimality_failures(inst, bad, orc))
-    return GateResult(
-        name="self-test(corrupted-B)",
-        passed=not detected,
-        cases=1,
-        seconds=time.perf_counter() - start,
-        detail="injected corruption "
-        + ("detected (expected failure)" if detected else "went undetected"),
-    )
+    def check(inst):
+        res = solve(inst, GATE_P_LIST)
+        orc = enumerate_allocations(inst, GATE_P_LIST)
+        owner = res.b.owner
+        trials = (  # good h handed to good g's owner
+            Allocation([owner[g] if k == h else a for k, a in enumerate(owner)], inst.n)
+            for g in range(inst.m)
+            for h in range(inst.m)
+            if owner[g] != owner[h]
+        )
+        corrupted = next((cand for cand in trials if not is_eq1(inst, cand)), None)
+        if corrupted is None:
+            raise RuntimeError("self-test harness could not corrupt the allocation")
+        report_b = welfare_report(inst, corrupted, GATE_P_LIST, restrict=res.report_b.restrict)
+        bad = replace(res, b=corrupted, report_b=report_b)
+        if not any(_optimality_failures(inst, bad, orc)):
+            yield "injected corruption went undetected"
+
+    return _run_gate("self-test(corrupted-B)", [gen_lower_bound_instance(2, 2)], check)
 
 
-def run_verification(
-    budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED, self_test: bool = False,
-) -> list[GateResult]:
-    gates = [
-        gate_optimal_allocations(oracle_corpus(seed, 60) + fixture_instances(), budget),
+def run_verification(seed: int = DEFAULT_SEED) -> list[GateResult]:
+    return [
+        gate_optimal_allocations(oracle_corpus(seed, 60) + fixture_instances()),
         gate_rank_bound(rank_corpus(seed + 1, 80)),
         gate_matroid_floor(matroid_corpus(seed + 2, 40)),
         gate_doubly(doubly_corpus(seed + 3, 40)),
+        gate_self_test(),
     ]
-    if self_test:
-        gates.append(gate_self_test(budget))
-    return gates

@@ -29,7 +29,7 @@ from poe_toolkit.generators import (
     unnormalised_2agent_instance,
 )
 from poe_toolkit.model import Allocation, Instance, is_eq1
-from poe_toolkit.oracle import DEFAULT_BUDGET, enumerate_allocations
+from poe_toolkit.oracle import enumerate_allocations
 from poe_toolkit.solver import max_utilitarian_clean, solve
 from poe_toolkit.verify import (
     fixture_instances,
@@ -88,7 +88,7 @@ def test_criterion_01_family_exactness():
         failures.append("oracle did not enumerate 256 assignments")
     if orc.poe[UTILITARIAN] != Fraction(4, 3):
         failures.append("oracle PoE != 4/3")
-    gate = gate_optimal_allocations([inst], DEFAULT_BUDGET)
+    gate = gate_optimal_allocations([inst])
     if not gate.passed:
         failures.append(f"A* and B unconfirmed: {gate.detail}")
     _finish(1, "lower-bound family PoE is exactly (W+sW)/(W+s); (2,2) oracle-confirmed",
@@ -119,7 +119,7 @@ def test_criterion_02_w_rules():
 def test_criterion_03_oracle_gates():
     instances = (oracle_corpus(0x03AC, 200) + fixture_instances()
                  + [unnormalised_2agent_instance(6)])
-    gate = gate_optimal_allocations(instances, DEFAULT_BUDGET)
+    gate = gate_optimal_allocations(instances)
     failures = [gate.detail] if not gate.passed else []
     _finish(3, f"A* and B attain the oracle keys on {gate.cases} instances "
                "for p in {1, 1/2, nash, -1, -inf}; sorted A* is the leximin vector", failures)

@@ -65,8 +65,14 @@ def test_generate_missing_params():
 
 @pytest.mark.parametrize("args", [
     ("generate", "lb"),
-    ("sweep", "--W-rule", "fixed"),
-    ("sweep", "--p", "1", "--r-max", "3", "--W", "5"),  # the proof rule picks W itself
+    # an option the family does not read
+    pytest.param(("generate", "lb", "--r", "2", "--W", "2", "--seed", "5"), id="lb-seed"),
+    pytest.param(("generate", "example1", "--k", "3"), id="example1-k"),
+    pytest.param(("generate", "submodular_lb", "--k", "2", "--W", "7"), id="submodular_lb-W"),
+    # an empty r range
+    pytest.param(("sweep", "--r-min", "5", "--r-max", "3"), id="sweep-empty-r"),
+    pytest.param(("bounds", "--r-max", "1"), id="bounds-r-max-1"),
+    pytest.param(("bounds", "--r-max", "0"), id="bounds-r-max-0"),
 ])
 def test_missing_flag_is_one_error_line(args):
     res = run(*args)
@@ -77,10 +83,42 @@ def test_missing_flag_is_one_error_line(args):
     assert "Traceback" not in res.stderr
 
 
+def test_generate_names_what_it_needs_and_what_it_does_not_read():
+    res = run("generate", "doubly", "--n", "4", "--m", "6", "--W", "3")
+    assert res.stderr == "error: family 'doubly' needs --n, --m, --W and --Wc\n"
+    res = run("generate", "lb", "--r", "2", "--W", "2", "--seed", "5")
+    assert res.stderr == "error: family 'lb' does not read --seed\n"
+    res = run("generate", "remark_3x4", "--k", "2", "--Wc", "1")
+    assert res.stderr == "error: family 'remark_3x4' does not read --k and --Wc\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--budget", "10"),
+    ("verify", "--self-test"),
+    ("sweep", "--family", "lb"),
+    ("sweep", "--W-rule", "fixed", "--W", "2"),
+])
+def test_option_that_nothing_varies_is_refused(args):
+    res = run(*args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "unrecognized arguments" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_generate_deterministic_bytes(tmp_path):
     a = run("generate", "doubly", "--n", "4", "--m", "6", "--W", "3", "--Wc", "2", "--seed", "7")
     b = run("generate", "doubly", "--n", "4", "--m", "6", "--W", "3", "--Wc", "2", "--seed", "7")
+    assert a.returncode == b.returncode == 0
+    assert json.loads(a.stdout)["n"] == 4
     assert a.stdout == b.stdout
+
+
+def test_generate_doubly_seed_defaults_to_0():
+    args = ("generate", "doubly", "--n", "4", "--m", "6", "--W", "3", "--Wc", "2")
+    a, b = run(*args), run(*args, "--seed", "0")
+    assert a.returncode == b.returncode == 0
+    assert a.stdout and a.stdout == b.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +416,10 @@ def test_very_negative_p_is_a_usage_error(tmp_path):
 
 
 def test_sweep_p1_exact():
-    res = run("sweep", "--family", "lb", "--p", "1", "--r-min", "3", "--r-max", "5")
+    res = run("sweep", "--p", "1", "--r-min", "3", "--r-max", "5")
+    assert res.returncode == 0
     lines = [l for l in res.stdout.strip().splitlines() if l.startswith("1,")]
+    assert [line.split(",")[1] for line in lines] == ["3", "4", "5"]
     for line in lines:
         _, r, s, W, empirical, lower, upper = line.split(",")
         assert int(W) == int(s) ** 2
@@ -388,7 +428,7 @@ def test_sweep_p1_exact():
 
 
 def test_sweep_nash_rule():
-    res = run("sweep", "--family", "lb", "--p", "nash", "--r-min", "5", "--r-max", "9")
+    res = run("sweep", "--p", "nash", "--r-min", "5", "--r-max", "9")
     lines = [l for l in res.stdout.strip().splitlines() if l.startswith("nash,")]
     assert lines
     for line in lines:
@@ -399,7 +439,7 @@ def test_sweep_nash_rule():
 
 def test_sweep_nash_without_lower_bound_prints_nan():
     # the Nash lower bound is undefined at s = 1, so the r = 2 row reads nan
-    args = ("--W-rule", "fixed", "--W", "2", "--p", "nash", "--r-min", "2", "--r-max", "3")
+    args = ("--W", "2", "--p", "nash", "--r-min", "2", "--r-max", "3")
     assert run("sweep", *args).stdout == (
         "# poe-toolkit sweep csv format=1\n"
         "p,r,s,W,empirical,lower,upper\n"
@@ -409,8 +449,11 @@ def test_sweep_nash_without_lower_bound_prints_nan():
 
 
 def test_sweep_deterministic():
-    args = ("sweep", "--family", "lb", "--p", "-1", "--r-min", "2", "--r-max", "6")
-    assert run(*args).stdout == run(*args).stdout
+    args = ("sweep", "--p", "-1", "--r-min", "2", "--r-max", "6")
+    a, b = run(*args), run(*args)
+    assert a.returncode == b.returncode == 0
+    assert len(a.stdout.splitlines()) == 7  # format line, header, r = 2..6
+    assert a.stdout == b.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -594,29 +637,53 @@ def test_verify_default_corpus_exits_0():
         "PASS rank-bound: 80 cases\n"
         "PASS matroid-floor: 40 cases\n"
         "PASS doubly-normalised: 40 cases\n"
+        "PASS self-test(corrupted-B): 1 cases\n"
     )
 
 
 def test_solve_deterministic_bytes(lb_file):
     args = ("solve", str(lb_file), "--p", "1", "--p", "nash", "--p", "-1")
-    assert run(*args).stdout == run(*args).stdout
+    a, b = run(*args), run(*args)
+    assert a.returncode == b.returncode == 0
+    assert json.loads(a.stdout)["poe"]["1"] == "4/3"
+    assert a.stdout == b.stdout
 
 
-def test_verify_self_test_exits_2():
-    res = run("verify", "--self-test")
-    assert res.returncode == 2
-    assert re.sub(r" in \d+\.\d\ds", "", res.stdout.splitlines()[-1]) == (
-        "FAIL self-test(corrupted-B): 1 cases (injected corruption detected (expected failure))"
+def test_verify_self_test_exits_2(monkeypatch, capsys):
+    from poe_toolkit import verify
+
+    # an oracle gate whose check sees nothing lets the corrupted B through,
+    # and the standing self-test turns that into a failed run
+    monkeypatch.setattr(verify, "_optimality_failures", lambda inst, res, orc: iter(()))
+    assert cli.main(["verify"]) == 2
+    assert re.sub(r" in \d+\.\d\ds", "", capsys.readouterr().out.splitlines()[-1]) == (
+        "FAIL self-test(corrupted-B): 1 cases (case 0: injected corruption went undetected)"
     )
 
 
 def test_verify_self_test_runs_the_oracle_gates_check(monkeypatch):
     from poe_toolkit import verify
 
+    assert verify.gate_self_test().passed
     # with the oracle gate's check emptied, the corrupted B must go unseen
     monkeypatch.setattr(verify, "_optimality_failures", lambda inst, res, orc: iter(()))
-    gate = verify.gate_self_test(10**6)
-    assert gate.passed and gate.detail == "injected corruption went undetected"
+    gate = verify.gate_self_test()
+    assert not gate.passed and gate.cases == 1
+    assert gate.detail == "case 0: injected corruption went undetected"
+
+
+def test_gate_records_a_budget_refusal_as_a_failed_case():
+    from poe_toolkit import verify
+    from poe_toolkit.generators import random_binary_additive
+    from poe_toolkit.oracle import BUDGET
+
+    inst = random_binary_additive(__import__("random").Random(0), 2, 24)
+    assert inst.n ** inst.m > BUDGET
+    gate = verify.gate_optimal_allocations([inst])
+    assert not gate.passed and gate.cases == 1
+    assert gate.detail == (
+        f"case 0: raised BudgetExceededError: 2^24 = {2**24} assignments exceed the budget of {BUDGET}"
+    )
 
 
 @pytest.mark.parametrize("error", [SolverInternalError, ValueError])
@@ -639,9 +706,5 @@ def test_verify_case_that_raises_fails_its_gate(monkeypatch, capsys, error):
         "PASS rank-bound: 80 cases\n"
         "PASS matroid-floor: 40 cases\n"
         "PASS doubly-normalised: 40 cases\n"
+        "PASS self-test(corrupted-B): 1 cases\n"
     )
-
-
-def test_verify_budget_refusal():
-    res = run("verify", "--budget", "10")
-    assert res.returncode == 3

@@ -49,10 +49,15 @@ def test_identical_instances_poe_one(rng):
             assert orc.poe[p] == 1
 
 
-def test_budget_refusal():
-    inst = random_binary_additive(__import__("random").Random(0), 4, 8)
-    with pytest.raises(BudgetExceededError):
-        enumerate_allocations(inst, [UTILITARIAN], budget=1000)
+def test_budget_refusal(monkeypatch):
+    import poe_toolkit.oracle as oracle
+
+    inst = random_binary_additive(__import__("random").Random(0), 2, 24)
+    assert inst.n ** inst.m > oracle.BUDGET
+    # the refusal comes before any enumeration
+    monkeypatch.setattr(oracle, "_scan", lambda inst: pytest.fail("enumerated"))
+    with pytest.raises(BudgetExceededError, match=r"^2\^24 = 16777216 assignments exceed"):
+        enumerate_allocations(inst, [UTILITARIAN])
 
 
 def test_best_allocations_attain_keys(rng):

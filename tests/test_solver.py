@@ -363,7 +363,7 @@ def test_nash_matches_oracle_key(rng):
         alloc = nash_optimal(inst)
         assert alloc.is_complete
         restrict = max_positive_count(inst)
-        orc = enumerate_allocations(inst, [NASH], budget=10**6)
+        orc = enumerate_allocations(inst, [NASH])
         assert welfare_key(alloc.values(inst), NASH, restrict) == orc.best_key[NASH]
 
 
@@ -608,7 +608,7 @@ def test_oracle_gates_on_random_corpus(rng):
     # A* and B attain the oracle keys at every GATE_P_LIST p, sorted A* is
     # the leximin vector and B is EQ1; A* is complete
     corpus = small_corpus(rng, 60)
-    gate = gate_optimal_allocations(corpus, 10**6)
+    gate = gate_optimal_allocations(corpus)
     assert gate.passed and gate.cases == 60, gate.detail
     assert all(nash_optimal(inst).is_complete for inst in corpus)
 
@@ -617,7 +617,7 @@ def test_leximin_when_near_equal(rng):
     # A* is leximin-optimal on every instance, near-equal values or not
     for inst in small_corpus(rng, 40):
         values = nash_optimal(inst).values(inst)
-        orc = enumerate_allocations(inst, [NEG_INF], budget=10**6)
+        orc = enumerate_allocations(inst, [NEG_INF])
         assert tuple(sorted(values)) == orc.leximin
 
 
