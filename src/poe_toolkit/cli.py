@@ -163,11 +163,11 @@ def cmd_sweep(args) -> int:
         for r in _r_range(args.r_min, args.r_max):
             s = r - 1
             W = proof_rule_W(p, s) if args.W is None else args.W
-            if W is None:
-                continue
-            inst = gen_lower_bound_instance(r, W)
-            result = solve(inst, [p])
             bound = bound_table([p], [r])[0]
+            if W is None:  # the proof picks no W (Nash, s < 2): nothing to solve, no lower bound
+                rows.append((p, r, s, "nan", "nan", _fmt(bound.lower), _fmt(bound.upper)))
+                continue
+            result = solve(gen_lower_bound_instance(r, W), [p])
             rows.append((p, r, s, W, _fmt(result.poe[p]), _fmt(bound.lower), _fmt(bound.upper)))
     _emit_csv("sweep", "p,r,s,W,empirical,lower,upper", rows, args.out)
     return 0

@@ -24,22 +24,26 @@ Bundles, the pool and the search's sources are bitmasks of goods.
 Augmentation makes every one-good path in one ascending sweep over the
 pool, the same paths in the same order as the searches would (no span
 shrinks while augmenting; see ``max_utilitarian_clean``), and runs the
-exchange search only for the longer paths left.  The search asks about a
-good only the agents for whom it is not a loop (``Instance.takers``, built
-once per solve), and never an agent whose bundle has reached its
-``grand_value``: such a bundle spans every good, so it adds none.  The
-breadth-first walk tests each good for an absorber when it first reaches
-it, the sources first, so a search with a one-good path ends before any
-arc is built.  Each bundle's exchange oracle is built once per solve and
-updated in place along every applied path.  Balancing walks each failed
-source set at most once per pass, and ends a pass at the first target no
-agent is two ahead of, and keeps the value vector across passes, moving
-one unit per applied path.  Each allocation is evaluated once per solve:
-truncation reads each A* bundle's value and the goods to remove from one
-``Valuation.coloops`` call, and each B bundle's value and EQ1 floor from
-one more, on masks updated as the goods move.  Correctness of the
-search steps is gated end-to-end against the exhaustive oracle in the
-test suite.
+exchange search only for the longer paths left.  The search builds a
+good's arcs from the agents for whom it is not a loop only
+(``Instance.takers``, built once per solve), and never offers it to an
+agent whose bundle has reached its ``grand_value``: such a bundle spans
+every good, so it adds none.  The breadth-first walk tests each good for
+an absorber when it first reaches it, the sources first, asking the
+absorbers in ascending order, so a search with a one-good path ends
+before any arc is built, and balancing's single target costs one test per
+good reached.  Each bundle's exchange oracle is built once per solve and
+updated in place along every applied path.  Balancing keeps the agents in
+value levels across passes, each with the union of its agents' bundles:
+a target's sources are the union of the levels two or more above it, and
+an applied path moves only the bundles it touches between levels.  It
+walks each failed source set at most once per pass, and a pass ends
+before the targets no agent is two ahead of.  Each allocation is
+evaluated once per solve: truncation reads each A* bundle's value and the
+goods to remove from one ``Valuation.coloops`` call, and each B bundle's
+value and EQ1 floor from one more, on masks updated as the goods move.
+Correctness of the search steps is gated end-to-end against the
+exhaustive oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     UNASSIGNED,
@@ -78,13 +81,15 @@ class _State:
     bitmasks of goods, each with its exchange oracle (built here, then
     updated in place by ``apply_path``), the pool of
     unassigned goods as a bitmask, the agent–good adjacency ``takers``
-    (``Instance.takers``) that the search walks, and the set ``below`` of
-    agents whose bundle is still worth less than their ``grand_value``."""
+    (``Instance.takers``) that the search walks, each agent's ``nonloops``
+    that its absorber test reads, and the set ``below`` of agents whose
+    bundle is still worth less than their ``grand_value``."""
 
     def __init__(self, inst: Instance, owner: Sequence[int]):
         self.inst = inst
         self.owner = list(owner)
         self.takers = takers = inst.takers()
+        self.nonloops = [v.nonloops for v in inst.valuations]
         # goods with two or more takers: an owned good outside this mask has
         # its owner as its only taker, so no arcs leave it
         self.shared = sum(1 << g for g, agents in enumerate(takers) if len(agents) > 1)
@@ -100,7 +105,7 @@ class _State:
         # bundles are kept independent, so value == size
         return [b.bit_count() for b in self.bundles]
 
-    def _bfs(self, sources: int, absorbers: Container[int]) -> tuple[list[int], int] | int:
+    def _bfs(self, sources: int, absorbers: Iterable[int]) -> tuple[list[int], int] | int:
         """Shortest path from any source good (a bitmask) to a good some
         absorber can add.
 
@@ -115,17 +120,21 @@ class _State:
         no circuit.  Goods are reached sources first, ascending, then in the
         order arcs find them.  Each good is tested when it is first reached
         and its arcs are built when it leaves the queue, so the path ends at
-        the first good reached that an absorber can add, taken by the lowest
-        such absorber.
+        the first good reached that an absorber can add.  The test asks the
+        absorbers, sorted once per call, lowest first, and skips those for
+        whom the good is a loop, so the lowest such absorber takes it in
+        whatever order the caller lists them.
 
         The walk does not depend on the absorbers, which only decide where
         it stops.  Callers pass only agents in ``below``: a bundle that has
         reached its ``grand_value`` spans every good, so it adds none, and
         with no absorber the search does not walk and returns the sources.
         """
+        absorbers = sorted(absorbers)
         if not absorbers:
             return sources
         owner, takers, exchanges, bundles = self.owner, self.takers, self.exchanges, self.bundles
+        nonloops = self.nonloops
         seen = sources
         reached = sources & (self.shared | self.pool)  # skip sources no arc leaves
         parent: dict[int, int | None] = {}
@@ -137,8 +146,9 @@ class _State:
                 reached ^= low
                 h = low.bit_length() - 1
                 parent[h] = g
-                for j in takers[h]:
-                    if j in absorbers and j != owner[h] and exchanges[j].circuit(h) is None:
+                holder = owner[h]
+                for j in absorbers:
+                    if nonloops[j] >> h & 1 and j != holder and exchanges[j].circuit(h) is None:
                         path = [h]
                         while (h := parent[h]) is not None:
                             path.append(h)
@@ -233,47 +243,77 @@ def _balance(state: _State) -> None:
     absorbing one good: the source agent's value drops by one, the target's
     rises by one, everyone else is unchanged.
 
+    The agents are kept in value levels across passes: per value, the mask
+    of agents worth it and the union of their bundles.  A pass takes the
+    targets in (value, agent) order, lowest level first, and a target worth
+    v searches from the union of the levels at v + 2 and above.  A path
+    changes only the bundles it touches (its goods' holders and the
+    absorber) and moves the donor one level down and the target one up, so
+    only those bundles move between level unions; the top level never rises.
+
     Within a pass nothing changes until a path is applied, and the walk from
     a source set does not depend on the target.  So a failed walk is kept
     for the pass, and a later target with the same sources fails too unless
     it can add a good that walk reached; only then is the search run again,
     and it finds the path the walk would.
     """
-    n, bundles = state.inst.n, state.bundles
-    values = state.values()  # kept across passes: a path moves one unit
+    inst, owner, bundles, below = state.inst, state.owner, state.bundles, state.below
+    values = state.values()
+    low, top = min(values), max(values)
+    agents_at = [0] * (top + 1)  # value -> mask of the agents worth it
+    union_at = [0] * (top + 1)  # value -> union of their bundles
+    for j, (value, b) in enumerate(zip(values, bundles)):
+        agents_at[value] |= 1 << j
+        union_at[value] |= b
+    # a transfer path starts at an owned good, so the pool never changes
+    assigned = ((1 << inst.m) - 1) ^ state.pool
     while True:
-        top = max(values)
-        applied = False
         failed: dict[int, int] = {}  # sources -> goods their failed walk reached
-        # targets by value; the sort is stable, so ties stay in agent order
-        for i in sorted(range(n), key=values.__getitem__):
-            if values[i] + 2 > top:  # no agent is two ahead of i or any later target
-                break
-            if i not in state.below:  # at its grand value: i adds no good
-                continue
-            # bundles are disjoint, so their sum is their union
-            sources = sum(compress(bundles, map((values[i] + 2).__le__, values)))
-            reached = failed.get(sources)
-            if reached is not None:
-                circuit = state.exchanges[i].circuit
-                new = reached & state.inst.valuations[i].nonloops & ~bundles[i]
-                if all(circuit(g) is not None for g in goods_of(new)):
+        sources = assigned ^ union_at[low]
+        # targets in (value, agent) order, each worth at most top - 2
+        for v in range(low, top - 1):
+            sources ^= union_at[v + 1]  # the bundles worth v + 2 or more
+            targets = agents_at[v]
+            while targets:
+                i = (targets & -targets).bit_length() - 1
+                targets ^= 1 << i
+                if i not in below:  # at its grand value: i adds no good
                     continue
-            found = state._bfs(sources, (i,))
-            if isinstance(found, int):
+                reached = failed.get(sources)
+                if reached is not None:
+                    circuit = state.exchanges[i].circuit
+                    new = reached & inst.valuations[i].nonloops & ~bundles[i]
+                    if all(circuit(g) is not None for g in goods_of(new)):
+                        continue
+                found = state._bfs(sources, (i,))
+                if not isinstance(found, int):
+                    break
                 failed[sources] = found
+            else:
                 continue
-            path, absorber = found
-            donor = state.owner[path[0]]
-            state.apply_path(path, absorber)
-            values[donor] -= 1
-            values[i] += 1
-            if bundles[donor].bit_count() != values[donor] or bundles[i].bit_count() != values[i]:
-                raise SolverInternalError("transfer path did not move one unit of value")
-            applied = True
-            break
-        if not applied:
+            break  # a path for target i ends the pass
+        else:
             return
+        path = found[0]
+        donor = owner[path[0]]
+        # the bundles that change: the holders of the path's goods, and i
+        touched = {owner[g] for g in path}
+        touched.add(i)
+        for j in touched:
+            union_at[values[j]] ^= bundles[j]
+        state.apply_path(path, i)
+        for j, step in ((donor, -1), (i, 1)):
+            agents_at[values[j]] ^= 1 << j
+            values[j] += step
+            agents_at[values[j]] |= 1 << j
+        for j in touched:
+            union_at[values[j]] ^= bundles[j]
+        if bundles[donor].bit_count() != values[donor] or bundles[i].bit_count() != values[i]:
+            raise SolverInternalError("transfer path did not move one unit of value")
+        while not agents_at[low]:
+            low += 1
+        while not agents_at[top]:
+            top -= 1
 
 
 def nash_optimal(inst: Instance) -> Allocation:

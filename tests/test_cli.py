@@ -448,6 +448,24 @@ def test_sweep_nash_without_lower_bound_prints_nan():
     )
 
 
+def test_sweep_prints_the_row_the_proof_rule_has_no_W_for():
+    # the proof picks no W for Nash at s = 1: the row keeps the bounds
+    # row's upper bound, with nan for W, the empirical PoE and the lower bound
+    assert run("sweep", "--p", "nash", "--p", "1", "--r-max", "3").stdout == (
+        "# poe-toolkit sweep csv format=1\n"
+        "p,r,s,W,empirical,lower,upper\n"
+        "nash,2,1,nan,nan,nan,1.32109976202\n"
+        "nash,3,2,3,1.55184557392,1.06147569085,1.58892154635\n"
+        "1,2,1,1,1,1,2\n"
+        "1,3,2,4,2,2,3\n"
+    )
+    res = run("sweep", "--p", "nash", "--r-max", "2")
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[2:] == ["nash,2,1,nan,nan,nan,1.32109976202"]
+    bounds = run("bounds", "--r-max", "2").stdout.splitlines()
+    assert "nash,2,1,nan,1.32109976202" in bounds
+
+
 def test_sweep_deterministic():
     args = ("sweep", "--p", "-1", "--r-min", "2", "--r-max", "6")
     a, b = run(*args), run(*args)

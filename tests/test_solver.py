@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from poe_toolkit.bounds import lambda_family_poe
 from poe_toolkit.generators import (
+    gen_doubly_normalised,
     gen_lower_bound_instance,
     gen_submodular_lb_instance,
     random_binary_additive,
@@ -211,6 +212,30 @@ def test_search_matches_reference_bfs():
             if not isinstance(found, int):
                 lengths[min(len(found[0]), 3)] += 1
     assert lengths[3] >= 100, lengths
+
+
+def test_search_reads_absorbers_in_any_order():
+    # the unit tests pass sets, augmentation passes ``below`` and the CI
+    # dual check passes ``range(n)``: in each, the walk stops at the first
+    # good some absorber can add and the lowest such absorber takes it
+    rng = random.Random(0xAB50)
+    found = 0
+    for _ in range(500):
+        n, m = rng.randint(2, 6), rng.randint(3, 12)
+        make = random_binary_additive if rng.random() < 0.3 else random_matroid_gf2
+        inst = make(rng, n, m)
+        owner = [rng.randrange(n) for _ in range(m)]
+        for g in wasted_goods(inst, Allocation(owner, n)):
+            owner[g] = UNASSIGNED
+        state = _State(inst, owner)
+        lo = rng.randrange(n)
+        agents = range(lo, rng.randint(lo + 1, n))
+        for sources in (state.pool, 1 << rng.randrange(m), rng.getrandbits(m)):
+            want = state._bfs(sources, set(agents))
+            assert state._bfs(sources, agents) == want
+            assert state._bfs(sources, list(reversed(agents))) == want
+            found += not isinstance(want, int)
+    assert found >= 300, found
 
 
 def search_only_clean(inst: Instance) -> tuple[_State, int]:
@@ -472,6 +497,99 @@ def test_balancing_walks_each_source_set_once_per_pass(monkeypatch):
         sum(b for b, v in zip(state.bundles, values) if v == 8)
     ]
     assert targets and all(i in state.below for i in targets) and len(targets) == 8
+
+
+def reference_balance(state: _State) -> None:
+    """Balancing that rebuilds its order every pass: the maximum value, a
+    stable sort of all agents by value, and each target's sources summed
+    from the bundles worth two or more above it.  The same targets, memo,
+    searches and checks as ``_balance``, without value levels."""
+    n, bundles = state.inst.n, state.bundles
+    values = state.values()
+    while True:
+        top = max(values)
+        applied = False
+        failed: dict[int, int] = {}
+        for i in sorted(range(n), key=values.__getitem__):
+            if values[i] + 2 > top:
+                break
+            if i not in state.below:
+                continue
+            sources = sum(itertools.compress(bundles, map((values[i] + 2).__le__, values)))
+            reached = failed.get(sources)
+            if reached is not None:
+                circuit = state.exchanges[i].circuit
+                new = reached & state.inst.valuations[i].nonloops & ~bundles[i]
+                if all(circuit(g) is not None for g in goods_of(new)):
+                    continue
+            found = state._bfs(sources, (i,))
+            if isinstance(found, int):
+                failed[sources] = found
+                continue
+            path, absorber = found
+            donor = state.owner[path[0]]
+            state.apply_path(path, absorber)
+            values[donor] -= 1
+            values[i] += 1
+            assert bundles[donor].bit_count() == values[donor]
+            assert bundles[i].bit_count() == values[i]
+            applied = True
+            break
+        if not applied:
+            return
+
+
+def recorded_paths(state: _State) -> list[tuple[tuple[int, ...], int]]:
+    """The (path, absorber) pairs ``state`` applies from now on, in order.
+    A transfer lowers the sum of squared values by two or more, so more
+    paths than half that sum fail the test instead of looping."""
+    log = []
+    apply_path = state.apply_path
+    limit = sum(v * v for v in state.values()) // 2
+
+    def recorded(path, absorber):
+        log.append((tuple(path), absorber))
+        assert len(log) <= limit, "balancing does not terminate"
+        apply_path(path, absorber)
+
+    state.apply_path = recorded
+    return log
+
+
+def balancing_corpus() -> list[Instance]:
+    """Seeded random additive and GF(2) instances, and doubly normalised
+    ones, whose balancing moves most of the paths of two or more goods."""
+    rng = random.Random(0xBA1)
+    out = []
+    for _ in range(100):
+        n, m = rng.randint(2, 12), rng.randint(4, 40)
+        out.append(random_binary_additive(rng, n, m))
+    for _ in range(100):
+        n, m = rng.randint(2, 12), rng.randint(4, 40)
+        out.append(random_matroid_gf2(rng, n, m, k=rng.randint(1, 4)))
+    for _ in range(40):
+        W_c = rng.randint(2, 3)
+        W = rng.randint(W_c + 1, 2 * W_c + 1)
+        n = W_c * rng.randint(4, 16)
+        out.append(gen_doubly_normalised(n, n * W // W_c, W, W_c, rng.randrange(1 << 30)))
+    return out
+
+
+def test_balancing_levels_match_the_reference():
+    # the value levels give the passes the reference's targets in its order
+    # and with its sources, so the same paths are applied to the same end;
+    # the paths of two or more goods move intermediate holders' bundles
+    # between level unions
+    longer = 0
+    for inst in balancing_corpus():
+        got, want = max_utilitarian_clean(inst), max_utilitarian_clean(inst)
+        got_paths, want_paths = recorded_paths(got), recorded_paths(want)
+        _balance(got)
+        reference_balance(want)
+        assert got_paths == want_paths
+        assert (got.owner, got.pool, got.values()) == (want.owner, want.pool, want.values())
+        longer += sum(len(path) > 1 for path, _ in got_paths)
+    assert longer >= 50, longer
 
 
 # ---------------------------------------------------------------------------
