@@ -8,7 +8,11 @@ afterwards, as one ``randint(0, 1)`` call per 0/1 entry and four
 ``randint(0, 1)`` is ``getrandbits(2)``, drawn again while it is 2 or more,
 and ``randrange(n)`` is ``getrandbits(n.bit_length())``, drawn again while
 it is n or more; ``_bits`` and the swap loop of ``gen_doubly_normalised``
-take those draws directly, without three Python frames per draw.
+take those draws directly, without three Python frames per draw.  The 0/1
+bytes of ``_bits`` feed both kinds of sampled valuation: additive rows as
+lists (``_bit_lists``, which the coverage repair writes into) and GF(2)
+columns as masks packed straight from the bytes (``_bit_masks``), so no
+per-entry list is built for a matrix.
 """
 
 from __future__ import annotations
@@ -46,12 +50,8 @@ def gen_submodular_lb_instance(k: int) -> Instance:
     if k < 1:
         raise ValueError("family parameter k must be >= 1")
     m = k * (k + 1)
-    basis = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
-    zero = [0] * k
-    type1_cols = [basis[g] if g < k else zero for g in range(m)]
-    type2_cols = [basis[g % k] for g in range(m)]
-    t1 = LinearMatroidGF2(k, type1_cols)
-    t2 = LinearMatroidGF2(k, type2_cols)
+    t1 = LinearMatroidGF2.from_col_masks(k, [1 << g if g < k else 0 for g in range(m)])
+    t2 = LinearMatroidGF2.from_col_masks(k, [1 << (g % k) for g in range(m)])
     return Instance([t1] * k + [t2] * k)
 
 
@@ -180,10 +180,11 @@ def random_binary_additive(
 # 0x40 is a 0, below 0x80 a 1, and the rest are drawn again
 _TOP2 = bytes(t >> 6 for t in range(256))
 _REDRAW = bytes(range(0x80, 0x100))
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 bytes -> ASCII binary digits
 
 
-def _bits(rng: random.Random, count: int) -> list[int]:
-    """``[rng.randint(0, 1) for _ in range(count)]``, with the same draws.
+def _bits(rng: random.Random, count: int) -> bytes:
+    """``bytes(rng.randint(0, 1) for _ in range(count))``, with the same draws.
 
     ``getrandbits(32 * k)`` is k words drawn in turn, the first in the
     lowest 32 bits, so word w's top byte is byte 4w + 3 of its little-endian
@@ -194,13 +195,26 @@ def _bits(rng: random.Random, count: int) -> list[int]:
         need = count - len(out)
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         out += words[3::4].translate(_TOP2, _REDRAW)
-    return list(out)
+    return out
 
 
 def _bit_lists(rng: random.Random, count: int, length: int) -> list[list[int]]:
     """``count`` lists of ``length`` random 0/1 entries, drawn list by list."""
-    bits = _bits(rng, count * length)
+    bits = list(_bits(rng, count * length))
     return [bits[t * length : (t + 1) * length] for t in range(count)]
+
+
+def _bit_masks(rng: random.Random, count: int, length: int) -> list[int]:
+    """The same draws as ``_bit_lists`` packed as ``count`` masks, entry t of
+    a list at bit t of its mask.  The draws read backwards as ASCII digits
+    put the last list first, its last entry first, so each mask is one
+    ``int(..., 2)`` of a slice.  A length below one draws nothing and gives
+    zero masks, so a negative length reaches ``from_col_masks``' check."""
+    if length < 1:
+        return [0] * count
+    digits = _bits(rng, count * length)[::-1].translate(_DIGITS)
+    backwards = [int(digits[s : s + length], 2) for s in range(0, count * length, length)]
+    return backwards[::-1]
 
 
 def _row_with_weight(rng: random.Random, m: int, W: int) -> list[int]:
@@ -229,13 +243,13 @@ def random_matroid_gf2(
             if not 1 <= W <= m:
                 raise ValueError("W must lie in [1, m]")
             rows = W
-            cols = _bit_lists(rng, m, rows)
+            masks = _bit_masks(rng, m, rows)
             for j, g in enumerate(rng.sample(range(m), W)):
-                cols[g] = [1 if t == j else 0 for t in range(rows)]
+                masks[g] = 1 << j
         else:
             rows = k if k is not None else rng.randint(1, max(1, min(4, m)))
-            cols = _bit_lists(rng, m, rows)
-        return LinearMatroidGF2(rows, cols)
+            masks = _bit_masks(rng, m, rows)
+        return LinearMatroidGF2.from_col_masks(rows, masks)
 
     return Instance([one() for _ in range(n)])
 

@@ -26,7 +26,10 @@ truncation and ``check_allocation`` (values, EQ, EQ1, and EF and EF1 from
 one view of every bundle per valuation object) read it from ``coloops``,
 and the oracle from ``floor_table``, which packs the same pair for every
 bundle.
-Both kinds check and pack their 0/1 input with one helper, ``_digits``.
+A 0/1 row or matrix is checked and packed by one helper, ``_digits``; a
+GF(2) valuation can also be built from column masks already packed
+(``LinearMatroidGF2.from_col_masks``, as the random samplers build them),
+and both ways in end in the same core.
 Agent types (``canonical_key``) are read from the same queries: the greedy
 basis of all goods and its fundamental circuits.  ``_reduce`` is the one
 GF(2) elimination behind all of them.
@@ -226,27 +229,53 @@ class LinearMatroidGF2(Valuation):
     ``cols[g]`` is the length-``k`` 0/1 column of good ``g``; the value of a
     bundle is the GF(2) rank of its columns.
 
-    The constructor checks and packs all columns in one pass: one length
-    test over the columns, ``_digits`` of one flat list of the entries (the
-    whole matrix read backwards as ASCII digits, as an additive row is
-    read), and one ``int(..., 2)`` per column slice of it (entry t of a
-    column is bit t of its mask).
+    There are two ways in, and both end in one core, ``_set_columns``, which
+    takes the column masks (entry t of a column is bit t of its mask) and
+    computes ``nonloops`` and ``grand_value`` from them.  The constructor
+    checks and packs 0/1 columns in one pass: one length test over the
+    columns, ``_digits`` of one flat list of the entries (the whole matrix
+    read backwards as ASCII digits, as an additive row is read), and one
+    ``int(..., 2)`` per column slice of it.  ``from_col_masks`` takes masks
+    already packed and checks their type and range instead.
     """
 
     def __init__(self, rows: int, cols: Sequence[Sequence[int]]):
-        if type(rows) is not int or rows < 0:
-            raise ValueError("row count must be a non-negative integer")
-        self.rows = rows
-        self.m = m = len(cols)
+        self._check_rows(rows)
+        m = len(cols)
         if not set(map(len, cols)) <= {rows}:
             raise ValueError("column length does not match row count")
         entries = list(chain.from_iterable(cols))
         # backwards, the last column comes first with its highest row first
         digits = _digits(entries, "matroid matrix entries must be 0/1 integers")
         backwards = [int(digits[s : s + rows], 2) for s in range(0, m * rows, rows)] if rows else [0] * m
-        self.col_masks = masks = tuple(reversed(backwards))
+        self._set_columns(rows, tuple(reversed(backwards)))
+
+    @classmethod
+    def from_col_masks(cls, rows: int, masks: Iterable[int]) -> "LinearMatroidGF2":
+        """The valuation whose column g has mask ``masks[g]`` (entry t of the
+        column is bit t), with the row count checked as the constructor
+        checks it and every mask an integer in [0, 2^rows)."""
+        cls._check_rows(rows)
+        masks = tuple(masks)
+        if not set(map(type, masks)) <= {int} or (masks and (min(masks) < 0 or max(masks) >> rows)):
+            raise ValueError("column masks must be integers in [0, 2**rows)")
+        self = cls.__new__(cls)
+        self._set_columns(rows, masks)
+        return self
+
+    @staticmethod
+    def _check_rows(rows: int) -> None:
+        if type(rows) is not int or rows < 0:  # bools and floats are not counts
+            raise ValueError("row count must be a non-negative integer")
+
+    def _set_columns(self, rows: int, masks: tuple[int, ...]) -> None:
+        """The core both ways in share: ``col_masks`` and the facts computed
+        once from them, ``nonloops`` and ``grand_value``."""
+        self.rows = rows
+        self.m = len(masks)
+        self.col_masks = masks
         # one 0/1 byte per column, highest good first, read as binary in C
-        self.nonloops = int(bytes(map(bool, backwards)).translate(_DIGITS) or b"0", 2)
+        self.nonloops = int(bytes(map(bool, reversed(masks))).translate(_DIGITS) or b"0", 2)
         # one elimination pass, stopped once the rank reaches the row count
         basis: dict[int, tuple[int, int]] = {}
         for c in masks:
@@ -288,7 +317,10 @@ class LinearMatroidGF2(Valuation):
         return len(basis), bundle & ~(skipped | swappable)
 
     def to_json(self) -> dict:
-        cols = [[(cm >> j) & 1 for j in range(self.rows)] for cm in self.col_masks]
+        # each column's digits in C, lowest row first; the bit set at
+        # ``rows`` keeps the zero rows above the column's highest one
+        top = 1 << self.rows
+        cols = [list(bin(cm | top)[:2:-1].encode().translate(_BITS)) for cm in self.col_masks]
         return {"kind": "matroid_gf2", "rows": self.rows, "cols": cols}
 
     def __repr__(self) -> str:
@@ -421,10 +453,13 @@ class Instance:
         return totals.pop() if len(totals) == 1 else None
 
     def to_json(self) -> dict:
+        """The instance document.  Each distinct valuation object is encoded
+        once, and the agents holding it share that document."""
+        docs = {v: v.to_json() for v in dict.fromkeys(self.valuations)}
         return {
             "n": self.n,
             "m": self.m,
-            "valuations": [v.to_json() for v in self.valuations],
+            "valuations": [docs[v] for v in self.valuations],
         }
 
     @staticmethod

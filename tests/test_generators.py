@@ -129,6 +129,16 @@ def test_random_matroid_normalised(rng):
         assert validate(inst)["W"] == W
 
 
+def test_random_matroid_rejects_bad_shapes():
+    # the argument checks run before any draw is packed into a mask
+    for kw, message in (({"k": -1}, "row count must be a non-negative integer"),
+                        ({"W": 0}, "W must lie in [1, m]"),
+                        ({"W": 4}, "W must lie in [1, m]")):
+        with pytest.raises(ValueError) as exc:
+            random_matroid_gf2(random.Random(0), 2, 3, **kw)
+        assert str(exc.value) == message, kw
+
+
 def test_biregular_choices_respect_margins():
     for n, m in ((4, 6), (3, 7), (5, 5)):
         for W, W_c in biregular_parameter_choices(n, m):
@@ -189,7 +199,7 @@ def test_bits_match_randint_draw_for_draw():
     for s in range(200):
         for count in (0, 1, 2, 3, 31, 32, 33, 200):
             fast, ref = random.Random(s), random.Random(s)
-            assert _bits(fast, count) == [ref.randint(0, 1) for _ in range(count)]
+            assert list(_bits(fast, count)) == [ref.randint(0, 1) for _ in range(count)]
             assert fast.getstate() == ref.getstate()
 
 

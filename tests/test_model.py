@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -116,7 +117,9 @@ def test_matroid_rejects_column_length(cols):
 def test_matroid_empty_shapes_build():
     for rows, cols in ((0, []), (0, [[], [], []]), (3, [])):
         v = LinearMatroidGF2(rows, cols)
-        assert (v.rows, v.m, v.col_masks, v.nonloops, v.grand_value) == (rows, len(cols), (0,) * len(cols), 0, 0)
+        for w in (v, LinearMatroidGF2.from_col_masks(rows, v.col_masks)):
+            assert (w.rows, w.m, w.col_masks, w.nonloops, w.grand_value) == (rows, len(cols), (0,) * len(cols), 0, 0)
+            assert w.to_json() == {"kind": "matroid_gf2", "rows": rows, "cols": cols}
 
 
 def test_matroid_column_masks_match_per_column_pack(rng):
@@ -126,6 +129,34 @@ def test_matroid_column_masks_match_per_column_pack(rng):
         v = LinearMatroidGF2(rows, cols)
         assert v.col_masks == tuple(sum(b << t for t, b in enumerate(col)) for col in cols)
         assert v.to_json()["cols"] == cols
+        # the packed way in: the same matrix, and the same facts of it
+        w = LinearMatroidGF2.from_col_masks(rows, v.col_masks)
+        assert (w.rows, w.m, w.col_masks, w.nonloops, w.grand_value) == (v.rows, v.m, v.col_masks, v.nonloops, v.grand_value)
+        assert w.to_json() == v.to_json()
+
+
+MASKS = "column masks must be integers in [0, 2**rows)"
+ROWS = "row count must be a non-negative integer"
+
+
+@pytest.mark.parametrize("rows, masks, message", [
+    (2, [True, 0], MASKS),
+    (2, [1, 1.0], MASKS),
+    (2, [0, -1], MASKS),
+    (2, [0b100], MASKS),
+    (2, [1, 2, 3, 4], MASKS),
+    (0, [1], MASKS),
+    (70, [1 << 70], MASKS),
+    (-1, [0], ROWS),
+    (-1, [], ROWS),
+    (2.0, [1], ROWS),
+    (True, [1], ROWS),
+    ("2", [1], ROWS),
+])
+def test_matroid_from_col_masks_rejects(rows, masks, message):
+    with pytest.raises(ValueError) as exc:
+        LinearMatroidGF2.from_col_masks(rows, masks)
+    assert str(exc.value) == message
 
 
 def test_marginal_additive():
@@ -709,6 +740,33 @@ def test_instance_json_round_trip(rng):
         )
         again = Instance.from_json(inst.to_json())
         assert again.to_json() == inst.to_json()
+
+
+def reference_valuation_doc(v: Valuation) -> dict:
+    """A valuation's document, one Python step per matrix entry."""
+    if isinstance(v, BinaryAdditive):
+        return {"kind": "additive", "row": list(v.row)}
+    cols = [[(cm >> j) & 1 for j in range(v.rows)] for cm in v.col_masks]
+    return {"kind": "matroid_gf2", "rows": v.rows, "cols": cols}
+
+
+def test_instance_json_encodes_each_distinct_valuation_once(rng, monkeypatch):
+    calls: dict[int, int] = {}
+    for cls in (BinaryAdditive, LinearMatroidGF2):
+        def counted(self, _encode=cls.to_json):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return _encode(self)
+        monkeypatch.setattr(cls, "to_json", counted)
+    a, b = random_matroid_gf2(rng, 2, 7, k=70).valuations
+    shared = [a, BinaryAdditive([1, 0, 1, 1, 0, 0, 1]), a, LinearMatroidGF2(0, [[]] * 7), b, a]
+    instances = [Instance(shared), gen_submodular_lb_instance(3), random_matroid_gf2(rng, 4, 9, W=3)]
+    for inst in instances:
+        calls.clear()
+        doc = inst.to_json()
+        assert sorted(calls) == sorted(map(id, set(inst.valuations)))
+        assert set(calls.values()) == {1}
+        want = {"n": inst.n, "m": inst.m, "valuations": [reference_valuation_doc(v) for v in inst.valuations]}
+        assert json.dumps(doc, indent=2) == json.dumps(want, indent=2)
 
 
 def test_allocation_json_round_trip():
