@@ -236,12 +236,15 @@ def random_matroid_gf2(
 
     With ``W`` given, each agent's matrix has W rows and contains a planted
     identity among its columns, so the grand bundle has rank exactly W
-    (normalised)."""
+    (normalised).  A ``k`` or ``W`` that is not an int in range (a bool or a
+    float included) is refused before anything is drawn."""
+    if k is not None:
+        LinearMatroidGF2._check_rows(k)
+    if W is not None and (type(W) is not int or not 1 <= W <= m):
+        raise ValueError("W must lie in [1, m]")
 
     def one() -> LinearMatroidGF2:
         if W is not None:
-            if not 1 <= W <= m:
-                raise ValueError("W must lie in [1, m]")
             rows = W
             masks = _bit_masks(rng, m, rows)
             for j, g in enumerate(rng.sample(range(m), W)):

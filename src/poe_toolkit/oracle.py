@@ -13,8 +13,9 @@ removal lowers it most) come from one ``model.floor_table`` per agent, the
 ``coloops`` pair of every bundle built in one pass, and an assignment is EQ1
 exactly when its largest floor is at most its smallest value, the rule of
 ``model.is_eq1``.  Each assignment is one table-lookup key and one dict
-update; sorting runs once per distinct key, and the welfare keys once per
-distinct sorted value vector.
+update; sorting runs once per distinct key.  Each distinct sorted value
+vector is keyed once for every requested p (``welfare_keys``), and each
+distinct winning index is decoded into an allocation once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Allocation, Instance, floor_table
-from .welfare import PParam, num_to_json, poe_ratio, welfare_key
+from .welfare import PParam, num_to_json, poe_ratio, welfare_keys
 
 BUDGET = 10_000_000
 
@@ -170,21 +171,26 @@ def enumerate_allocations(inst: Instance, p_list: Iterable[PParam]) -> OracleRes
     # the positive capacity: the most agents that one assignment gives value
     restrict = max(len(vec) - vec.count(0) for vec in all_vecs)
 
+    keys = {vec: welfare_keys(vec, p_list, restrict) for vec in all_vecs}
+    # ascending index: max keeps the first of equal keys, the lowest index
+    ranked = [(sorted(vecs, key=vecs.__getitem__), vecs) for vecs in (all_vecs, eq1_vecs)]
+    allocs: dict[int, Allocation] = {}  # each winning index decoded once
     best_key: dict[PParam, tuple] = {}
     best_alloc: dict[PParam, Allocation] = {}
     best_eq1_key: dict[PParam, tuple] = {}
     best_eq1_alloc: dict[PParam, Allocation] = {}
     poe: dict[PParam, object] = {}
     for p in p_list:
-        keys = {vec: welfare_key(vec, p, restrict) for vec in all_vecs}
-        for vecs, key_out, alloc_out in (
-            (all_vecs, best_key, best_alloc),
-            (eq1_vecs, best_eq1_key, best_eq1_alloc),
+        key_of = {vec: vec_keys[p] for vec, vec_keys in keys.items()}.__getitem__
+        for (order, vecs), key_out, alloc_out in zip(
+            ranked, (best_key, best_eq1_key), (best_alloc, best_eq1_alloc)
         ):
-            # highest key; among equal keys, the lowest index
-            top = max(vecs, key=lambda vec: (keys[vec], -vecs[vec]))
-            key_out[p] = keys[top]
-            alloc_out[p] = _alloc_from_index(inst, vecs[top])
+            top = max(order, key=key_of)
+            key_out[p] = key_of(top)
+            idx = vecs[top]
+            if idx not in allocs:
+                allocs[idx] = _alloc_from_index(inst, idx)
+            alloc_out[p] = allocs[idx]
         poe[p] = poe_ratio(best_key[p], best_eq1_key[p], p, restrict)
 
     return OracleResult(

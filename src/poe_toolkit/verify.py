@@ -31,7 +31,7 @@ from .solver import SolveResult, solve
 from .welfare import NASH, NEG_INF, PParam, UTILITARIAN, welfare_report
 
 GATE_P_LIST = (UTILITARIAN, PParam.real(Fraction(1, 2)), NASH, PParam.real(-1), NEG_INF)
-EXACT_P = (UTILITARIAN, NASH, NEG_INF)
+EXACT_P = frozenset((UTILITARIAN, NASH, NEG_INF))
 FLOAT_TOL = 1e-9
 DEFAULT_SEED = 20240
 

@@ -6,12 +6,14 @@ size of that subset is the instance's *positive capacity* (a maximum
 bipartite matching between agents and the goods they value).  ``fill`` is
 the one flow on that agent-good graph: the capacity is its total with one
 good per agent, and the doubly normalised flow route runs it with the
-route's two degree bounds.  ``p_mean`` is
-the one place that rule is written: ``welfare_key`` ranks allocations by
-(number of positive agents, ``p_mean`` over the capacity), with the integer
-product of positive values standing in for the Nash mean;
+route's two degree bounds.  ``p_mean`` is the one place that rule is
+written, as the step ``_mean``: the mean for one p of a vector's positive
+entries, filtered and sorted once.  ``welfare_keys`` reads from that step
+a vector's comparison key for every p of a list, (number of positive
+agents, the mean over the capacity), with the integer product of positive
+values standing in for the Nash mean; ``welfare_key`` is its one-p case;
 ``WelfareReport.from_values`` reads a value vector's keys and means from
-those two (``welfare_report`` evaluates an allocation first); and
+the same step (``welfare_report`` evaluates an allocation first); and
 ``poe_ratio`` divides two keys.  Arithmetic is exact for p = 1, Nash, and
 the egalitarian limit.
 """
@@ -44,15 +46,26 @@ class PParam:
     value: Fraction | None = None
     # the generated hash would rehash the Fraction on every dict access
     _hash: int = field(init=False, repr=False, compare=False)
+    # read by every p-mean: float(p), 1.0 / float(p) and whether p is 1, for
+    # a real p, so no mean converts or compares the Fraction
+    _float: float | None = field(init=False, repr=False, compare=False)
+    _inverse: float | None = field(init=False, repr=False, compare=False)
+    _is_one: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        real = self.kind == "real"
+        pf = float(self.value) if real else None
         object.__setattr__(self, "_hash", hash((self.kind, self.value)))
+        object.__setattr__(self, "_float", pf)
+        object.__setattr__(self, "_inverse", 1.0 / pf if real else None)
+        object.__setattr__(self, "_is_one", real and self.value == 1)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # unpickling rebuilds the hash: a str's hash differs between processes
+        # unpickling rebuilds the hash (a str's hash differs between
+        # processes) and the float fields
         return PParam, (self.kind, self.value)
 
     @staticmethod
@@ -216,36 +229,41 @@ def p_mean(values: Sequence, p: PParam, restrict: int):
     version.  Raises ``ValueError`` for p < 0 when the mean of the powers
     falls below the normal float range, where it has lost its precision.
     """
+    return _mean(sorted(v for v in values if v > 0), p, restrict)
+
+
+def _mean(entries: list, p: PParam, restrict: int):
+    """``p_mean`` of a vector whose positive entries, ascending, are
+    ``entries``: the rule itself, read by every mean and key."""
     if restrict == 0:
         return _ZERO
-    entries = [v for v in values if v > 0]
     short = len(entries) < restrict  # implied zero entries
 
     if p.kind == "neg_inf":
-        return _ZERO if short else min(entries)
-    # float sums depend on order: add the positive entries ascending
-    entries.sort()
+        return _ZERO if short else entries[0]
+    # float sums depend on order: the positive entries are added ascending
     if p.kind == "nash":
         if short:
             return 0.0
         return math.exp(reduce(operator.add, map(math.log, entries), 0.0) / restrict)
-    assert p.value is not None
-    if p.value == 1:
+    if p._is_one:
         total = sum(entries)
         if isinstance(total, float):
             return total / restrict
         return Fraction(total, restrict)
-    pf = float(p.value)
+    pf = p._float
     if pf < 0 and short:
         return 0.0
     acc = reduce(operator.add, (float(v) ** pf for v in entries), 0.0)
     if pf < 0 and acc / restrict < sys.float_info.min:
         raise ValueError(f"p = {p} is too negative: the mean of x^p underflows the float range")
-    return (acc / restrict) ** (1.0 / pf)
+    return (acc / restrict) ** p._inverse
 
 
-def welfare_key(values: Sequence[int], p: PParam, restrict: int):
-    """Total-preorder comparison key: (positive count, welfare).
+def welfare_keys(values: Sequence, p_list: Iterable[PParam], restrict: int) -> dict[PParam, tuple]:
+    """Total-preorder comparison key of a value vector for each p of
+    ``p_list``: (positive count, welfare), from one filter and one sort of
+    its positive entries.
 
     The welfare is ``p_mean(values, p, restrict)`` except for Nash, where
     it is the integer product of the positive entries (1 for none); it is
@@ -253,9 +271,17 @@ def welfare_key(values: Sequence[int], p: PParam, restrict: int):
     p.  Keys are only comparable for a fixed p and restrict.
     """
     positives = [v for v in values if v > 0]
-    if p.kind == "nash":
-        return (len(positives), math.prod(positives))
-    return (len(positives), p_mean(values, p, restrict))
+    ascending = sorted(positives)
+    count = len(positives)
+    return {
+        p: (count, math.prod(positives) if p.kind == "nash" else _mean(ascending, p, restrict))
+        for p in p_list
+    }
+
+
+def welfare_key(values: Sequence, p: PParam, restrict: int):
+    """The comparison key of ``welfare_keys`` for one p."""
+    return welfare_keys(values, (p,), restrict)[p]
 
 
 def poe_ratio(key_opt, key_fair, p: PParam, restrict: int):
@@ -303,9 +329,9 @@ class WelfareReport:
         """The comparison key and p-mean for each p of a complete
         allocation's per-agent values, over the positive capacity
         ``restrict`` (``max_positive_count(inst)``).  The keys are
-        ``welfare_key``'s; a p-mean is read from its key's welfare, except
+        ``welfare_keys``'; a p-mean is read from its key's welfare, except
         Nash's, whose key holds the product instead."""
-        keys = {p: welfare_key(values, p, restrict) for p in p_list}
+        keys = welfare_keys(values, p_list, restrict)
         return WelfareReport(
             values=values,
             positive_count=sum(1 for v in values if v > 0),

@@ -130,13 +130,22 @@ def test_random_matroid_normalised(rng):
 
 
 def test_random_matroid_rejects_bad_shapes():
-    # the argument checks run before any draw is packed into a mask
-    for kw, message in (({"k": -1}, "row count must be a non-negative integer"),
+    # the argument checks run before anything is drawn: a bool or a float is
+    # not a count, and a refused call leaves the generator where it was
+    rows = "row count must be a non-negative integer"
+    for kw, message in (({"k": -1}, rows), ({"k": 1.5}, rows), ({"k": True}, rows),
+                        ({"k": False}, rows), ({"k": 2.0}, rows),
                         ({"W": 0}, "W must lie in [1, m]"),
-                        ({"W": 4}, "W must lie in [1, m]")):
+                        ({"W": 4}, "W must lie in [1, m]"),
+                        ({"W": 1.5}, "W must lie in [1, m]"),
+                        ({"W": True}, "W must lie in [1, m]"),
+                        ({"W": 2.0}, "W must lie in [1, m]")):
+        rng = random.Random(0)
+        state = rng.getstate()
         with pytest.raises(ValueError) as exc:
-            random_matroid_gf2(random.Random(0), 2, 3, **kw)
+            random_matroid_gf2(rng, 2, 3, **kw)
         assert str(exc.value) == message, kw
+        assert rng.getstate() == state, kw
 
 
 def test_biregular_choices_respect_margins():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,7 @@ from poe_toolkit.model import (
 )
 from poe_toolkit.oracle import BudgetExceededError, enumerate_allocations
 from poe_toolkit.solver import nash_optimal, solve
-from poe_toolkit.verify import GATE_P_LIST, _optimality_failures
+from poe_toolkit.verify import GATE_P_LIST, _optimality_failures, fixture_instances, oracle_corpus
 from poe_toolkit.welfare import UTILITARIAN, max_positive_count, poe_ratio, welfare_key
 
 
@@ -47,6 +49,43 @@ def test_identical_instances_poe_one(rng):
         orc = enumerate_allocations(inst, GATE_P_LIST)
         for p in GATE_P_LIST:
             assert orc.poe[p] == 1
+
+
+def pinned_corpus() -> list[Instance]:
+    return fixture_instances() + oracle_corpus(7, 40)
+
+
+def test_oracle_results_pinned():
+    # pinned bytes: the optima, their tie-breaks and the PoE floats of every
+    # p must not move
+    docs = [enumerate_allocations(inst, GATE_P_LIST).to_json() for inst in pinned_corpus()]
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == "a75af7e1302fb94ada0ef0eaedf32aa16884cd226e07cf9793633d70f8dc7f9f"
+
+
+def test_each_winning_index_decoded_once(monkeypatch):
+    import poe_toolkit.oracle as oracle
+
+    calls: list[int] = []
+    decode = oracle._alloc_from_index
+
+    def counted(inst, idx):
+        calls.append(idx)
+        return decode(inst, idx)
+
+    monkeypatch.setattr(oracle, "_alloc_from_index", counted)
+    total = 0
+    for inst in pinned_corpus():
+        calls.clear()
+        orc = enumerate_allocations(inst, GATE_P_LIST + GATE_P_LIST)  # a repeated p adds nothing
+        winners = {
+            sum(a * inst.n ** (inst.m - 1 - g) for g, a in enumerate(alloc.owner))
+            for alloc in itertools.chain(orc.best_alloc.values(), orc.best_eq1_alloc.values())
+        }
+        assert sorted(calls) == sorted(winners)
+        total += len(calls)
+    # the optima of the five p and of EQ1 share their allocations often
+    assert total < 2 * len(GATE_P_LIST) * len(pinned_corpus())
 
 
 def test_budget_refusal(monkeypatch):

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import functools
 import math
+import operator
 import os
+import pickle
+import random
 import subprocess
 import sys
 
@@ -29,11 +32,13 @@ from poe_toolkit.welfare import (
     NEG_INF,
     PParam,
     UTILITARIAN,
+    WelfareReport,
     fill,
     max_positive_count,
     p_mean,
     poe_ratio,
     welfare_key,
+    welfare_keys,
     welfare_report,
 )
 
@@ -89,6 +94,22 @@ def test_unpickled_params_rehash_in_another_process():
                               capture_output=True, check=True).stdout
 
     assert run(load, "2", run(dump, "1")) == b"['nash', 'half']\n"
+
+
+def test_param_precomputes_its_float_fields_once():
+    # the float exponent, its reciprocal and the p = 1 test are fixed when a
+    # param is built, and stay out of equality, hashing, printing and pickles
+    half = PParam.parse("0.5")
+    for p in (PParam.real(Fraction(1, 2)), pickle.loads(pickle.dumps(half))):
+        assert p == half and hash(p) == hash(half)
+        assert repr(p) == repr(half) == "PParam(1/2)" and str(p) == str(half) == "1/2"
+        assert (p._float, p._inverse, p._is_one) == (half._float, half._inverse, half._is_one) == (0.5, 2.0, False)
+    assert pickle.dumps(half) == pickle.dumps(PParam.real(Fraction(1, 2)))
+    assert (UTILITARIAN._float, UTILITARIAN._inverse, UTILITARIAN._is_one) == (1.0, 1.0, True)
+    third = PParam.real(Fraction(-1, 3))
+    assert (third._float, third._inverse) == (float(Fraction(-1, 3)), 1.0 / float(Fraction(-1, 3)))
+    for p in (NASH, NEG_INF):
+        assert (p._float, p._inverse, p._is_one) == (None, None, False)
 
 
 def test_p_above_one_rejected():
@@ -263,6 +284,90 @@ def test_p_mean_underflow_raises(p):
     with pytest.raises(ValueError, match=f"p = {p} "):
         p_mean((3, 4), PParam.real(p), 2)
     assert p_mean((3, 0), PParam.real(p), 2) == 0.0  # dominated: no powers taken
+
+
+def reference_p_mean(values, p: PParam, restrict: int):
+    """The per-p mean as it was written before keys shared one sorted list
+    of positive entries: filtered and sorted on each call."""
+    if restrict == 0:
+        return Fraction(0)
+    entries = [v for v in values if v > 0]
+    short = len(entries) < restrict
+    if p.kind == "neg_inf":
+        return Fraction(0) if short else min(entries)
+    entries.sort()
+    if p.kind == "nash":
+        if short:
+            return 0.0
+        return math.exp(functools.reduce(operator.add, map(math.log, entries), 0.0) / restrict)
+    if p.value == 1:
+        total = sum(entries)
+        if isinstance(total, float):
+            return total / restrict
+        return Fraction(total, restrict)
+    pf = float(p.value)
+    if pf < 0 and short:
+        return 0.0
+    acc = functools.reduce(operator.add, (float(v) ** pf for v in entries), 0.0)
+    if pf < 0 and acc / restrict < sys.float_info.min:
+        raise ValueError(f"p = {p} is too negative: the mean of x^p underflows the float range")
+    return (acc / restrict) ** (1.0 / pf)
+
+
+def reference_welfare_key(values, p: PParam, restrict: int):
+    positives = [v for v in values if v > 0]
+    if p.kind == "nash":
+        return (len(positives), math.prod(positives))
+    return (len(positives), reference_p_mean(values, p, restrict))
+
+
+P_REFERENCE = (UTILITARIAN, PParam.real(Fraction(1, 2)), PParam.real(Fraction(1, 3)),
+               PParam.real(-1), PParam.real(-3), NASH, NEG_INF)
+
+
+def same_number(a, b) -> bool:
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def test_keys_and_means_match_the_per_p_reference():
+    # seeded vectors of int, Fraction and float entries, with zeros, short
+    # of the capacity and at capacity 0: every key and mean has the
+    # reference's type and repr, read one p at a time or for the whole list
+    rng = random.Random(32)
+    entry_kinds = (
+        lambda: rng.randint(0, 9),
+        lambda: Fraction(rng.randint(0, 12), rng.randint(1, 5)),
+        lambda: rng.choice((0.0, rng.uniform(0.1, 9.0))),
+    )
+    cases = 0
+    for _ in range(300):
+        kinds = entry_kinds if rng.random() < 0.5 else (rng.choice(entry_kinds),)
+        values = tuple(rng.choice(kinds)() for _ in range(rng.randint(0, 7)))
+        positives = sum(1 for v in values if v > 0)
+        for restrict in {0, max(positives - 1, 0), positives, positives + 2}:
+            keys = welfare_keys(values, P_REFERENCE, restrict)
+            assert list(keys) == list(P_REFERENCE)
+            report = WelfareReport.from_values(values, P_REFERENCE, restrict)
+            for p in P_REFERENCE:
+                want_key = reference_welfare_key(values, p, restrict)
+                want_mean = reference_p_mean(values, p, restrict)
+                for got in (keys[p], welfare_key(values, p, restrict), report.keys[p]):
+                    assert got[0] == want_key[0] and same_number(got[1], want_key[1]), (values, p, restrict)
+                for got in (p_mean(values, p, restrict), report.pmean[p]):
+                    assert same_number(got, want_mean), (values, p, restrict)
+                cases += 1
+    assert cases > 1000
+
+
+@pytest.mark.parametrize("p", [-678, -1000])
+def test_keys_keep_the_underflow_error(p):
+    param = PParam.real(p)
+    for call in (lambda: welfare_keys((3, 4), (UTILITARIAN, param), 2),
+                 lambda: welfare_key((3, 4), param, 2),
+                 lambda: WelfareReport.from_values((3, 4), (NASH, param), 2),
+                 lambda: reference_welfare_key((3, 4), param, 2)):
+        with pytest.raises(ValueError, match=f"^p = {p} is too negative"):
+            call()
 
 
 def test_p_mean_family_optimum_matches_family_formula():
