@@ -4,7 +4,9 @@ All bounds are functions of the number of agent types ``r`` (with
 ``s = r - 1``).  Lower bounds are witnessed by the disjoint-groups instance
 family (see ``generators``); upper bounds hold for every binary additive
 normalised instance.  Formulas can dip below 1 for tiny ``s``; they are
-reported raw, although the price of equity is >= 1 by definition.
+reported raw, although the price of equity is >= 1 by definition.  Each
+formula picks its branch from the exact p, so a p that rounds to the float
+1.0 still gets the p < 1 branch.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ def poe_lower_bound(p: PParam, r: int) -> float:
         if s < 2:
             raise ValueError("Nash lower bound needs s >= 2 (ln s must be positive)")
         return s / (math.e * math.log(s))
-    pf = float(p.value)
-    if pf == 1:
+    if p._is_one:
         return float(s)
-    if 0 < pf < 1:
+    pf = p._float
+    if p.value > 0:
         return pf * s / math.e
     return 2 ** (1 / pf) * s ** (1 / (1 - pf))
 
@@ -64,10 +66,10 @@ def proof_rule_W(p: PParam, s: int) -> int | None:
         if s < 2:
             return None
         return max(1, math.ceil(s / math.log(s)))
-    pf = float(p.value)
-    if pf == 1:
+    if p._is_one:
         return s * s
-    if 0 < pf < 1:
+    pf = p._float
+    if p.value > 0:
         return max(1, math.ceil(pf * s))
     return max(1, math.ceil(s ** (1 / (1 - pf))))
 
@@ -85,12 +87,12 @@ def poe_upper_bound(p: PParam, r: int) -> float:
         if s >= 8:
             return s / math.log(s / math.e)
         return math.exp(lambert_w(s / math.e))
-    pf = float(p.value)
-    if pf == 1:
+    if p._is_one:
         return 1.0 + s
-    if 0 < pf < 1:
+    if p.value > 0:
         return 1.0 + 2 * s
-    if pf <= -1:
+    pf = p._float
+    if p.value <= -1:
         return 2 * s ** (1 / (1 - pf))
     # p in (-1, 0)
     return s ** (1 / (1 - pf)) * 2 ** (-1 / pf) * (-1 / pf) ** (1 / (pf * (pf - 1)))
@@ -111,9 +113,9 @@ def lambda_family_poe(p: PParam, W: int, r: int):
         return 1.0
     if p.kind == "nash":
         return float(W) ** (s / (W + s))
-    pf = float(p.value)
-    if pf == 1:
+    if p._is_one:
         return Fraction(W + s * W, W + s)
+    pf = p._float
     return ((W + s * float(W) ** pf) / (W + s)) ** (1 / pf)
 
 
@@ -121,19 +123,21 @@ def poe_formula_submodular(p: PParam, k: int):
     """Price of equity of the two-type matroid family with parameter k.
 
     Optimal values are (1 x k, k x k); the best EQ1 allocation truncates the
-    second type to 2, giving (1 x k, 2 x k).  Returns an exact Fraction for
-    p = 1, sqrt(k / 2) for Nash, and a float otherwise.
+    second type to t = min(2, k), one above the minimum, giving (1 x k, t x k).
+    Returns an exact Fraction for p = 1, sqrt(k / t) for Nash, and a float
+    otherwise.
     """
     if k < 1:
         raise ValueError("family parameter k must be >= 1")
+    t = min(2, k)
     if p.kind == "neg_inf":
         return 1.0
     if p.kind == "nash":
-        return math.sqrt(k / 2)
-    pf = float(p.value)
-    if pf == 1:
-        return Fraction(1 + k, 3)
-    return ((1 + float(k) ** pf) / (1 + 2.0 ** pf)) ** (1 / pf)
+        return math.sqrt(k / t)
+    if p._is_one:
+        return Fraction(1 + k, 1 + t)
+    pf = p._float
+    return ((1 + float(k) ** pf) / (1 + float(t) ** pf)) ** (1 / pf)
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,11 @@ def random_binary_additive(
 ) -> Instance:
     """Random binary additive instance.  With ``W`` given, every row has
     exactly W ones (normalised); with ``every_good_valued``, no column is
-    all-zero (requires nW >= m when normalised)."""
+    all-zero (requires nW >= m when normalised).  A ``W`` that is not an int
+    in [0, m] (a bool or a float included) is refused before anything is
+    drawn."""
     if W is not None:
-        if not 0 <= W <= m:
+        if type(W) is not int or not 0 <= W <= m:
             raise ValueError("W must lie in [0, m]")
         if every_good_valued and n * W < m:
             raise ValueError("cannot value every good: n*W < m")

@@ -1,9 +1,10 @@
 """Self-contained verification gates: solver output against the exhaustive
-oracle and against the closed-form guarantees.  Each gate checks whatever
-instances it is given; each has a seeded corpus here, and
-``run_verification`` (the command-line ``verify`` subcommand) pairs them and
-adds ``gate_self_test``, which checks the oracle gate's own check.  The
-acceptance tests run the four instance gates on larger corpora of their own.
+oracle, against the closed-form guarantees and against the families' exact
+price of equity.  Each gate checks whatever cases it is given; each has a
+seeded corpus here, and ``run_verification`` (the command-line ``verify``
+subcommand) pairs them and adds ``gate_self_test``, which checks the oracle
+gate's own check, last.  The tests run the instance gates on corpora of
+their own.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import rank_of_instance
+from .bounds import lambda_family_poe, poe_formula_submodular, rank_of_instance
 from .doubly import expected_values, randomized_allocation
 from .generators import (
     example1_instance,
@@ -104,6 +105,32 @@ def doubly_corpus(seed: int, count: int) -> list[Instance]:
     return [example1_instance()] + [random_biregular(rng, 10, 12) for _ in range(count - 1)]
 
 
+def lb_case(r: int, W: int):
+    """The lower-bound family instance (r, W) with its exact price of
+    equity, ``lambda_family_poe``, as a function of p."""
+    return gen_lower_bound_instance(r, W), lambda p: lambda_family_poe(p, W, r)
+
+
+def submodular_case(k: int):
+    """The two-type matroid family instance k with its exact price of
+    equity, ``poe_formula_submodular``, as a function of p."""
+    return gen_submodular_lb_instance(k), lambda p: poe_formula_submodular(p, k)
+
+
+def closed_form_corpus(seed: int, count: int) -> list:
+    """lb(64, 64) and submodular_lb k = 32 and 64 with their closed forms,
+    then seeded draws up to ``count``: lb(r, W) with r in [2, 64] and W in
+    [1, 64], or submodular_lb with k in [1, 32]."""
+    rng = random.Random(seed)
+    out = [lb_case(64, 64), submodular_case(32), submodular_case(64)]
+    for _ in range(count - 3):
+        if rng.randrange(2):
+            out.append(lb_case(rng.randint(2, 64), rng.randint(1, 64)))
+        else:
+            out.append(submodular_case(rng.randint(1, 32)))
+    return out
+
+
 def fixture_instances() -> list[Instance]:
     return [
         gen_lower_bound_instance(2, 2),
@@ -114,23 +141,23 @@ def fixture_instances() -> list[Instance]:
     ]
 
 
-def _run_gate(name: str, instances, check) -> GateResult:
-    """Run ``check`` (instance -> failure messages) on each instance of an
-    iterable corpus, timing the whole gate.  Each failure in the detail names
+def _run_gate(name: str, cases, check) -> GateResult:
+    """Run ``check`` (case -> failure messages) on each case of an iterable
+    corpus, timing the whole gate.  Each failure in the detail names
     its 0-based case index; a case that raises, an oracle budget refusal
     included, fails with the exception named."""
     start = time.perf_counter()
-    instances = list(instances)
+    cases = list(cases)
     failures = []
-    for idx, inst in enumerate(instances):
+    for idx, case in enumerate(cases):
         try:
-            failures += [f"case {idx}: {msg}" for msg in check(inst)]
+            failures += [f"case {idx}: {msg}" for msg in check(case)]
         except Exception as exc:
             failures.append(f"case {idx}: raised {type(exc).__name__}: {exc}")
     return GateResult(
         name=name,
         passed=not failures,
-        cases=len(instances),
+        cases=len(cases),
         seconds=time.perf_counter() - start,
         detail="; ".join(failures[:5]),
     )
@@ -235,6 +262,23 @@ def gate_doubly(instances) -> GateResult:
     return _run_gate("doubly-normalised", instances, check)
 
 
+def gate_closed_forms(cases) -> GateResult:
+    """On each (instance, closed form) case, ``solve``'s price of equity is
+    the closed form at every p of ``GATE_P_LIST``: exactly at p = 1, where
+    both are Fractions, and within ``FLOAT_TOL`` relative elsewhere."""
+
+    def check(case):
+        inst, formula = case
+        poe = solve(inst, GATE_P_LIST).poe
+        for p in GATE_P_LIST:
+            got, want = poe[p], formula(p)
+            ok = got == want if p == UTILITARIAN else math.isclose(got, want, rel_tol=FLOAT_TOL)
+            if not ok:
+                yield f"PoE {got} != closed form {want} at p={p}"
+
+    return _run_gate("closed-forms", cases, check)
+
+
 def gate_self_test() -> GateResult:
     """Swap two goods of the truncated allocation of the lower-bound
     instance (2, 2) so it stops being EQ1, then run the oracle gate's check
@@ -269,5 +313,6 @@ def run_verification(seed: int = DEFAULT_SEED) -> list[GateResult]:
         gate_rank_bound(rank_corpus(seed + 1, 80)),
         gate_matroid_floor(matroid_corpus(seed + 2, 40)),
         gate_doubly(doubly_corpus(seed + 3, 40)),
+        gate_closed_forms(closed_form_corpus(seed + 4, 12)),
         gate_self_test(),
     ]

@@ -304,7 +304,7 @@ def poe_ratio(key_opt, key_fair, p: PParam, restrict: int):
             return float(Fraction(w1, w2)) ** (1.0 / restrict)
         except OverflowError:  # product ratio beyond the float range
             return math.exp((math.log(w1) - math.log(w2)) / restrict)
-    if p.kind == "neg_inf" or (p.kind == "real" and p.value == 1):
+    if p.kind == "neg_inf" or p._is_one:
         return Fraction(w1) / Fraction(w2)
     return float(w1) / float(w2)
 

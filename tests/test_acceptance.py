@@ -33,10 +33,12 @@ from poe_toolkit.oracle import enumerate_allocations
 from poe_toolkit.solver import max_utilitarian_clean, solve
 from poe_toolkit.verify import (
     fixture_instances,
+    gate_closed_forms,
     gate_doubly,
     gate_matroid_floor,
     gate_optimal_allocations,
     gate_rank_bound,
+    lb_case,
     matroid_corpus,
     oracle_corpus,
     rank_corpus,
@@ -75,13 +77,12 @@ def test_criterion_01_family_exactness():
     failures = []
     for r in (2, 3, 4, 5):
         for W in (1, 2, 3, 4):
-            res = solve(gen_lower_bound_instance(r, W), [UTILITARIAN])
             s = r - 1
-            expected = Fraction(W + s * W, W + s)
-            if res.poe[UTILITARIAN] != expected:
-                failures.append(f"(r={r}, W={W}): {res.poe[UTILITARIAN]} != {expected}")
-            if res.poe[UTILITARIAN] != lambda_family_poe(UTILITARIAN, W, r):
-                failures.append(f"(r={r}, W={W}): formula mismatch")
+            if lambda_family_poe(UTILITARIAN, W, r) != Fraction(W + s * W, W + s):
+                failures.append(f"(r={r}, W={W}): formula is not (W+sW)/(W+s)")
+    gate = gate_closed_forms(lb_case(r, W) for r in (2, 3, 4, 5) for W in (1, 2, 3, 4))
+    if not gate.passed:
+        failures.append(f"PoE differs from the closed form: {gate.detail}")
     inst = gen_lower_bound_instance(2, 2)
     orc = enumerate_allocations(inst, [UTILITARIAN])
     if orc.enumeration_count != 256:
@@ -91,8 +92,8 @@ def test_criterion_01_family_exactness():
     gate = gate_optimal_allocations([inst])
     if not gate.passed:
         failures.append(f"A* and B unconfirmed: {gate.detail}")
-    _finish(1, "lower-bound family PoE is exactly (W+sW)/(W+s); (2,2) oracle-confirmed",
-            failures)
+    _finish(1, "lower-bound family PoE is its closed form for p in {1, 1/2, nash, -1, -inf}, "
+               "exactly (W+sW)/(W+s) at p=1; (2,2) oracle-confirmed", failures)
 
 
 def test_criterion_02_w_rules():

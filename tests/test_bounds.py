@@ -15,15 +15,13 @@ from poe_toolkit.bounds import (
     poe_formula_submodular,
     poe_lower_bound,
     poe_upper_bound,
+    proof_rule_W,
     rank_of_instance,
 )
-from poe_toolkit.generators import (
-    gen_lower_bound_instance,
-    gen_submodular_lb_instance,
-    random_binary_additive,
-)
+from poe_toolkit.generators import gen_lower_bound_instance, random_binary_additive
 from poe_toolkit.model import BinaryAdditive, Instance
 from poe_toolkit.solver import solve
+from poe_toolkit.verify import gate_closed_forms, submodular_case
 from poe_toolkit.welfare import NASH, NEG_INF, PParam, UTILITARIAN
 
 GRID_PS = (
@@ -102,6 +100,30 @@ def test_upper_bound_interval_continuity_at_minus_one():
     assert just_above == pytest.approx(at, rel=1e-2)
 
 
+def test_branch_is_chosen_from_the_exact_p():
+    # these p round to the floats 1.0 and -1.0, yet each formula takes the
+    # branch of the exact value: p < 1 with no division by 1 - 1.0, and the
+    # branch of its own side of -1
+    minus_one = PParam.real(-1)
+    below_one = PParam.real(1 - Fraction(1, 10**20))
+    assert below_one._float == 1.0
+    assert [poe_upper_bound(below_one, r) for r in (2, 3)] == [3, 5]
+    assert poe_lower_bound(below_one, 4) == pytest.approx(3 / math.e)
+    assert proof_rule_W(below_one, 3) == 3
+    for got in (lambda_family_poe(below_one, 3, 3), poe_formula_submodular(below_one, 4)):
+        assert type(got) is float
+    assert lambda_family_poe(below_one, 3, 3) == pytest.approx(1.8)
+    assert poe_formula_submodular(below_one, 4) == pytest.approx(5 / 3)
+    for tiny in (Fraction(-1, 10**20), Fraction(1, 10**20)):
+        p = PParam.real(-1 + tiny)
+        assert p._float == -1.0
+        assert poe_upper_bound(p, 5) == pytest.approx(poe_upper_bound(minus_one, 5))
+        assert poe_lower_bound(p, 5) == pytest.approx(poe_lower_bound(minus_one, 5))
+        assert proof_rule_W(p, 4) == proof_rule_W(minus_one, 4)
+        assert lambda_family_poe(p, 3, 5) == pytest.approx(lambda_family_poe(minus_one, 3, 5))
+        assert poe_formula_submodular(p, 4) == pytest.approx(poe_formula_submodular(minus_one, 4))
+
+
 def test_grid_lower_le_upper():
     for p in GRID_PS:
         for r in range(2, 65):
@@ -172,15 +194,10 @@ def test_submodular_formula_values():
 
 
 def test_submodular_formula_matches_solver():
-    for k in (2, 3, 4):
-        inst = gen_submodular_lb_instance(k)
-        ps = (UTILITARIAN, NASH, PParam.real(-1))
-        res = solve(inst, ps)
-        assert res.poe[UTILITARIAN] == poe_formula_submodular(UTILITARIAN, k)
-        for p in ps[1:]:
-            assert float(res.poe[p]) == pytest.approx(
-                float(poe_formula_submodular(p, k)), rel=1e-9
-            )
+    # at k = 1 the truncation level min(2, k) is 1, so B is A* and the PoE 1
+    gate = gate_closed_forms(submodular_case(k) for k in (1, 2, 3, 4))
+    assert gate.passed, gate.detail
+    assert poe_formula_submodular(UTILITARIAN, 1) == 1
 
 
 # ---------------------------------------------------------------------------

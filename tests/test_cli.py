@@ -646,6 +646,27 @@ def test_verify_rank_gate_numbers_cases_from_0(monkeypatch):
     assert gate.detail.startswith("case 0: PoE ")
 
 
+@pytest.mark.parametrize("name, first", [("lambda_family_poe", 0), ("poe_formula_submodular", 1)])
+def test_verify_closed_form_gate_catches_a_wrong_formula(monkeypatch, name, first):
+    from poe_toolkit import verify
+
+    # the default corpus opens with lb(64, 64), then submodular_lb 32 and 64
+    cases = verify.closed_form_corpus(verify.DEFAULT_SEED + 4, 12)
+    assert verify.gate_closed_forms(cases).passed
+    honest = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: honest(*args) + 1)
+    gate = verify.gate_closed_forms(cases)
+    assert not gate.passed and gate.cases == 12
+    # the detail shows the first five failures: the first such case at every p
+    inst, formula = cases[first]
+    poe = verify.solve(inst, verify.GATE_P_LIST).poe
+    assert formula(verify.UTILITARIAN) == poe[verify.UTILITARIAN] + 1
+    assert gate.detail == "; ".join(
+        f"case {first}: PoE {poe[p]} != closed form {formula(p)} at p={p}"
+        for p in verify.GATE_P_LIST
+    )
+
+
 def test_verify_default_corpus_exits_0():
     res = run("verify")
     assert res.returncode == 0
@@ -655,6 +676,7 @@ def test_verify_default_corpus_exits_0():
         "PASS rank-bound: 80 cases\n"
         "PASS matroid-floor: 40 cases\n"
         "PASS doubly-normalised: 40 cases\n"
+        "PASS closed-forms: 12 cases\n"
         "PASS self-test(corrupted-B): 1 cases\n"
     )
 
@@ -724,5 +746,6 @@ def test_verify_case_that_raises_fails_its_gate(monkeypatch, capsys, error):
         "PASS rank-bound: 80 cases\n"
         "PASS matroid-floor: 40 cases\n"
         "PASS doubly-normalised: 40 cases\n"
+        "PASS closed-forms: 12 cases\n"
         "PASS self-test(corrupted-B): 1 cases\n"
     )

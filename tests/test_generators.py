@@ -148,6 +148,18 @@ def test_random_matroid_rejects_bad_shapes():
         assert rng.getstate() == state, kw
 
 
+def test_random_additive_rejects_bad_W():
+    # as for the matroid sampler: W is checked before anything is drawn, a
+    # bool or a float is not a count, and the generator stays where it was
+    for W in (-1, 4, 1.5, True, False, 2.0):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError) as exc:
+            random_binary_additive(rng, 2, 3, W=W)
+        assert str(exc.value) == "W must lie in [0, m]", W
+        assert rng.getstate() == state, W
+
+
 def test_biregular_choices_respect_margins():
     for n, m in ((4, 6), (3, 7), (5, 5)):
         for W, W_c in biregular_parameter_choices(n, m):

@@ -47,6 +47,7 @@ from poe_toolkit.verify import (
     EXACT_P,
     FLOAT_TOL,
     GATE_P_LIST,
+    gate_closed_forms,
     gate_matroid_floor,
     gate_optimal_allocations,
     gate_rank_bound,
@@ -55,7 +56,6 @@ from poe_toolkit.verify import (
 from poe_toolkit.welfare import (
     NASH,
     NEG_INF,
-    PParam,
     UTILITARIAN,
     max_positive_count,
     welfare_key,
@@ -796,14 +796,9 @@ def test_family_at_scale():
     rng = random.Random(0x5CA1E)
     lb = gen_lower_bound_instance(32, 64)
     inst = relabel(lb, rng.sample(range(lb.n), lb.n), rng.sample(range(lb.m), lb.m))
-    ps = (UTILITARIAN, NASH, PParam.real(-1), NEG_INF)
-    res = solve(inst, ps)
-    assert res.poe[UTILITARIAN] == lambda_family_poe(UTILITARIAN, 64, 32)
-    for p in ps[1:]:
-        assert math.isclose(
-            float(res.poe[p]), float(lambda_family_poe(p, 64, 32)), rel_tol=FLOAT_TOL
-        )
-    assert is_eq1(inst, res.b)
+    gate = gate_closed_forms([(inst, lambda p: lambda_family_poe(p, 64, 32))])
+    assert gate.passed, gate.detail
+    assert is_eq1(inst, solve(inst, [UTILITARIAN]).b)
 
 
 @settings(max_examples=250, deadline=None)
