@@ -41,14 +41,15 @@ from .welfare import fill
 
 def doubly_degrees(inst: Instance) -> tuple[int, int]:
     """(W, W_c): every agent values W >= 1 goods (the normalisation constant)
-    and every good is valued by W_c agents (its ``takers()``).  Raises
+    and every good is valued by W_c agents (the bit count of its mask in
+    ``takers()``).  Raises
     ``ValueError`` when the instance is not doubly normalised; binary
     additive instances only."""
     if not all(isinstance(v, BinaryAdditive) for v in inst.valuations):
         raise ValueError("double normalisation is defined for binary additive instances")
     W = inst.normalisation()
     if W:  # not None (not normalised) and not 0 (nobody values anything)
-        col_sums = {len(agents) for agents in inst.takers()}
+        col_sums = set(map(int.bit_count, inst.takers()))
         if len(col_sums) == 1:
             return W, col_sums.pop()
     raise ValueError("instance is not doubly normalised")

@@ -58,9 +58,13 @@ def gen_submodular_lb_instance(k: int) -> Instance:
 def gen_doubly_normalised(n: int, m: int, W: int, W_c: int, seed: int) -> Instance:
     """Biregular binary additive instance: every row sums to W and every
     column to W_c.  Requires nW = mW_c.  Built from a canonical round-robin
-    biregular matrix, then shuffled by margin-preserving 2x2 swaps."""
+    biregular matrix, then shuffled by margin-preserving 2x2 swaps.  A
+    negative seed is refused: ``random.Random`` seeds from its absolute
+    value, so it would repeat the draws of its positive twin."""
     if n < 1 or m < 1 or W < 1 or W_c < 1:
         raise ValueError("all parameters must be positive")
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
     if W > m or W_c > n:
         raise ValueError("degrees cannot exceed the opposite side")
     if n * W != m * W_c:

@@ -11,9 +11,12 @@ construction: ``grand_value``, r(E), the value of all goods, and
 ``nonloops``, the mask of goods worth one on their own (the others are
 loops).  ``Instance.normalisation`` reads the first, and the exchange search
 skips an agent whose bundle has reached it, since that bundle spans every
-good.  The second is the agent–good graph: the positive capacity,
-validation and the doubly normalised routes read it, and
-``Instance.takers`` turns it into the adjacency the exchange search walks.
+good.  The second is the agent–good graph, one row of it per agent: the
+positive capacity, validation and the doubly normalised routes read it,
+and ``Instance.takers`` transposes it, in one C-level pass, into the
+columns the exchange search walks: per good, the bitmask of its taker
+agents (bit j set when agent j values the good), so agent sets are masks
+as bundles are.
 Each valuation answers three questions on bundle masks: a basis of a
 bundle (the rest of the bundle is its wasted goods), the exchange oracle of
 the solver's search (``exchange``, which follows goods entering and leaving
@@ -43,7 +46,7 @@ stateless oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -354,12 +357,15 @@ class _GF2Exchange:
     def remove(self, g: int) -> None:
         # pivot on the lowest-led vector whose goods hold g: adding it to the
         # others that hold g clears g from them and keeps their leading bits
+        # (in any order, since the additions commute)
         basis = self.basis
-        holders = sorted(lead for lead, (_, goods) in basis.items() if (goods >> g) & 1)
-        pivot, pivot_goods = basis.pop(holders[0])
-        for lead in holders[1:]:
-            v, goods = basis[lead]
-            basis[lead] = (v ^ pivot, goods ^ pivot_goods)
+        holders = [lead for lead, (_, goods) in basis.items() if (goods >> g) & 1]
+        lowest = min(holders)
+        pivot, pivot_goods = basis.pop(lowest)
+        for lead in holders:
+            if lead != lowest:
+                v, goods = basis[lead]
+                basis[lead] = (v ^ pivot, goods ^ pivot_goods)
 
 
 def floor_table(val: Valuation) -> list[int]:
@@ -437,15 +443,18 @@ class Instance:
         """Number of agent types."""
         return max(self.type_index) + 1
 
-    def takers(self) -> list[list[int]]:
-        """Good -> the agents for whom it is worth one on its own, ascending:
-        the agent–good adjacency, read from the valuations' ``nonloops``."""
-        out: list[list[int]] = [[] for _ in range(self.m)]
-        for j, v in enumerate(self.valuations):
-            # the 0/1 bytes of j's row pick the goods' lists in C
-            for agents in compress(out, bin(v.nonloops)[:1:-1].encode().translate(_BITS)):
-                agents.append(j)
-        return out
+    def takers(self) -> list[int]:
+        """Good -> the mask of the agents for whom it is worth one on its own
+        (bit j = agent j): the agent–good adjacency, read from the valuations'
+        ``nonloops``.  One C-level transpose of their digits: the agents'
+        rows of m binary digits, highest good first and last agent first,
+        are joined into one string, and good g's column, read from it with a
+        stride of m from offset m - 1 - g, is the mask's digits, highest
+        agent first."""
+        m, top = self.m, 1 << self.m
+        # the bit set at m keeps a row's leading zeros; [3:] drops it and "0b"
+        flat = "".join([bin(v.nonloops | top)[3:] for v in reversed(self.valuations)])
+        return [int(flat[s::m], 2) for s in range(m - 1, -1, -1)]
 
     def normalisation(self) -> int | None:
         """Common grand-bundle value W, or None if not normalised."""

@@ -20,28 +20,35 @@ The pipeline is:
 ``diagnostics``: the type-level truncation quantities as the JSON object it
 prints, or None unless every valuation is binary additive.
 
-Bundles, the pool and the search's sources are bitmasks of goods.
+Bundles, the pool and the search's sources are bitmasks of goods, and
+the sets of agents a good is offered to are bitmasks of agents: each
+good's taker mask (``Instance.takers``, built once per solve: the agents
+for whom it is not a loop), cut by the mask of the agents asked.
 Augmentation makes every one-good path in one ascending sweep over the
-pool, the same paths in the same order as the searches would (no span
-shrinks while augmenting; see ``max_utilitarian_clean``), and runs the
-exchange search only for the longer paths left.  The search builds a
-good's arcs from the agents for whom it is not a loop only
-(``Instance.takers``, built once per solve), and never offers it to an
-agent whose bundle has reached its ``grand_value``: such a bundle spans
-every good, so it adds none.  The breadth-first walk tests each good for
-an absorber when it first reaches it, the sources first, asking the
-absorbers in ascending order, so a search with a one-good path ends
-before any arc is built, and balancing's single target costs one test per
-good reached.  Each bundle's exchange oracle is built once per solve and
-updated in place along every applied path.  Balancing keeps the agents in
-value levels across passes, each with the union of its agents' bundles:
-a target's sources are the union of the levels two or more above it, and
-an applied path moves only the bundles it touches between levels.  It
-walks each failed source set at most once per pass, and a pass ends
-before the targets no agent is two ahead of.  Each allocation is
+pool, offering each good to its takers in the sweep's ``below`` mask,
+lowest bit first: the same paths in the same order as the searches would
+(no span shrinks while augmenting; see ``max_utilitarian_clean``), and
+the exchange search runs only for the longer paths left.  No good is
+offered to an agent whose bundle has reached its ``grand_value``: such a
+bundle spans every good, so it adds none.  The breadth-first walk tests
+each good for an absorber when it first reaches it, the sources first,
+asking its taker bits among the absorbers lowest first, so a search with
+a one-good path ends before any arc is built, and balancing's single
+target costs one mask test per good reached.  A good's arcs are asked of
+its takers but its holder, less the agents whose whole bundle the walk
+has already reached, since their circuits lie in it.  Each bundle's
+exchange oracle is built once per solve and updated in place along every
+applied path.  Balancing keeps the agents in value levels across passes,
+each with the union of its agents' bundles: a target's sources are the
+union of the levels two or more above it, and an applied path moves only
+the bundles it touches between levels.  It walks each failed source set
+at most once per pass, and a pass ends before the targets no agent is
+two ahead of.  Each allocation is
 evaluated once per solve: truncation reads each A* bundle's value and the
-goods to remove from one ``Valuation.coloops`` call, and each B bundle's
-value and EQ1 floor from one more, on masks updated as the goods move.
+goods to remove from one ``Valuation.coloops`` call, and B's values and
+EQ1 floors are those pairs, read again only for the bundles truncation
+changed (the trimmed ones and the sink's), on masks updated as the goods
+move.
 Correctness of the search steps is gated end-to-end against the
 exhaustive oracle in the test suite.
 """
@@ -79,20 +86,19 @@ class SolverInternalError(RuntimeError):
 class _State:
     """Mutable clean partial allocation: per-agent independent bundles as
     bitmasks of goods, each with its exchange oracle (built here, then
-    updated in place by ``apply_path``), the pool of
-    unassigned goods as a bitmask, the agent–good adjacency ``takers``
-    (``Instance.takers``) that the search walks, each agent's ``nonloops``
-    that its absorber test reads, and the set ``below`` of agents whose
-    bundle is still worth less than their ``grand_value``."""
+    updated in place by ``apply_path``), the pool of unassigned goods as a
+    bitmask, the agent–good adjacency ``takers`` (``Instance.takers``: per
+    good, the mask of the agents for whom it is not a loop) that the search
+    walks, and the set ``below`` of agents whose bundle is still worth less
+    than their ``grand_value``."""
 
     def __init__(self, inst: Instance, owner: Sequence[int]):
         self.inst = inst
         self.owner = list(owner)
         self.takers = takers = inst.takers()
-        self.nonloops = [v.nonloops for v in inst.valuations]
         # goods with two or more takers: an owned good outside this mask has
         # its owner as its only taker, so no arcs leave it
-        self.shared = sum(1 << g for g, agents in enumerate(takers) if len(agents) > 1)
+        self.shared = sum(1 << g for g, agents in enumerate(takers) if agents & (agents - 1))
         self.bundles = Allocation(owner, inst.n).masks(inst)
         self.pool = ((1 << inst.m) - 1) ^ sum(self.bundles)
         self.exchanges = [v.exchange(b) for v, b in zip(inst.valuations, self.bundles)]
@@ -115,54 +121,72 @@ class _State:
         final good is added to the absorber's bundle, for a net gain of one
         unit of value.  Shortest paths keep the simultaneous swaps valid.
         Arcs run from g to g's fundamental circuit in each other bundle (all
-        of it if g adds value).  Only the agents in ``takers[g]`` are asked
-        about g: for the others g is a loop, which adds no value and lies on
-        no circuit.  Goods are reached sources first, ascending, then in the
-        order arcs find them.  Each good is tested when it is first reached
-        and its arcs are built when it leaves the queue, so the path ends at
-        the first good reached that an absorber can add.  The test asks the
-        absorbers, sorted once per call, lowest first, and skips those for
-        whom the good is a loop, so the lowest such absorber takes it in
-        whatever order the caller lists them.
+        of it if g adds value).  Only the agents in the mask ``takers[g]``
+        are asked about g: for the others g is a loop, which adds no value
+        and lies on no circuit.  Nor are the agents whose whole bundle the
+        walk has already reached: whatever they answer lies in their bundle,
+        so it reaches nothing new.  Goods are reached sources first,
+        ascending, then in the order arcs find them.  Each good is tested
+        when it is first reached and its arcs are built when it leaves the
+        queue, so the path ends at the first good reached that an absorber
+        can add.  The test asks the good's taker bits among the absorbers
+        (taken as a mask once per call), lowest first, so the lowest
+        absorber that can add the good takes it in whatever order the
+        caller lists them.
 
         The walk does not depend on the absorbers, which only decide where
         it stops.  Callers pass only agents in ``below``: a bundle that has
         reached its ``grand_value`` spans every good, so it adds none, and
         with no absorber the search does not walk and returns the sources.
         """
-        absorbers = sorted(absorbers)
-        if not absorbers:
+        wanted = 0
+        for j in absorbers:
+            wanted |= 1 << j
+        if not wanted:
             return sources
         owner, takers, exchanges, bundles = self.owner, self.takers, self.exchanges, self.bundles
-        nonloops = self.nonloops
         seen = sources
+        spent = 0  # the agents whose whole bundle the walk has reached
         reached = sources & (self.shared | self.pool)  # skip sources no arc leaves
         parent: dict[int, int | None] = {}
         queue: deque[int] = deque()
         g = None  # the sources have no parent
         while True:
+            unseen = ~seen
             while reached:  # lowest bit first, without listing every source
                 low = reached & -reached
                 reached ^= low
                 h = low.bit_length() - 1
                 parent[h] = g
                 holder = owner[h]
-                for j in absorbers:
-                    if nonloops[j] >> h & 1 and j != holder and exchanges[j].circuit(h) is None:
+                offered = takers[h] & wanted
+                while offered:  # lowest taker bit first
+                    bit = offered & -offered
+                    offered ^= bit
+                    j = bit.bit_length() - 1
+                    if j != holder and exchanges[j].circuit(h) is None:
                         path = [h]
                         while (h := parent[h]) is not None:
                             path.append(h)
                         path.reverse()
                         return path, j
+                if holder != UNASSIGNED and not bundles[holder] & unseen:
+                    spent |= 1 << holder
                 queue.append(h)
             if not queue:
                 return seen
             g = queue.popleft()
+            holder = owner[g]
+            offered = takers[g] & ~spent
+            if holder != UNASSIGNED:
+                offered &= ~(1 << holder)
             arcs = 0
-            for j in takers[g]:
-                if j != owner[g]:
-                    swaps = exchanges[j].circuit(g)
-                    arcs |= bundles[j] if swaps is None else swaps
+            while offered:
+                bit = offered & -offered
+                offered ^= bit
+                j = bit.bit_length() - 1
+                swaps = exchanges[j].circuit(g)
+                arcs |= bundles[j] if swaps is None else swaps
             reached = arcs & ~seen
             seen |= reached
 
@@ -209,25 +233,35 @@ def max_utilitarian_clean(inst: Instance) -> _State:
     brought in, which is the matroid-partition optimality condition.
 
     One ascending sweep over the pool first makes every one-good path: each
-    good goes to the first of its takers still below its grand value that
-    it adds to.  Augmenting never shrinks a span (the absorber's grows, the
-    others swap within a circuit) and ``below`` only loses agents, so a
-    good passed without a taker never gains one.  Each search would return
-    the lowest pool good with an absorber and that absorber, so the sweep
-    makes the searches' one-good paths in their order, and the search runs
-    only for the longer paths left.
+    good is offered to ``takers[g] & below``, the mask of its takers still
+    below their grand value, lowest bit first, and goes to the first it
+    adds to; each bundle's room to its grand value is counted down, not
+    recounted from the bundle.  Augmenting never shrinks a span (the
+    absorber's grows, the others swap within a circuit) and ``below`` only
+    loses agents, so a good passed without a taker never gains one.  Each
+    search would return the lowest pool good with an absorber and that
+    absorber, so the sweep makes the searches' one-good paths in their
+    order, and the search runs only for the longer paths left.
     """
     state = _State(inst, [UNASSIGNED] * inst.m)
-    owner, bundles, exchanges, below = state.owner, state.bundles, state.exchanges, state.below
-    for g in goods_of(state.pool):
-        for j in state.takers[g]:
-            if j in below and exchanges[j].add(g):
+    owner, bundles, exchanges, takers = state.owner, state.bundles, state.exchanges, state.takers
+    room = [v.grand_value for v in inst.valuations]  # the bundles start empty
+    below = sum(1 << j for j in state.below)
+    for g in range(inst.m):  # every good starts in the pool
+        offered = takers[g] & below
+        while offered:  # lowest taker bit first
+            bit = offered & -offered
+            j = bit.bit_length() - 1
+            if exchanges[j].add(g):
                 bundles[j] |= 1 << g
                 owner[g] = j
-                state.pool ^= 1 << g
-                if bundles[j].bit_count() == inst.valuations[j].grand_value:
-                    below.discard(j)
+                room[j] -= 1
+                if not room[j]:
+                    below ^= bit
+                    state.below.discard(j)
                 break
+            offered ^= bit
+    state.pool = ((1 << inst.m) - 1) ^ sum(bundles)
     while True:
         found = state._bfs(state.pool, state.below)
         if isinstance(found, int):
@@ -358,22 +392,27 @@ def truncate(
     makes them worthless.  So B's values are ``min(l + 1, a_j)`` for A*'s
     ``a_j``, and that result is checked, not the steps: a sink that values
     a good it takes, or a bundle short of coloops, breaks it.  EQ1 is
-    checked on its own.  One ``coloops`` pass over each allocation gives
-    its values, the goods to remove from A* and B's EQ1 floors."""
+    checked on its own.  One ``coloops`` pass over A* gives its values and
+    the goods to remove.  B's pairs, its values and EQ1 floors, are A*'s,
+    read again only for the bundles truncation changed: the trimmed ones
+    and the sink's."""
     if not a_star.is_complete:
         raise ValueError("truncation requires a complete allocation")
-    masks = a_star.masks(inst)
-    values, coloops = zip(*(v.coloops(b) for v, b in zip(inst.valuations, masks)))
+    valuations, masks = inst.valuations, a_star.masks(inst)
+    pairs = [v.coloops(b) for v, b in zip(valuations, masks)]
+    values = tuple(value for value, _ in pairs)
     l = min(values)
     i_l = values.index(l)
     owner = list(a_star.owner)
-    for i, value in enumerate(values):
-        if value > l + 1:
-            for g in goods_of(coloops[i])[:value - l - 1]:
-                owner[g] = i_l
-                masks[i] ^= 1 << g
-                masks[i_l] |= 1 << g
-    pairs = [v.coloops(b) for v, b in zip(inst.valuations, masks)]
+    trimmed = [i for i, value in enumerate(values) if value > l + 1]
+    for i in trimmed:
+        for g in goods_of(pairs[i][1])[:values[i] - l - 1]:
+            owner[g] = i_l
+            masks[i] ^= 1 << g
+            masks[i_l] |= 1 << g
+    if trimmed:  # B's pairs: A*'s, but for the bundles trimmed and the sink's
+        for i in trimmed + [i_l]:
+            pairs[i] = valuations[i].coloops(masks[i])
     values_b = tuple(value for value, _ in pairs)
     if values_b != tuple(min(l + 1, a) for a in values):
         raise SolverInternalError(f"truncated values are not min(l + 1, A* value) with l = {l}: "

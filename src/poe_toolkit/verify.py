@@ -308,6 +308,12 @@ def gate_self_test() -> GateResult:
 
 
 def run_verification(seed: int = DEFAULT_SEED) -> list[GateResult]:
+    """Every gate on its corpus from ``seed`` (the corpora are drawn from
+    ``seed`` to ``seed + 4``), the self-test last.  A negative seed is
+    refused: ``random.Random`` seeds from its absolute value, so it would
+    rerun the corpora of its positive twin."""
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
     return [
         gate_optimal_allocations(oracle_corpus(seed, 60) + fixture_instances()),
         gate_rank_bound(rank_corpus(seed + 1, 80)),

@@ -121,6 +121,15 @@ def test_generate_doubly_seed_defaults_to_0():
     assert a.stdout and a.stdout == b.stdout
 
 
+def test_generate_doubly_refuses_a_negative_seed():
+    # random.Random seeds from |seed|: -5 would write the bytes of seed 5
+    args = ("generate", "doubly", "--n", "6", "--m", "9", "--W", "3", "--Wc", "2", "--seed")
+    res = run(*args, "-5")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "error: seed -5 is negative\n"
+    assert run(*args, "5").returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # solve / check
 # ---------------------------------------------------------------------------
@@ -612,6 +621,14 @@ def test_verify_small_corpus_passes():
 
     gates = run_verification()
     assert all(g.passed for g in gates)
+
+
+def test_verify_refuses_a_negative_seed():
+    # random.Random seeds from |seed|: -1 would rerun seed 1's corpora and
+    # print six PASS lines; it is refused before any gate runs
+    res = run("verify", "--seed", "-1")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "error: seed -1 is negative\n"
 
 
 def test_verify_doubly_gate_passes_at_default_seed():

@@ -332,7 +332,7 @@ def test_floor_matches_definitions(case):
         assert type(val.nonloops) is int
         assert val.nonloops == sum(1 << g for g in range(inst.m) if val.value(1 << g))
     assert inst.takers() == [
-        [j for j, val in enumerate(inst.valuations) if val.value(1 << g)] for g in range(inst.m)
+        sum(1 << j for j, val in enumerate(inst.valuations) if val.value(1 << g)) for g in range(inst.m)
     ]
     assert wasted_goods(inst, alloc) == reference_wasted_goods(inst, alloc)
     doc = check_allocation(inst, alloc)
@@ -347,6 +347,35 @@ def test_floor_matches_definitions(case):
         assert doc["ef"] == all(
             reference_value(v, b) <= values[i] for i, v in enumerate(inst.valuations) for b in masks
         )
+
+
+def test_takers_match_definition():
+    # bit j of takers()[g] is set iff bit g of agent j's nonloops is, on
+    # seeded additive, GF(2) and mixed instances: n >= 64 (masks wider than
+    # a machine word), m = 0, agents with no nonloop and zero GF(2) columns
+    rng = random.Random(0x7A6E)
+    cases = [Instance([BinaryAdditive([])] * 3), Instance([LinearMatroidGF2(2, [])] * 70)]
+    for n in (1, 7, 64, 65, 130):
+        m = rng.randint(1, 48)
+        additive = random_binary_additive(rng, n, m).valuations
+        gf2 = random_matroid_gf2(rng, n, m, k=rng.randint(1, 3)).valuations
+        mixed = [rng.choice(pair) for pair in zip(additive, gf2)]
+        mixed[rng.randrange(n)] = BinaryAdditive([0] * m)
+        mixed[rng.randrange(n)] = LinearMatroidGF2(2, [[0, 0]] * m)
+        cases += [Instance(additive), Instance(gf2), Instance(mixed)]
+    zero_columns = all_loops = 0
+    for inst in cases:
+        takers = inst.takers()
+        assert len(takers) == inst.m
+        for g, t in enumerate(takers):
+            assert type(t) is int
+            assert t == sum(1 << j for j, v in enumerate(inst.valuations) if v.nonloops >> g & 1)
+        for v in inst.valuations:
+            all_loops += v.nonloops == 0
+            if isinstance(v, LinearMatroidGF2):
+                zero_columns += 0 in v.col_masks
+    assert all_loops >= 10 and zero_columns >= 10
+    assert max(inst.n for inst in cases if inst.m) >= 130
 
 
 def loopy_valuation(rng: random.Random, m: int, additive: bool):

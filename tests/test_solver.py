@@ -188,6 +188,44 @@ def reference_bfs(inst: Instance, owner, sources: int, absorbers):
     return sum(1 << g for g in parent)
 
 
+def reference_sweep(inst: Instance) -> tuple[list[int], list[int]]:
+    """Textbook one-good sweep: each good, ascending, goes to the first
+    agent in the list of all agents, lowest first, that is still below its
+    grand value and whose bundle the good raises.  Returns the owners and
+    the agents in the order they reach their grand value."""
+    owner, bundles, full = [UNASSIGNED] * inst.m, [0] * inst.n, []
+    for g in range(inst.m):
+        for j, val in enumerate(inst.valuations):
+            value = val.value(bundles[j])
+            if value < val.grand_value and val.value(bundles[j] | 1 << g) > value:
+                owner[g] = j
+                bundles[j] |= 1 << g
+                if value + 1 == val.grand_value:
+                    full.append(j)
+                break
+    return owner, full
+
+
+def test_sweep_matches_reference_sweep(monkeypatch):
+    # the masked sweep offers each good to its taker bits still below their
+    # grand value, lowest first: the same owners as the list sweep, on dense
+    # GF(2) instances where agents reach their grand value out of order
+    # (with no search left, ``max_utilitarian_clean`` returns after the sweep)
+    monkeypatch.setattr(_State, "_bfs", lambda self, sources, absorbers: sources)
+    rng = random.Random(0x5EE9)
+    out_of_order = 0
+    for _ in range(60):
+        n, m = rng.randint(2, 70), rng.randint(1, 40)
+        inst = random_matroid_gf2(rng, n, m, k=rng.randint(1, 4))
+        owner, full = reference_sweep(inst)
+        state = max_utilitarian_clean(inst)
+        assert state.owner == owner
+        assert state.below == {j for j, v in enumerate(inst.valuations) if v.grand_value} - set(full)
+        assert state.pool == sum(1 << g for g in range(m) if owner[g] == UNASSIGNED)
+        out_of_order += full != sorted(full)
+    assert out_of_order >= 20, out_of_order
+
+
 def test_search_matches_reference_bfs():
     # seeded clean states: a random complete allocation with its wasted goods
     # moved to the pool; every single-good source with one random absorber,
@@ -411,11 +449,11 @@ def test_one_state_per_solve(monkeypatch):
 
 
 def test_one_evaluation_per_allocation(monkeypatch):
-    # truncation's coloops pass over A* and its EQ1 pass over B give both
-    # reports their values, so a GF(2) solve makes one coloops call per
-    # agent and allocation and builds masks twice (the state's and
-    # truncation's); on an additive instance the diagnostics evaluate A*
-    # once more
+    # truncation's coloops pass over A* gives A*'s values, and B's pass reads
+    # again only the bundles truncation changed (the trimmed ones and the
+    # sink's), so a GF(2) solve makes n coloops calls plus one per changed
+    # bundle and builds masks twice (the state's and truncation's); on an
+    # additive instance the diagnostics evaluate A* once more
     calls, builds = [], []
     masks = Allocation.masks
 
@@ -432,12 +470,19 @@ def test_one_evaluation_per_allocation(monkeypatch):
     monkeypatch.setattr(Allocation, "masks", counted_masks)
     for cls in (BinaryAdditive, LinearMatroidGF2):
         monkeypatch.setattr(cls, "coloops", counting(cls.coloops))
+    trimmed = 0
     for inst, passes in ((random_matroid_gf2(random.Random(5), 6, 24, k=3), 2),
-                         (random_binary_additive(random.Random(5), 6, 24), 3)):
+                         (gen_submodular_lb_instance(4), 2),
+                         (random_binary_additive(random.Random(5), 6, 24), 3),
+                         (gen_lower_bound_instance(3, 3), 3)):
         calls.clear()
         builds.clear()
-        solve(inst, GATE_P_LIST)
-        assert (len(calls), len(builds)) == (passes * inst.n, passes)
+        res = solve(inst, GATE_P_LIST)
+        got = (len(calls), len(builds))
+        changed = sum(a != b for a, b in zip(masks(res.a_star, inst), masks(res.b, inst)))
+        assert got == ((passes - 1) * inst.n + changed, passes)
+        trimmed += changed > 0
+    assert trimmed == 2
 
 
 def test_exchange_oracles_updated_in_place(monkeypatch):
@@ -788,7 +833,7 @@ def test_solver_outputs_pinned():
         assert list(res.a_star.owner) == a_star
         assert list(res.b.owner) == b
     takers = cases[-1][0].takers()
-    assert any(0 < len(agents) < 6 for agents in takers)
+    assert any(0 < agents.bit_count() < 6 for agents in takers)
 
 
 def test_family_at_scale():
