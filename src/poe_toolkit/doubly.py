@@ -42,9 +42,8 @@ from .welfare import fill
 def doubly_degrees(inst: Instance) -> tuple[int, int]:
     """(W, W_c): every agent values W >= 1 goods (the normalisation constant)
     and every good is valued by W_c agents (the bit count of its mask in
-    ``takers()``).  Raises
-    ``ValueError`` when the instance is not doubly normalised; binary
-    additive instances only."""
+    ``takers()``).  Raises ``ValueError`` when the instance is not doubly
+    normalised; binary additive instances only."""
     if not all(isinstance(v, BinaryAdditive) for v in inst.valuations):
         raise ValueError("double normalisation is defined for binary additive instances")
     W = inst.normalisation()
